@@ -14,14 +14,9 @@ import argparse
 
 import numpy as np
 
-from msot.hyperbolic import exp_map, origin, sample_wrapped_normal
-from msot.sliced import sample_directions
-from msot.unbalanced import (
-    EuclideanSlicer,
-    HyperbolicSlicer,
-    UnbalancedParams,
-    usw,
-)
+from msot.hyperbolic import HyperbolicSlicer, exp_map, origin, sample_wrapped_normal
+from msot.sliced import EuclideanSlicer, sample_directions
+from msot.unbalanced import UnbalancedParams, usw
 
 
 def euclidean_instance(rng):

@@ -1,5 +1,18 @@
 """Sliced optimal transport on Euclidean space and Riemannian manifolds."""
 
+import os
+
+if "MSOT_THREADS" in os.environ:
+    # BLAS reads its thread count once, when numpy first loads it, so the
+    # cap must be in the environment before any import below
+    for _var in (
+        "OMP_NUM_THREADS",
+        "OPENBLAS_NUM_THREADS",
+        "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS",
+    ):
+        os.environ.setdefault(_var, os.environ["MSOT_THREADS"])
+
 from .busemann import (
     BWGaussian,
     GaussianRay,
@@ -28,6 +41,7 @@ from .flows import (
 )
 from .gw import gw1d_inner, hw_solve, hw_tensor, mi_gaussian, mk_gaussian, nw_corner
 from .hyperbolic import (
+    HyperbolicSlicer,
     busemann_coordinate,
     geodesic_coordinate,
     ghsw,
@@ -49,8 +63,15 @@ from .measures import (
     wasserstein_1d,
     wasserstein_1d_batched,
 )
-from .sliced import DirectionSet, sample_directions, sw2_subgradient, sw_p
+from .sliced import (
+    DirectionSet,
+    EuclideanSlicer,
+    sample_directions,
+    sw2_subgradient,
+    sw_p,
+)
 from .spd import (
+    SpdSlicer,
     busemann_ai,
     coordinate_le,
     dist_ai,
@@ -68,9 +89,6 @@ from .spd import (
 from .sphere import project_circle, sample_stiefel, ssw, ssw2_vs_uniform
 from .unbalanced import (
     DualPotentials,
-    EuclideanSlicer,
-    HyperbolicSlicer,
-    SpdSlicer,
     UnbalancedParams,
     fw_translation,
     norm_reweight,

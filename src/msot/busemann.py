@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, InvalidInput, NotARay
-from .measures import SortedProfile
+from .measures import SortedProfile, _quantiles, merged_breakpoints
 from .spd import sym_eig
 
 UNIT_SPEED_ATOL = 1e-10
@@ -63,16 +63,6 @@ class BWGaussian:
             raise InvalidInput("covariance must be positive definite")
 
 
-def merged_breakpoints(profiles):
-    """Sorted union of cumulative-weight breakpoints of several profiles."""
-    return np.sort(np.concatenate([p.cum for p in profiles]), kind="stable")
-
-
-def _quantile_on(profile, qs):
-    idx = np.searchsorted(profile.cum, qs, side="left")
-    return profile.positions[np.clip(idx, 0, profile.positions.size - 1)]
-
-
 def is_geodesic_ray_1d(mu0, mu1):
     """Check the quantile criterion for a 1D geodesic ray.
 
@@ -81,7 +71,7 @@ def is_geodesic_ray_1d(mu0, mu1):
     ``(flag, witness)`` with the first violating breakpoint pair if not.
     """
     qs = merged_breakpoints([mu0, mu1])
-    diff = _quantile_on(mu1, qs) - _quantile_on(mu0, qs)
+    diff = _quantiles(mu1, qs) - _quantiles(mu0, qs)
     drops = np.nonzero(np.diff(diff) < -1e-12)[0]
     if drops.size == 0:
         return True, None
@@ -105,16 +95,16 @@ class QuantileRay:
             raise NotARay(f"ray must have unit speed, got W2^2 = {speed}")
 
     def quantiles_at(self, t, qs):
-        q0 = _quantile_on(self.mu0, qs)
-        return q0 + t * (_quantile_on(self.mu1, qs) - q0)
+        q0 = _quantiles(self.mu0, qs)
+        return q0 + t * (_quantiles(self.mu1, qs) - q0)
 
 
 def _piecewise_inner(a1, a0, b1, b0):
     """Exact ``<Q_a1 - Q_a0, Q_b1 - Q_b0>_{L^2([0,1])}`` for step quantiles."""
     qs = merged_breakpoints([a1, a0, b1, b0])
     delta = np.diff(qs, prepend=0.0)
-    left = _quantile_on(a1, qs) - _quantile_on(a0, qs)
-    right = _quantile_on(b1, qs) - _quantile_on(b0, qs)
+    left = _quantiles(a1, qs) - _quantiles(a0, qs)
+    right = _quantiles(b1, qs) - _quantiles(b0, qs)
     return float(np.sum(delta * left * right))
 
 

@@ -6,24 +6,13 @@ are JSON (JSONL for flow traces) with a config echo, numerically identical
 across reruns except for the wallclock field.
 """
 
-import os
-
-if "MSOT_THREADS" in os.environ:
-    # cap BLAS parallelism before numpy comes up anywhere below
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, os.environ["MSOT_THREADS"])
-
 import argparse
 import csv
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,19 +20,6 @@ from . import busemann, flows, gw, hyperbolic, sliced, spd, sphere, unbalanced
 from .errors import InvalidInput
 
 GEOMETRIES = ("euclidean", "lorentz", "poincare", "spd", "sphere", "circle", "gaussian1d")
-DISTANCES = (
-    "sw",
-    "ghsw",
-    "hhsw",
-    "spdsw",
-    "hspdsw",
-    "logsw",
-    "ssw",
-    "suot",
-    "usw",
-    "gw1d",
-    "hw",
-)
 
 
 @dataclass(frozen=True)
@@ -67,17 +43,7 @@ class RunConfig:
     fw_iters: int = 20
 
     def echo(self):
-        return {
-            "seed": self.seed,
-            "projections": self.projections,
-            "p": self.p,
-            "rho1": self.rho1,
-            "rho2": self.rho2,
-            "tau": self.tau,
-            "steps": self.steps,
-            "eps": self.eps,
-            "fw_iters": self.fw_iters,
-        }
+        return asdict(self)
 
 
 def _read_rows(path):
@@ -91,9 +57,12 @@ def _read_rows(path):
 
 def _parse_float(cell, path, row_num):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError as exc:
         raise InvalidInput(f"{path}: row {row_num}: malformed number {cell!r}") from exc
+    if not math.isfinite(value):
+        raise InvalidInput(f"{path}: row {row_num}: non-finite number {cell!r}")
+    return value
 
 
 def load_dataset(path, geometry):
@@ -122,11 +91,7 @@ def load_dataset(path, geometry):
             weights.append(w)
         atoms.append(values)
     data = np.array(atoms, dtype=float)
-    w = (
-        np.array(weights)
-        if has_weight
-        else np.full(data.shape[0], 1.0 / data.shape[0])
-    )
+    w = np.array(weights) if has_weight else np.full(len(data), 1.0 / len(data))
     atoms = _validate_atoms(data, geometry, path, header)
     return Dataset(geometry=geometry, atoms=atoms, weights=w, path=path)
 
@@ -172,115 +137,58 @@ def _validate_atoms(data, geometry, path, header):
     return data
 
 
-def _require_geometry(cmd, geometry):
-    allowed = {
-        "sw": ("euclidean",),
-        "ghsw": ("lorentz", "poincare"),
-        "hhsw": ("lorentz", "poincare"),
-        "spdsw": ("spd",),
-        "hspdsw": ("spd",),
-        "logsw": ("spd",),
-        "ssw": ("sphere",),
-        "suot": ("euclidean", "lorentz", "poincare", "spd"),
-        "usw": ("euclidean", "lorentz", "poincare", "spd"),
-        "gw1d": ("euclidean",),
-        "hw": ("euclidean",),
-    }[cmd]
-    if geometry not in allowed:
-        raise InvalidInput(
-            f"distance {cmd!r} supports geometries {allowed}, got {geometry!r}"
+def _slicer(mu, cfg, kind):
+    """Seeded slicer of the dataset's geometry (``kind`` is ignored on R^d)."""
+    d = mu.atoms.shape[1]
+    if mu.geometry == "euclidean":
+        return sliced.EuclideanSlicer(
+            sliced.sample_directions(d, cfg.projections, cfg.seed)
         )
+    if mu.geometry == "spd":
+        slices = spd.sample_unit_symmetric(d, cfg.projections, cfg.seed)
+        return spd.SpdSlicer(slices, kind=kind)
+    # hyperboloid atoms carry one more coordinate than the ball
+    d -= 1 if mu.geometry == "lorentz" else 0
+    dirs = sliced.sample_directions(d, cfg.projections, cfg.seed)
+    return hyperbolic.HyperbolicSlicer(dirs, model=mu.geometry, kind=kind)
 
 
-def _slicer_for(geometry, mu, cfg):
-    if geometry == "euclidean":
-        dirs = sliced.sample_directions(mu.atoms.shape[1], cfg.projections, cfg.seed)
-        return unbalanced.EuclideanSlicer(dirs)
-    if geometry in ("lorentz", "poincare"):
-        d = mu.atoms.shape[1] - (1 if geometry == "lorentz" else 0)
-        dirs = sliced.sample_directions(d, cfg.projections, cfg.seed)
-        return unbalanced.HyperbolicSlicer(dirs, model=geometry, kind="geodesic")
-    slices = spd.sample_unit_symmetric(mu.atoms.shape[1], cfg.projections, cfg.seed)
-    return unbalanced.SpdSlicer(slices)
+def _line(kind):
+    def run(mu, nu, cfg):
+        slicer = _slicer(mu, cfg, kind)
+        return sliced.sliced_cost(
+            slicer, mu.atoms, nu.atoms, cfg.p, mu.weights, nu.weights
+        ), {}
+
+    return run
 
 
-def compute_distance(cmd, mu, nu, cfg):
-    """Dispatch one distance computation; returns (value, extras dict)."""
-    _require_geometry(cmd, mu.geometry)
-    if mu.geometry != nu.geometry:
-        raise InvalidInput("both datasets must share the geometry tag")
-    extras = {}
-    if cmd == "sw":
-        dirs = sliced.sample_directions(mu.atoms.shape[1], cfg.projections, cfg.seed)
-        value = sliced.sw_p(
-            mu.atoms, nu.atoms, dirs, p=cfg.p, x_weights=mu.weights, y_weights=nu.weights
-        )
-    elif cmd in ("ghsw", "hhsw"):
-        d = mu.atoms.shape[1] - (1 if mu.geometry == "lorentz" else 0)
-        dirs = sliced.sample_directions(d, cfg.projections, cfg.seed)
-        fn = hyperbolic.ghsw if cmd == "ghsw" else hyperbolic.hhsw
-        value = fn(
-            mu.atoms,
-            nu.atoms,
-            dirs,
-            p=cfg.p,
-            x_weights=mu.weights,
-            y_weights=nu.weights,
-            model=mu.geometry,
-        )
-    elif cmd in ("spdsw", "hspdsw"):
-        slices = spd.sample_unit_symmetric(
-            mu.atoms.shape[1], cfg.projections, cfg.seed
-        )
-        fn = spd.spdsw if cmd == "spdsw" else spd.hspdsw
-        value = fn(
-            mu.atoms, nu.atoms, slices, p=cfg.p, x_weights=mu.weights, y_weights=nu.weights
-        )
-    elif cmd == "logsw":
-        dirs = spd.logsw_directions(mu.atoms.shape[1], cfg.projections, cfg.seed)
-        value = spd.logsw(
-            mu.atoms, nu.atoms, dirs, p=cfg.p, x_weights=mu.weights, y_weights=nu.weights
-        )
-    elif cmd == "ssw":
-        frames = sphere.sample_stiefel(mu.atoms.shape[1], cfg.projections, cfg.seed)
-        value = sphere.ssw(
-            mu.atoms,
-            nu.atoms,
-            frames,
-            p=cfg.p,
-            x_weights=mu.weights,
-            y_weights=nu.weights,
-            eps=cfg.eps,
-        )
-    elif cmd in ("suot", "usw"):
-        params = unbalanced.UnbalancedParams(
-            rho1=cfg.rho1, rho2=cfg.rho2, p=cfg.p, n_iters=cfg.fw_iters
-        )
-        slicer = _slicer_for(mu.geometry, mu, cfg)
-        if cmd == "suot":
-            value, pots, history = unbalanced.suot(
-                mu.atoms, nu.atoms, slicer, params,
-                x_weights=mu.weights, y_weights=nu.weights,
-            )
-            marginals = unbalanced.norm_reweight(
-                mu.weights,
-                nu.weights,
-                unbalanced.DualPotentials(
-                    f=np.mean(pots.f, axis=0), g=np.mean(pots.g, axis=0)
-                ),
-                cfg.rho1,
-                cfg.rho2,
-            )
-        else:
-            value, pots, marginals, history = unbalanced.usw(
-                mu.atoms, nu.atoms, slicer, params,
-                x_weights=mu.weights, y_weights=nu.weights,
-            )
-        extras["marginals"] = {
+def _logsw(mu, nu, cfg):
+    dirs = spd.logsw_directions(mu.atoms.shape[1], cfg.projections, cfg.seed)
+    return spd.logsw(mu.atoms, nu.atoms, dirs, cfg.p, mu.weights, nu.weights), {}
+
+
+def _ssw(mu, nu, cfg):
+    frames = sphere.sample_stiefel(mu.atoms.shape[1], cfg.projections, cfg.seed)
+    value = sphere.ssw(
+        mu.atoms, nu.atoms, frames, cfg.p, mu.weights, nu.weights, eps=cfg.eps
+    )
+    return value, {}
+
+
+def _unbalanced_params(cfg):
+    return unbalanced.UnbalancedParams(
+        rho1=cfg.rho1, rho2=cfg.rho2, p=cfg.p, n_iters=cfg.fw_iters
+    )
+
+
+def _dual_extras(marginals, pots, history):
+    return {
+        "marginals": {
             "source": marginals.source.tolist(),
             "target": marginals.target.tolist(),
-        }
-        extras["dual_summary"] = {
+        },
+        "dual_summary": {
             "f_mean": float(np.mean(pots.f)),
             "f_min": float(np.min(pots.f)),
             "f_max": float(np.max(pots.f)),
@@ -289,36 +197,121 @@ def compute_distance(cmd, mu, nu, cfg):
             "g_max": float(np.max(pots.g)),
             "rounds": int(history.size),
             "history_tail": [float(v) for v in history[-3:]],
-        }
-    elif cmd == "gw1d":
-        if mu.atoms.shape[1] != 1:
-            raise InvalidInput("gw1d needs one-dimensional atoms")
-        order_x = np.argsort(mu.atoms[:, 0], kind="stable")
-        order_y = np.argsort(nu.atoms[:, 0], kind="stable")
-        plan, value = gw.gw1d_inner(
-            mu.atoms[order_x, 0],
-            mu.weights[order_x],
-            nu.atoms[order_y, 0],
-            nu.weights[order_y],
-        )
-        extras["plan_support_size"] = int(np.count_nonzero(plan))
-    elif cmd == "hw":
-        plan, value = gw.hw_solve(
-            mu.atoms, nu.atoms, a=mu.weights, b=nu.weights, n_iters=cfg.steps
-        )
-        extras["plan_support_size"] = int(np.count_nonzero(plan > 1e-14))
-    else:  # pragma: no cover
+        },
+    }
+
+
+def _suot(mu, nu, cfg):
+    value, pots, history = unbalanced.suot(
+        mu.atoms, nu.atoms, _slicer(mu, cfg, "geodesic"), _unbalanced_params(cfg),
+        x_weights=mu.weights, y_weights=nu.weights,
+    )
+    # marginals of the slice-averaged dual pair
+    mean_pots = unbalanced.DualPotentials(
+        f=np.mean(pots.f, axis=0), g=np.mean(pots.g, axis=0)
+    )
+    marginals = unbalanced.norm_reweight(
+        mu.weights, nu.weights, mean_pots, cfg.rho1, cfg.rho2
+    )
+    return value, _dual_extras(marginals, pots, history)
+
+
+def _usw(mu, nu, cfg):
+    value, pots, marginals, history = unbalanced.usw(
+        mu.atoms, nu.atoms, _slicer(mu, cfg, "geodesic"), _unbalanced_params(cfg),
+        x_weights=mu.weights, y_weights=nu.weights,
+    )
+    return value, _dual_extras(marginals, pots, history)
+
+
+def _gw1d_sorted(mu, nu):
+    """gw1d on sorted atoms: ``(plan, value, order_x, order_y)``."""
+    if mu.atoms.shape[1] != 1:
+        raise InvalidInput("gw1d needs one-dimensional atoms")
+    order_x = np.argsort(mu.atoms[:, 0], kind="stable")
+    order_y = np.argsort(nu.atoms[:, 0], kind="stable")
+    plan, value = gw.gw1d_inner(
+        mu.atoms[order_x, 0],
+        mu.weights[order_x],
+        nu.atoms[order_y, 0],
+        nu.weights[order_y],
+    )
+    return plan, value, order_x, order_y
+
+
+def _gw1d_plan(mu, nu, cfg):
+    """gw1d with the plan put back in input order."""
+    plan, value, order_x, order_y = _gw1d_sorted(mu, nu)
+    unsorted_plan = np.zeros_like(plan)
+    unsorted_plan[np.ix_(order_x, order_y)] = plan
+    return unsorted_plan, value
+
+
+def _hw_plan(mu, nu, cfg):
+    return gw.hw_solve(
+        mu.atoms, nu.atoms, a=mu.weights, b=nu.weights, n_iters=cfg.steps
+    )
+
+
+GW_PLANS = {"gw1d": _gw1d_plan, "hw": _hw_plan}
+
+
+def _gw1d(mu, nu, cfg):
+    # the support size does not depend on the order of the atoms
+    plan, value, _, _ = _gw1d_sorted(mu, nu)
+    return value, {"plan_support_size": int(np.count_nonzero(plan))}
+
+
+def _hw(mu, nu, cfg):
+    plan, value = _hw_plan(mu, nu, cfg)
+    return value, {"plan_support_size": int(np.count_nonzero(plan > 1e-14))}
+
+
+_HYPERBOLIC = ("lorentz", "poincare")
+_SLICED = ("euclidean", *_HYPERBOLIC, "spd")
+
+# distance name -> (accepted geometries, run(mu, nu, cfg) -> (value, extras))
+DISTANCES = {
+    "sw": (("euclidean",), _line("geodesic")),
+    "ghsw": (_HYPERBOLIC, _line("geodesic")),
+    "hhsw": (_HYPERBOLIC, _line("horospherical")),
+    "spdsw": (("spd",), _line("geodesic")),
+    "hspdsw": (("spd",), _line("horospherical")),
+    "logsw": (("spd",), _logsw),
+    "ssw": (("sphere",), _ssw),
+    "suot": (_SLICED, _suot),
+    "usw": (_SLICED, _usw),
+    "gw1d": (("euclidean",), _gw1d),
+    "hw": (("euclidean",), _hw),
+}
+
+
+def compute_distance(cmd, mu, nu, cfg):
+    """Dispatch one distance computation; returns (value, extras dict)."""
+    if cmd not in DISTANCES:
         raise InvalidInput(f"unknown distance {cmd!r}")
+    allowed, run = DISTANCES[cmd]
+    if mu.geometry not in allowed:
+        raise InvalidInput(
+            f"distance {cmd!r} supports geometries {allowed}, got {mu.geometry!r}"
+        )
+    if mu.geometry != nu.geometry:
+        raise InvalidInput("both datasets must share the geometry tag")
+    value, extras = run(mu, nu, cfg)
     return float(value), extras
 
 
-def _emit(payload, out):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text, out):
     if out:
         with open(out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, out):
+    # a NaN is a numerical failure (exit 3), never a JSON token on stdout
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
 def run_dist(args, cfg):
@@ -443,12 +436,7 @@ def run_flow(args, cfg):
             dilation=args.dilation,
             record_rho=args.record_positions,
         )
-    text = trace.to_jsonl()
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(trace.to_jsonl(), args.out)
 
 
 def run_pca(args, cfg):
@@ -477,24 +465,7 @@ def run_gw(args, cfg):
     mu = load_dataset(args.source, "euclidean")
     nu = load_dataset(args.target, "euclidean")
     start = time.perf_counter()
-    if args.name == "gw1d":
-        if mu.atoms.shape[1] != 1:
-            raise InvalidInput("gw1d needs one-dimensional atoms")
-        order_x = np.argsort(mu.atoms[:, 0], kind="stable")
-        order_y = np.argsort(nu.atoms[:, 0], kind="stable")
-        plan, value = gw.gw1d_inner(
-            mu.atoms[order_x, 0],
-            mu.weights[order_x],
-            nu.atoms[order_y, 0],
-            nu.weights[order_y],
-        )
-        unsorted_plan = np.zeros_like(plan)
-        unsorted_plan[np.ix_(order_x, order_y)] = plan
-        plan = unsorted_plan
-    else:
-        plan, value = gw.hw_solve(
-            mu.atoms, nu.atoms, a=mu.weights, b=nu.weights, n_iters=cfg.steps
-        )
+    plan, value = GW_PLANS[args.name](mu, nu, cfg)
     payload = {
         "command": "gw",
         "problem": args.name,
@@ -565,7 +536,7 @@ def build_parser():
     _add_common(p_pca)
 
     p_gw = sub.add_parser("gw", help="Gromov-Wasserstein solvers with plans")
-    p_gw.add_argument("name", choices=("gw1d", "hw"))
+    p_gw.add_argument("name", choices=GW_PLANS)
     p_gw.add_argument("source")
     p_gw.add_argument("target")
     _add_common(p_gw)
@@ -576,17 +547,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        seed=args.seed,
-        projections=args.projections,
-        p=args.p,
-        rho1=args.rho1,
-        rho2=args.rho2,
-        tau=args.tau,
-        steps=args.steps,
-        eps=args.eps,
-        fw_iters=args.fw_iters,
-    )
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     runner = {
         "dist": run_dist,
         "matrix": run_matrix,

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .hyperbolic import geodesic_coordinate, riemannian_step_lorentz
-from .measures import build_profile, wasserstein_1d_batched
-from .sliced import sample_directions, sw2_subgradient, sw_p
+from .measures import build_profile, validate_weights, wasserstein_1d_batched
+from .sliced import matched_residual, sample_directions, sw2_subgradient, sw_p
 from .unbalanced import sliced_dual
 
 ENTROPY_FLOOR = 1e-300
@@ -76,7 +76,7 @@ class FlowTrace:
                 payload["positions"] = np.asarray(r.positions).tolist()
             if r.rho is not None:
                 payload["rho"] = np.asarray(r.rho).tolist()
-            lines.append(json.dumps(payload, sort_keys=True))
+            lines.append(json.dumps(payload, sort_keys=True, allow_nan=False))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -122,12 +122,6 @@ class Functional:
         raise InvalidInput(f"{type(self).__name__} has no grid gradient")
 
 
-def _uniform(points, weights):
-    if weights is None:
-        return np.full(points.shape[0], 1.0 / points.shape[0])
-    return np.asarray(weights, dtype=float)
-
-
 class PotentialFunctional(Functional):
     r"""Potential energy :math:`\int V\,d\mu` with an analytic gradient."""
 
@@ -137,12 +131,12 @@ class PotentialFunctional(Functional):
 
     def value(self, points, weights=None):
         points = np.asarray(points, dtype=float)
-        w = _uniform(points, weights)
+        w = validate_weights(weights, n=points.shape[0])
         return float(np.sum(w * np.apply_along_axis(self.v, 1, points)))
 
     def particle_gradient(self, points, weights=None):
         points = np.asarray(points, dtype=float)
-        w = _uniform(points, weights)
+        w = validate_weights(weights, n=points.shape[0])
         return w[:, None] * np.stack([self.grad_v(x) for x in points])
 
     def grid_value(self, grid):
@@ -184,13 +178,13 @@ class InteractionFunctional(Functional):
 
     def value(self, points, weights=None):
         points = np.asarray(points, dtype=float)
-        w = _uniform(points, weights)
+        w = validate_weights(weights, n=points.shape[0])
         _, sq = self._pairwise(points)
         return 0.5 * float(w @ self._kernel(sq) @ w)
 
     def particle_gradient(self, points, weights=None):
         points = np.asarray(points, dtype=float)
-        w = _uniform(points, weights)
+        w = validate_weights(weights, n=points.shape[0])
         diff, sq = self._pairwise(points)
         norms = np.sqrt(sq)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -306,15 +300,10 @@ class GhswToTargetFunctional(Functional):
             raise InvalidInput("the analytic subgradient needs equal atom counts")
         ideal = self.dirs.dirs
         n_proj = ideal.shape[0]
-        coords_x = geodesic_coordinate(x, ideal, model="lorentz")
-        coords_y = geodesic_coordinate(self.target, ideal, model="lorentz")
-        sigma = np.argsort(coords_x, axis=0, kind="stable")
-        tau = np.argsort(coords_y, axis=0, kind="stable")
-        diff = np.take_along_axis(coords_x, sigma, axis=0) - np.take_along_axis(
-            coords_y, tau, axis=0
-        )
-        resid = np.empty_like(diff)
-        np.put_along_axis(resid, sigma, diff, axis=0)  # (n, L)
+        resid = matched_residual(
+            geodesic_coordinate(x, ideal, model="lorentz"),
+            geodesic_coordinate(self.target, ideal, model="lorentz"),
+        )  # (n, L)
         # ambient gradient of P^v(x) = arctanh(-<x,v>_L / <x,x0>_L)
         v = np.concatenate([np.zeros((n_proj, 1)), ideal], axis=-1)
         jv = v.copy()
@@ -340,12 +329,7 @@ def _sw_weight_gradient(nodes, rho, target, target_weights, dirs):
     """
     coords = np.asarray(nodes, dtype=float) @ dirs.dirs.T
     coords_t = np.asarray(target, dtype=float) @ dirs.dirs.T
-    m = coords_t.shape[0]
-    wt = (
-        np.full(m, 1.0 / m)
-        if target_weights is None
-        else np.asarray(target_weights, dtype=float)
-    )
+    wt = validate_weights(target_weights, n=coords_t.shape[0])
     grad = np.zeros(rho.size)
     for ell in range(dirs.n_projections):
         mu = build_profile(coords[:, ell], rho)

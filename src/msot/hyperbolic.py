@@ -12,11 +12,12 @@ the numerically stabler of the two); Poincaré inputs are accepted everywhere
 and converted at the boundary.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidInput
-from .measures import validate_weights, wasserstein_1d_batched
-from .sliced import sample_directions
+from .sliced import DirectionSet, point_rows, sample_directions, sliced_cost
 
 LORENTZ_ATOL = 1e-9
 _ARCTANH_CLIP = 1.0 - 1e-15
@@ -35,18 +36,19 @@ def origin(d):
 
 
 def validate_lorentz(x, atol=LORENTZ_ATOL):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(x[:, 0] <= 0):
+    x = point_rows(x)
+    # negated comparisons so that non-finite coordinates fail too
+    if not np.all(x[:, 0] > 0):
         raise InvalidInput("Lorentz points need a positive time coordinate")
     err = np.abs(minkowski_ip(x, x) + 1.0)
-    if np.max(err) > atol:
+    if not np.max(err) <= atol:
         raise InvalidInput(f"points off the hyperboloid by {np.max(err):.2e}")
     return x
 
 
 def validate_poincare(x):
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if np.any(np.linalg.norm(x, axis=-1) >= 1.0):
+    x = point_rows(x)
+    if not np.all(np.linalg.norm(x, axis=-1) < 1.0):
         raise InvalidInput("Poincare points must have norm < 1")
     return x
 
@@ -157,21 +159,24 @@ def sample_ideal_directions(d, n_projections, seed=0):
     return sample_directions(d, n_projections, seed=seed)
 
 
-def _hyperbolic_sliced(x, y, dirs, p, x_weights, y_weights, model, coordinate):
-    xw = (
-        np.full(np.atleast_2d(x).shape[0], 1.0 / np.atleast_2d(x).shape[0])
-        if x_weights is None
-        else validate_weights(x_weights, n=np.atleast_2d(x).shape[0])
-    )
-    yw = (
-        np.full(np.atleast_2d(y).shape[0], 1.0 / np.atleast_2d(y).shape[0])
-        if y_weights is None
-        else validate_weights(y_weights, n=np.atleast_2d(y).shape[0])
-    )
-    x_coords = coordinate(x, dirs.dirs, model=model)
-    y_coords = coordinate(y, dirs.dirs, model=model)
-    costs = wasserstein_1d_batched(x_coords, y_coords, xw, yw, p=p)
-    return float(np.mean(costs))
+@dataclass(frozen=True)
+class HyperbolicSlicer:
+    """Geodesic or horospherical coordinates on hyperbolic space.
+
+    The horospherical coordinate is the negated Busemann function, so that
+    points on the ray map to their parameter.
+    """
+
+    dirs: DirectionSet
+    model: str = "lorentz"
+    kind: str = "geodesic"
+
+    def coordinates(self, points):
+        if self.kind == "geodesic":
+            return geodesic_coordinate(points, self.dirs.dirs, model=self.model)
+        if self.kind == "horospherical":
+            return -busemann_coordinate(points, self.dirs.dirs, model=self.model)
+        raise InvalidInput(f"unknown hyperbolic slicer kind {self.kind!r}")
 
 
 def ghsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None, model="lorentz"):
@@ -181,22 +186,18 @@ def ghsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None, model="lorentz"):
     with the geodesic coordinate and average the 1D :math:`W_p^p` costs.
     Lorentz and Poincaré inputs give the same value with shared slices.
     """
-    return _hyperbolic_sliced(
-        x, y, dirs, p, x_weights, y_weights, model, geodesic_coordinate
-    )
+    slicer = HyperbolicSlicer(dirs, model=model, kind="geodesic")
+    return sliced_cost(slicer, point_rows(x), point_rows(y), p, x_weights, y_weights)
 
 
 def hhsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None, model="lorentz"):
     r"""Horospherical hyperbolic sliced Wasserstein, :math:`HHSW_p^p`.
 
-    Same Monte-Carlo average with the (negated) Busemann coordinate as the
-    line coordinate, so that points on the ray map to their parameter.
+    Same Monte-Carlo average with the horospherical coordinate of
+    :class:`HyperbolicSlicer` as the line coordinate.
     """
-
-    def coord(points, ideal, model):
-        return -busemann_coordinate(points, ideal, model=model)
-
-    return _hyperbolic_sliced(x, y, dirs, p, x_weights, y_weights, model, coord)
+    slicer = HyperbolicSlicer(dirs, model=model, kind="horospherical")
+    return sliced_cost(slicer, point_rows(x), point_rows(y), p, x_weights, y_weights)
 
 
 def parallel_transport_from_origin(v, target):

@@ -17,7 +17,12 @@ MASS_ATOL = 1e-9
 
 
 def validate_weights(weights, n=None):
-    """Check non-negativity/finiteness and return weights as a float array."""
+    """Check non-negativity/finiteness and return weights as a float array.
+
+    ``weights=None`` stands for uniform probability weights on ``n`` atoms.
+    """
+    if weights is None:
+        return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidInput("weights must be a non-empty 1D array")
@@ -54,10 +59,7 @@ def build_profile(points, weights=None):
         raise InvalidInput("points must be a non-empty 1D array")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("points must be finite")
-    if weights is None:
-        w = np.full(x.size, 1.0 / x.size)
-    else:
-        w = validate_weights(weights, n=x.size)
+    w = validate_weights(weights, n=x.size)
     order = np.argsort(x, kind="stable")
     x, w = x[order], w[order]
     return SortedProfile(positions=x, weights=w, cum=np.cumsum(w))
@@ -81,6 +83,11 @@ def _quantiles(profile, qs, side="left"):
     return profile.positions[np.clip(idx, 0, profile.positions.size - 1)]
 
 
+def merged_breakpoints(profiles):
+    """Sorted union of cumulative-weight breakpoints of several profiles."""
+    return np.sort(np.concatenate([p.cum for p in profiles]), kind="stable")
+
+
 def wasserstein_1d(mu, nu, p=2.0):
     r"""Exact :math:`W_p^p` between two profiles of equal total mass.
 
@@ -93,7 +100,7 @@ def wasserstein_1d(mu, nu, p=2.0):
         raise MassMismatch(
             f"total masses differ: {mu.total_mass} vs {nu.total_mass}"
         )
-    qs = np.sort(np.concatenate([mu.cum, nu.cum]), kind="stable")
+    qs = merged_breakpoints([mu, nu])
     delta = np.diff(qs, prepend=0.0)
     diff = np.abs(_quantiles(mu, qs) - _quantiles(nu, qs))
     if p == 1:
@@ -119,14 +126,8 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     m, Lv = v_values.shape
     if L != Lv:
         raise InvalidInput("u_values and v_values must have the same column count")
-    if u_weights is None:
-        u_weights = np.full(n, 1.0 / n)
-    else:
-        u_weights = validate_weights(u_weights, n=n)
-    if v_weights is None:
-        v_weights = np.full(m, 1.0 / m)
-    else:
-        v_weights = validate_weights(v_weights, n=m)
+    u_weights = validate_weights(u_weights, n=n)
+    v_weights = validate_weights(v_weights, n=m)
     mu_mass, nu_mass = float(np.sum(u_weights)), float(np.sum(v_weights))
     if abs(mu_mass - nu_mass) > MASS_ATOL:
         raise MassMismatch(f"total masses differ: {mu_mass} vs {nu_mass}")
@@ -203,10 +204,7 @@ def build_circle_profile(angles, weights=None):
     if not np.all(np.isfinite(a)):
         raise InvalidInput("angles must be finite")
     a = np.mod(a, 1.0)
-    if weights is None:
-        w = np.full(a.size, 1.0 / a.size)
-    else:
-        w = validate_weights(weights, n=a.size)
+    w = validate_weights(weights, n=a.size)
     if abs(np.sum(w) - 1.0) > MASS_ATOL:
         raise InvalidInput("circle profiles must carry probability weights")
     order = np.argsort(a, kind="stable")

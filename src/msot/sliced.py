@@ -1,8 +1,12 @@
-r"""Sliced-Wasserstein distance on Euclidean space.
+r"""Sliced-Wasserstein distance on Euclidean space, and the shared slicing core.
 
-Monte-Carlo slicing with directions drawn uniformly on the unit sphere,
-plus the analytic a.e. subgradient of :math:`SW_2^2` with respect to
-particle positions used by the gradient-flow schemes.
+Every line-valued sliced distance of the package is :func:`sliced_cost`: a
+slicer maps each cloud to ``(n, L)`` line coordinates, the exact 1D costs
+of the ``L`` columns are averaged, and :func:`validate_pair` checks the
+inputs once on the way in.  Euclidean slicing uses directions drawn
+uniformly on the unit sphere; the module also holds the analytic a.e.
+subgradient of :math:`SW_2^2` with respect to particle positions used by
+the gradient-flow schemes.
 """
 
 from dataclasses import dataclass
@@ -45,17 +49,80 @@ def sample_directions(d, n_projections, seed=0):
     return DirectionSet(dirs=z / norms, seed=seed)
 
 
-def _check_cloud(points, weights):
+def haar_orthonormal(z):
+    """Q factors of a stack of Gaussian matrices, signs fixed to be Haar.
+
+    The QR factor is made unique by a positive diagonal of ``R``, which
+    makes ``Q`` Haar-distributed on the Stiefel manifold of its shape.
+    """
+    q, r = np.linalg.qr(z)
+    signs = np.sign(np.einsum("...ii->...i", r))
+    signs[signs == 0] = 1.0
+    return q * signs[:, None, :]
+
+
+def point_rows(points):
+    """Vector-valued atoms as an ``(n, d)`` array; a single point is one row."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    if x.ndim != 2:
+        raise InvalidInput(f"points must be one per row, got shape {x.shape}")
+    return x
+
+
+def validate_pair(x, y, x_weights=None, y_weights=None):
+    """The input boundary of every sliced distance.
+
+    Checks that both clouds are non-empty and finite, with atoms of the
+    same shape, and that their weights (uniform when ``None``) are valid
+    and carry positive total mass.  Returns ``(x, a, y, b)`` as float
+    arrays.  Membership of the manifold is left to each slicer.
+    """
+    x, a = validate_cloud(x, x_weights)
+    y, b = validate_cloud(y, y_weights)
+    if x.shape[1:] != y.shape[1:]:
+        raise InvalidInput(f"atom shape mismatch: {x.shape[1:]} vs {y.shape[1:]}")
+    return x, a, y, b
+
+
+def validate_cloud(points, weights=None):
+    """One side of :func:`validate_pair`: returns ``(points, weights)``."""
     x = np.asarray(points, dtype=float)
-    if x.ndim != 2 or x.size == 0:
-        raise InvalidInput("points must be a non-empty (n, d) array")
+    if x.ndim < 2 or x.size == 0:
+        raise InvalidInput("points must be a non-empty array with one atom per row")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("points must be finite")
-    if weights is None:
-        w = np.full(x.shape[0], 1.0 / x.shape[0])
-    else:
-        w = validate_weights(weights, n=x.shape[0])
+    w = validate_weights(weights, n=x.shape[0])
+    if not np.sum(w) > 0:
+        raise InvalidInput("measures must carry positive total mass")
     return x, w
+
+
+def sliced_cost(slicer, x, y, p=2.0, x_weights=None, y_weights=None):
+    r"""Monte-Carlo sliced :math:`W_p^p` through any line-valued slicer.
+
+    ``slicer.coordinates(points)`` maps a cloud to its ``(n, L)`` line
+    coordinates; the result is the mean over the ``L`` columns of the exact
+    1D :math:`W_p^p` between the coordinate measures.
+    """
+    x, a, y, b = validate_pair(x, y, x_weights, y_weights)
+    costs = wasserstein_1d_batched(
+        slicer.coordinates(x), slicer.coordinates(y), a, b, p=p
+    )
+    return float(np.mean(costs))
+
+
+@dataclass(frozen=True)
+class EuclideanSlicer:
+    """Linear projections ``x -> <theta, x>`` for a shared direction set."""
+
+    dirs: DirectionSet
+
+    def coordinates(self, points):
+        points = np.asarray(points, dtype=float)
+        d = self.dirs.dirs.shape[1]
+        if points.ndim != 2 or points.shape[1] != d:
+            raise InvalidInput(f"points must be an (n, {d}) array, got {points.shape}")
+        return points @ self.dirs.dirs.T
 
 
 def sw_p(x, y, dirs, p=2.0, x_weights=None, y_weights=None):
@@ -64,16 +131,24 @@ def sw_p(x, y, dirs, p=2.0, x_weights=None, y_weights=None):
     Returns :math:`\frac1L \sum_\ell W_p^p(\langle\theta_\ell, x\rangle_\#\mu,
     \langle\theta_\ell, y\rangle_\#\nu)` with the 1D costs computed exactly.
     """
-    x, a = _check_cloud(x, x_weights)
-    y, b = _check_cloud(y, y_weights)
-    if x.shape[1] != y.shape[1]:
-        raise InvalidInput(
-            f"dimension mismatch: {x.shape[1]} vs {y.shape[1]}"
-        )
-    x_proj = x @ dirs.dirs.T
-    y_proj = y @ dirs.dirs.T
-    costs = wasserstein_1d_batched(x_proj, y_proj, a, b, p=p)
-    return float(np.mean(costs))
+    return sliced_cost(EuclideanSlicer(dirs), x, y, p, x_weights, y_weights)
+
+
+def matched_residual(x_coords, y_coords):
+    """Sorted-matching residual of equal-size coordinate columns.
+
+    Per column, sorted coordinates are matched (stable sort) and the
+    difference ``x_(i) - y_(i)`` is written back to the atom of ``x`` that
+    holds rank ``i``.  Returns an array of the shape of ``x_coords``.
+    """
+    sigma = np.argsort(x_coords, axis=0, kind="stable")
+    tau = np.argsort(y_coords, axis=0, kind="stable")
+    diff = np.take_along_axis(x_coords, sigma, axis=0) - np.take_along_axis(
+        y_coords, tau, axis=0
+    )
+    resid = np.empty_like(diff)
+    np.put_along_axis(resid, sigma, diff, axis=0)
+    return resid
 
 
 def sw2_subgradient(x, y, dirs):
@@ -90,17 +165,6 @@ def sw2_subgradient(x, y, dirs):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise InvalidInput("sw2_subgradient needs equal atom counts and dimension")
-    n = x.shape[0]
     theta = dirs.dirs
-    n_proj = theta.shape[0]
-    x_proj = x @ theta.T  # (n, L)
-    y_proj = y @ theta.T
-    sigma = np.argsort(x_proj, axis=0, kind="stable")
-    tau = np.argsort(y_proj, axis=0, kind="stable")
-    diff = np.take_along_axis(x_proj, sigma, axis=0) - np.take_along_axis(
-        y_proj, tau, axis=0
-    )
-    # scatter diff back to the original atom order per slice
-    coeff = np.empty_like(diff)
-    np.put_along_axis(coeff, sigma, diff, axis=0)
-    return (2.0 / (n * n_proj)) * coeff @ theta
+    coeff = matched_residual(x @ theta.T, y @ theta.T)
+    return (2.0 / (x.shape[0] * theta.shape[0])) * coeff @ theta

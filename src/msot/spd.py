@@ -8,16 +8,24 @@ directions are unit-Frobenius symmetric matrices drawn uniformly by
 conjugating a uniform sphere point with a Haar orthogonal matrix.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite
-from .measures import validate_weights, wasserstein_1d_batched
-from .sliced import sample_directions, sw_p
+from .measures import validate_weights
+from .sliced import (
+    EuclideanSlicer,
+    haar_orthonormal,
+    sample_directions,
+    sliced_cost,
+)
 
 SYM_ATOL = 1e-10
 EIG_FLOOR = 1e-13
+# matrix entries in one (atoms, slices, d, d) block of the AI Busemann
+# coordinate: 2 MiB per float64 temporary, whatever the cloud size
+AI_BLOCK_ENTRIES = 1 << 18
 
 
 def _check_symmetric(m):
@@ -26,6 +34,8 @@ def _check_symmetric(m):
         m = m[None]
     if m.shape[-1] != m.shape[-2]:
         raise InvalidInput("matrices must be square")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInput("matrices must be finite")
     err = np.max(np.abs(m - np.swapaxes(m, -1, -2)))
     scale = max(1.0, float(np.max(np.abs(m))))
     if err > SYM_ATOL * scale:
@@ -96,11 +106,7 @@ def sample_unit_symmetric(d, n_projections, seed=0):
     if d < 2:
         raise InvalidInput("symmetric slicing needs d >= 2")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_projections, d, d))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.einsum("...ii->...i", r))
-    signs[signs == 0] = 1.0
-    q = q * signs[:, None, :]
+    q = haar_orthonormal(rng.standard_normal((n_projections, d, d)))
     theta = rng.standard_normal((n_projections, d))
     theta /= np.linalg.norm(theta, axis=1, keepdims=True)
     return np.einsum("lik,lk,ljk->lij", q, theta, q)
@@ -131,18 +137,40 @@ def coordinate_le(m, a):
     return coords
 
 
-def _udu_diagonal(m):
-    """Diagonal of the UDU factorization ``M = g D g^T``, g unit upper.
+def _busemann_ai_batch(m, slices):
+    """:func:`busemann_ai` of a cloud ``(n, d, d)`` along ``L`` slices, ``(n, L)``.
 
-    Computed with the exchange trick ``UDU(M) = J LDL(J M J) J`` where J is
-    the index reversal, and LDL through a Cholesky factor.
+    One ``eigh`` of the slices, then per block of atoms and slices one
+    broadcast rotation and one stacked Cholesky.  The UDU diagonal comes
+    from the exchange trick ``UDU(M) = J LDL(J M J) J``, with ``J`` the
+    index reversal and LDL read off a Cholesky factor.
     """
-    flipped = m[::-1, ::-1]
-    try:
-        chol = np.linalg.cholesky(flipped)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
-    return np.diag(chol)[::-1] ** 2
+    a_vals, a_vecs = sym_eig(np.asarray(slices, dtype=float))  # (L, d), (L, d, d)
+    if np.min(np.diff(a_vals[..., ::-1], axis=-1)) < 1e-10:
+        raise DegenerateDirection("direction eigenvalues collide; resample")
+    m = np.asarray(m, dtype=float)
+    (n_slices, d), n = a_vals.shape, len(m)
+    step_l = min(n_slices, max(1, AI_BLOCK_ENTRIES // d**2))
+    step_n = max(1, AI_BLOCK_ENTRIES // (step_l * d**2))
+    out = np.empty((n, n_slices))
+    for l0 in range(0, n_slices, step_l):
+        vecs = a_vecs[l0 : l0 + step_l]
+        for i0 in range(0, n, step_n):
+            # (atoms, slices, d, d) stack of P^T M P, symmetrized
+            work = np.swapaxes(vecs, -1, -2) @ m[i0 : i0 + step_n, None]
+            rotated = work @ vecs
+            np.add(rotated, np.swapaxes(rotated, -1, -2), out=work)
+            work /= 2.0
+            try:
+                chol = np.linalg.cholesky(work[..., ::-1, ::-1])
+            except np.linalg.LinAlgError as exc:
+                raise NotPositiveDefinite(str(exc)) from exc
+            diag = np.einsum("...ii->...i", chol)[..., ::-1] ** 2
+            if np.min(diag) <= EIG_FLOOR:
+                raise NotPositiveDefinite("matrix not positive definite")
+            block = np.einsum("lk,nlk->nl", a_vals[l0 : l0 + step_l], np.log(diag))
+            out[i0 : i0 + step_n, l0 : l0 + step_l] = -block
+    return out
 
 
 def busemann_ai(m, a):
@@ -150,31 +178,41 @@ def busemann_ai(m, a):
 
     Diagonalize ``A = P \tilde A P^T`` with eigenvalues sorted descending,
     rotate ``\tilde M = P^T M P``, take the diagonal ``D`` of its UDU
-    factorization and return :math:`-\langle \tilde A, \log D\rangle_F`.
-    Requires pairwise distinct eigenvalues of ``A`` (almost sure for the
-    uniform directions).
+    factorization ``\tilde M = g D g^T`` (``g`` unit upper) and return
+    :math:`-\langle \tilde A, \log D\rangle_F`.  Returns a scalar for a
+    single matrix ``m`` and a vector for a cloud ``(n, d, d)``.  Requires
+    pairwise distinct eigenvalues of ``A`` (almost sure for the uniform
+    directions).
     """
-    a_vals, a_vecs = sym_eig(a)
-    if np.min(np.diff(a_vals[::-1])) < 1e-10:
-        raise DegenerateDirection("direction eigenvalues collide; resample")
     m = np.asarray(m, dtype=float)
-    single = m.ndim == 2
-    stack = m[None] if single else m
-    out = np.empty(stack.shape[0])
-    for i, mat in enumerate(stack):
-        rotated = a_vecs.T @ mat @ a_vecs
-        diag = _udu_diagonal((rotated + rotated.T) / 2.0)
-        if np.min(diag) <= EIG_FLOOR:
-            raise NotPositiveDefinite("matrix not positive definite")
-        out[i] = -float(np.dot(a_vals, np.log(diag)))
-    return float(out[0]) if single else out
+    stack = m[None] if m.ndim == 2 else m
+    out = _busemann_ai_batch(stack, np.asarray(a)[None])[:, 0]
+    return float(out[0]) if m.ndim == 2 else out
 
 
-def _cloud_weights(cloud, weights):
-    n = cloud.shape[0]
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    return validate_weights(weights, n=n)
+@dataclass(frozen=True)
+class SpdSlicer:
+    r"""Line coordinates of SPD-valued atoms along symmetric slices.
+
+    ``kind="geodesic"`` gives the Log-Euclidean coordinate
+    :math:`\mathrm{Tr}(A \log M)`; ``kind="horospherical"`` the negated
+    affine-invariant Busemann function of :func:`busemann_ai`, batched
+    over atoms and slices.
+    """
+
+    slices: np.ndarray = field(repr=False)
+    kind: str = "geodesic"
+
+    def coordinates(self, points):
+        points = np.asarray(points, dtype=float)
+        d = np.shape(self.slices)[-1]
+        if points.shape[1:] != (d, d):
+            raise InvalidInput(f"need an (n, {d}, {d}) stack, got {points.shape}")
+        if self.kind == "geodesic":
+            return coordinate_le(points, self.slices)
+        if self.kind == "horospherical":
+            return -_busemann_ai_batch(points, self.slices)
+        raise InvalidInput(f"unknown SPD slicer kind {self.kind!r}")
 
 
 def spdsw(x, y, slices, p=2.0, x_weights=None, y_weights=None):
@@ -184,24 +222,13 @@ def spdsw(x, y, slices, p=2.0, x_weights=None, y_weights=None):
     :math:`\mathrm{Tr}(A \log M)` over the symmetric slices and averages
     the exact 1D costs.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = _cloud_weights(x, x_weights)
-    b = _cloud_weights(y, y_weights)
-    x_coords = coordinate_le(x, slices)
-    y_coords = coordinate_le(y, slices)
-    return float(np.mean(wasserstein_1d_batched(x_coords, y_coords, a, b, p=p)))
+    return sliced_cost(SpdSlicer(slices), x, y, p, x_weights, y_weights)
 
 
 def hspdsw(x, y, slices, p=2.0, x_weights=None, y_weights=None):
     """Affine-invariant horospherical SPD sliced Wasserstein."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = _cloud_weights(x, x_weights)
-    b = _cloud_weights(y, y_weights)
-    x_coords = np.stack([-busemann_ai(x, s) for s in slices], axis=1)
-    y_coords = np.stack([-busemann_ai(y, s) for s in slices], axis=1)
-    return float(np.mean(wasserstein_1d_batched(x_coords, y_coords, a, b, p=p)))
+    slicer = SpdSlicer(slices, kind="horospherical")
+    return sliced_cost(slicer, x, y, p, x_weights, y_weights)
 
 
 def sym_to_vec(s):
@@ -228,9 +255,9 @@ def logsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None):
     the flat metric equals the Frobenius norm, then sliced with uniform
     sphere directions on the d(d+1)/2 coordinates.
     """
-    x_vec = sym_to_vec(spd_log(np.asarray(x, dtype=float)))
-    y_vec = sym_to_vec(spd_log(np.asarray(y, dtype=float)))
-    return sw_p(x_vec, y_vec, dirs, p=p, x_weights=x_weights, y_weights=y_weights)
+    x_vec = sym_to_vec(spd_log(x))
+    y_vec = sym_to_vec(spd_log(y))
+    return sliced_cost(EuclideanSlicer(dirs), x_vec, y_vec, p, x_weights, y_weights)
 
 
 def logsw_directions(d, n_projections, seed=0):
@@ -258,7 +285,7 @@ def kernel_features(cloud, slices, n_quantiles, grid=None, weights=None):
     if np.any(grid <= 0.0) or np.any(grid >= 1.0) or np.any(np.diff(grid) <= 0):
         raise InvalidInput("quantile grid must be strictly increasing inside (0, 1)")
     cloud = np.asarray(cloud, dtype=float)
-    w = _cloud_weights(cloud, weights)
+    w = validate_weights(weights, n=cloud.shape[0])
     coords = coordinate_le(cloud, slices)  # (n, L)
     order = np.argsort(coords, axis=0, kind="stable")
     sorted_coords = np.take_along_axis(coords, order, axis=0)
@@ -291,6 +318,7 @@ def sample_spd_cloud(d, n, seed=0, spread=1.0):
 
 __all__ = [
     "QuantileFeatures",
+    "SpdSlicer",
     "busemann_ai",
     "coordinate_le",
     "dist_ai",

@@ -14,8 +14,8 @@ from .measures import (
     circle_w1_level_median,
     circle_w2_vs_uniform,
     circle_wp_binary_search,
-    validate_weights,
 )
+from .sliced import haar_orthonormal, point_rows, validate_cloud, validate_pair
 
 PROJECTION_FLOOR = 1e-12
 
@@ -27,15 +27,11 @@ def sample_stiefel(d, n_projections, seed=0):
     if n_projections < 1:
         raise InvalidInput("n_projections must be positive")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_projections, d, 2))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.einsum("...ii->...i", r))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
+    return haar_orthonormal(rng.standard_normal((n_projections, d, 2)))
 
 
 def _check_sphere(points):
-    x = np.atleast_2d(np.asarray(points, dtype=float))
+    x = point_rows(points)
     if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-6:
         raise InvalidInput("points must lie on the unit sphere")
     return x
@@ -47,22 +43,32 @@ def project_circle(points, frame):
     The plane coordinates are ``z = U^T x / ||U^T x||_2`` and the angle
     convention is ``(pi + atan2(-z_2, -z_1)) / (2 pi)``.  Points whose plane
     projection is numerically zero have no almost-everywhere-unique image
-    and raise :class:`MeasureZeroProjection` (resample the slice).
+    and raise :class:`MeasureZeroProjection` (resample the slice).  The
+    one-frame case of :func:`_project_frames`.
+    """
+    return _project_frames(points, np.asarray(frame)[None])[0]
+
+
+def _project_frames(points, frames):
+    """Great-circle angles of ``points`` on every frame, shape ``(L, n)``.
+
+    All ``L`` frames are applied in one product; see :func:`project_circle`
+    for the angle convention and the measure-zero check.
     """
     x = _check_sphere(points)
-    z = x @ frame  # (n, 2)
-    norms = np.linalg.norm(z, axis=-1)
+    z = x @ frames  # (L, n, 2)
+    norms = np.linalg.norm(z, axis=-1, keepdims=True)
     if np.min(norms) <= PROJECTION_FLOOR:
         raise MeasureZeroProjection(
             "a point projects onto the orthogonal complement of the frame"
         )
-    return circle_coordinates(z / norms[:, None])
+    return circle_coordinates(z / norms)
 
 
 def circle_coordinates(z):
     """Angle in [0, 1) of unit vectors in the plane (shared convention)."""
     z = np.atleast_2d(z)
-    return (np.pi + np.arctan2(-z[:, 1], -z[:, 0])) / (2.0 * np.pi)
+    return (np.pi + np.arctan2(-z[..., 1], -z[..., 0])) / (2.0 * np.pi)
 
 
 def ssw(x, y, frames, p=2.0, x_weights=None, y_weights=None, eps=1e-6):
@@ -72,16 +78,12 @@ def ssw(x, y, frames, p=2.0, x_weights=None, y_weights=None, eps=1e-6):
     the Stiefel frames, using the level-median closed form for ``p = 1``
     and the binary search otherwise.
     """
-    x = _check_sphere(x)
-    y = _check_sphere(y)
-    if x.shape[1] != y.shape[1]:
-        raise InvalidInput("clouds must share the ambient dimension")
-    a = None if x_weights is None else validate_weights(x_weights, n=x.shape[0])
-    b = None if y_weights is None else validate_weights(y_weights, n=y.shape[0])
+    x, a, y, b = validate_pair(point_rows(x), point_rows(y), x_weights, y_weights)
     total = 0.0
-    for frame in frames:
-        mu = build_circle_profile(project_circle(x, frame), a)
-        nu = build_circle_profile(project_circle(y, frame), b)
+    x_frames, y_frames = _project_frames(x, frames), _project_frames(y, frames)
+    for x_angles, y_angles in zip(x_frames, y_frames):
+        mu = build_circle_profile(x_angles, a)
+        nu = build_circle_profile(y_angles, b)
         if p == 1:
             total += circle_w1_level_median(mu, nu)
         else:
@@ -96,10 +98,8 @@ def ssw2_vs_uniform(x, frames, x_weights=None):
     circle, so each slice reduces to the closed form of
     :func:`msot.measures.circle_w2_vs_uniform`; no uniform samples needed.
     """
-    x = _check_sphere(x)
-    a = None if x_weights is None else validate_weights(x_weights, n=x.shape[0])
+    x, a = validate_cloud(point_rows(x), x_weights)
     total = 0.0
-    for frame in frames:
-        mu = build_circle_profile(project_circle(x, frame), a)
-        total += circle_w2_vs_uniform(mu)
+    for angles in _project_frames(x, frames):
+        total += circle_w2_vs_uniform(build_circle_profile(angles, a))
     return total / len(frames)

@@ -10,18 +10,19 @@ optimized through the slices.  Both run Frank-Wolfe on the dual
     \qquad \varphi_i^\circ(x) = \rho_i (1 - e^{-x/\rho_i}),
 
 whose linear oracle is the balanced 1D dual between the reweighted
-projections.
+projections.  A slicer is any object with ``coordinates(points) -> (n, L)``:
+:class:`~msot.sliced.EuclideanSlicer`, :class:`~msot.hyperbolic.HyperbolicSlicer`
+or :class:`~msot.spd.SpdSlicer`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InvalidInput, MassMismatch
-from .hyperbolic import busemann_coordinate, geodesic_coordinate
-from .measures import validate_weights
-from .spd import coordinate_le
+from .measures import merged_breakpoints
+from .sliced import validate_pair
 
 
 @dataclass(frozen=True)
@@ -57,47 +58,6 @@ class ReweightedPair:
 
     source: np.ndarray
     target: np.ndarray
-
-
-# ---------------------------------------------------------------------------
-# slicers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EuclideanSlicer:
-    """Linear projections ``x -> <theta, x>`` for a shared direction set."""
-
-    dirs: object
-
-    def coordinates(self, points):
-        return np.asarray(points, dtype=float) @ self.dirs.dirs.T
-
-
-@dataclass(frozen=True)
-class HyperbolicSlicer:
-    """Geodesic or horospherical coordinates on hyperbolic space."""
-
-    dirs: object
-    model: str = "lorentz"
-    kind: str = "geodesic"
-
-    def coordinates(self, points):
-        if self.kind == "geodesic":
-            return geodesic_coordinate(points, self.dirs.dirs, model=self.model)
-        if self.kind == "horospherical":
-            return -busemann_coordinate(points, self.dirs.dirs, model=self.model)
-        raise InvalidInput(f"unknown hyperbolic slicer kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class SpdSlicer:
-    """Log-Euclidean geodesic coordinates for SPD-valued atoms."""
-
-    slices: np.ndarray = field(repr=False)
-
-    def coordinates(self, points):
-        return coordinate_le(np.asarray(points, dtype=float), self.slices)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +167,7 @@ def sliced_dual(mu, nu, p=2.0):
 
 def _check_support_feasibility(mu, nu, f, g, p, atol=1e-9):
     """Assert f_i + g_j <= c_ij along the monotone coupling staircase."""
-    qs = np.sort(np.concatenate([mu.cum, nu.cum]), kind="stable")
+    qs = merged_breakpoints([mu, nu])
     i_idx = np.clip(
         np.searchsorted(mu.cum, qs, side="left"), 0, mu.positions.size - 1
     )
@@ -226,19 +186,12 @@ def _sorted_oracle(xs, ws, ys, wt, p):
     return _dual_sweep(xs, ws, ys, wt * scale, p)
 
 
-def _prepare(points, weights, slicer):
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = validate_weights(weights, n=n)
-    if np.sum(w) <= 0:
-        raise InvalidInput("measures must carry positive total mass")
-    coords = slicer.coordinates(pts)  # (n, L)
+def _sorted_coordinates(points, slicer):
+    """Column-sorted ``(n, L)`` coordinates with the sort and its inverse."""
+    coords = slicer.coordinates(points)
     order = np.argsort(coords, axis=0, kind="stable")
     inverse = np.argsort(order, axis=0, kind="stable")
-    return w, np.take_along_axis(coords, order, axis=0), order, inverse
+    return np.take_along_axis(coords, order, axis=0), order, inverse
 
 
 def _fw_step_size(t):
@@ -253,8 +206,9 @@ def suot(x, y, slicer, params, x_weights=None, y_weights=None):
     per-slice dual pair (arrays of shape ``(L, n)`` and ``(L, m)``) and
     ``history`` the post-translation dual values per Frank-Wolfe round.
     """
-    a, xs, x_order, x_inv = _prepare(x, x_weights, slicer)
-    b, ys, y_order, y_inv = _prepare(y, y_weights, slicer)
+    x, a, y, b = validate_pair(x, y, x_weights, y_weights)
+    xs, x_order, x_inv = _sorted_coordinates(x, slicer)
+    ys, y_order, y_inv = _sorted_coordinates(y, slicer)
     n, L = xs.shape
     m = ys.shape[0]
     f = np.zeros((L, n))
@@ -315,10 +269,9 @@ def usw(x, y, slicer, params, x_weights=None, y_weights=None, stochastic_slicer=
     ``stochastic_slicer`` optionally maps a round index to a fresh slicer
     (fresh slices per round); the default keeps the given slices fixed.
     """
-    pts_x = np.asarray(x, dtype=float)
-    pts_y = np.asarray(y, dtype=float)
-    a, xs, x_order, x_inv = _prepare(pts_x, x_weights, slicer)
-    b, ys, y_order, y_inv = _prepare(pts_y, y_weights, slicer)
+    x, a, y, b = validate_pair(x, y, x_weights, y_weights)
+    xs, x_order, x_inv = _sorted_coordinates(x, slicer)
+    ys, y_order, y_inv = _sorted_coordinates(y, slicer)
     n, L = xs.shape
     m = ys.shape[0]
     f = np.zeros(n)
@@ -328,8 +281,8 @@ def usw(x, y, slicer, params, x_weights=None, y_weights=None, stochastic_slicer=
     for t in range(params.n_iters):
         if stochastic_slicer is not None and t > 0:
             fresh = stochastic_slicer(t)
-            _, xs, x_order, x_inv = _prepare(pts_x, a, fresh)
-            _, ys, y_order, y_inv = _prepare(pts_y, b, fresh)
+            xs, x_order, x_inv = _sorted_coordinates(x, fresh)
+            ys, y_order, y_inv = _sorted_coordinates(y, fresh)
         lam = float(fw_translation(a, b, f, g, params.rho1, params.rho2))
         f += lam
         g -= lam

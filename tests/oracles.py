@@ -165,3 +165,23 @@ def ring_equilibrium_radius(a, b):
         xtol=1e-15,
         rtol=4 * np.finfo(float).eps,
     )
+
+
+def busemann_ai_loop(m, a):
+    """Affine-invariant Busemann function of ``t -> exp(tA)``, atom by atom.
+
+    The per-atom reference for the batched coordinate: eigenbasis ``P`` of
+    ``A`` with eigenvalues descending, rotation ``P^T M P``, diagonal ``D``
+    of its UDU factorization read off the Cholesky factor of the
+    index-reversed matrix, and ``-<eigenvalues, log D>``.  ``m`` is an
+    ``(n, d, d)`` cloud; returns a length-``n`` array.
+    """
+    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    out = np.empty(len(m))
+    for i, mat in enumerate(m):
+        rotated = vecs.T @ mat @ vecs
+        rotated = (rotated + rotated.T) / 2.0
+        chol = np.linalg.cholesky(rotated[::-1, ::-1])
+        out[i] = -float(np.dot(vals, np.log(np.diag(chol)[::-1] ** 2)))
+    return out

@@ -53,7 +53,7 @@ from msot.measures import (
     wasserstein_1d,
     wasserstein_1d_batched,
 )
-from msot.sliced import sample_directions, sw2_subgradient, sw_p
+from msot.sliced import EuclideanSlicer, sample_directions, sw2_subgradient, sw_p
 from msot.spd import (
     coordinate_le,
     dist_le,
@@ -66,7 +66,6 @@ from msot.spd import (
     sym_to_vec,
 )
 from msot.unbalanced import (
-    EuclideanSlicer,
     UnbalancedParams,
     sliced_dual,
     suot,

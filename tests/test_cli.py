@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import msot
+from msot import cli
 from msot.cli import Dataset, RunConfig, compute_distance, load_dataset, main
+from msot.hyperbolic import poincare_to_lorentz
 
 
 def write_csv(path, header, rows):
@@ -290,3 +297,89 @@ class TestExitCodeThree:
         )
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("geometry", ["poincare", "lorentz"])
+    @pytest.mark.parametrize("name", ["ghsw", "hhsw"])
+    def test_nan_atom_exit_two(self, tmp_path, capsys, name, geometry):
+        ball = np.array([[0.1, 0.2], [-0.3, 0.1], [0.0, 0.0]])
+        atoms = ball if geometry == "poincare" else poincare_to_lorentz(ball)
+        bad = atoms.copy()
+        bad[1, 0] = np.nan
+        good_path, bad_path = tmp_path / "good.csv", tmp_path / "bad.csv"
+        euclidean_csv(good_path, atoms)
+        euclidean_csv(bad_path, bad)
+        for source, target in ((bad_path, good_path), (good_path, bad_path)):
+            code = main(
+                ["dist", name, str(source), str(target), "--geometry", geometry]
+            )
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, header",
+        [
+            (["pca", "FILE"], ["mean", "sigma"]),
+            (["flow", "euler", "FILE", "--steps", "2"], ["x0", "x1"]),
+        ],
+    )
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exit_two(self, tmp_path, capsys, argv, header, cell):
+        path = tmp_path / "a.csv"
+        path.write_text(",".join(header) + f"\n0.0,1.0\n0.5,{cell}\n")
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 3" in captured.err
+
+    def test_sw_zero_mass_exit_two(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        euclidean_csv(a, np.eye(3), weights=[0.0, 0.0, 0.0])
+        euclidean_csv(b, -np.eye(3), weights=[0.0, 0.0, 0.0])
+        assert main(["dist", "sw", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "positive total mass" in captured.err
+
+    def test_nan_value_exit_three_with_empty_stdout(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = tmp_path / "a.csv"
+        euclidean_csv(path, np.eye(3))
+        monkeypatch.setattr(cli, "compute_distance", lambda *args: (float("nan"), {}))
+        assert main(["dist", "sw", str(path), str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
+
+def test_msot_threads_caps_blas_before_numpy_loads():
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+    env["MSOT_THREADS"] = "1"
+    src = str(Path(msot.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the thread count of the OpenBLAS bundled with numpy wheels, if any
+    script = """
+import ctypes, glob, os
+from pathlib import Path
+import msot
+import numpy
+threads = None
+libs = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+for path in sorted(glob.glob(str(libs / "libscipy_openblas*.so"))):
+    lib = ctypes.CDLL(path)
+    for suffix in ("64_", ""):
+        getter = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+        if getter is not None and threads is None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads = getter()
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout.split()
+    assert out[0] == "1"
+    assert out[1] in ("None", "1")

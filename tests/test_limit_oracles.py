@@ -11,6 +11,7 @@ import pytest
 
 from msot.busemann import BWGaussian, bw_distance_sq, bw_geodesic_point, busemann_bw
 from msot.hyperbolic import (
+    HyperbolicSlicer,
     busemann_coordinate,
     dist_lorentz,
     origin,
@@ -31,7 +32,7 @@ from msot.spd import (
     sample_unit_symmetric,
     spd_exp,
 )
-from msot.unbalanced import HyperbolicSlicer, UnbalancedParams, suot
+from msot.unbalanced import UnbalancedParams, suot
 
 
 class TestHyperbolicBusemannLimit:

@@ -15,8 +15,7 @@ from msot.measures import (
     wasserstein_1d,
 )
 from msot.unbalanced import UnbalancedParams, phi_conj, sliced_dual, suot
-from msot.sliced import sample_directions
-from msot.unbalanced import EuclideanSlicer
+from msot.sliced import EuclideanSlicer, sample_directions
 
 finite_floats = st.floats(-100.0, 100.0, allow_nan=False)
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from msot import spd
 from msot.errors import DegenerateDirection, InvalidInput, NotPositiveDefinite
 from msot.spd import (
+    SpdSlicer,
     busemann_ai,
     coordinate_le,
     dist_ai,
@@ -22,7 +24,7 @@ from msot.spd import (
 )
 from msot.measures import build_profile, wasserstein_1d
 
-from oracles import wasserstein_pp_permutations
+from oracles import busemann_ai_loop, wasserstein_pp_permutations
 
 
 class TestSymEig:
@@ -158,6 +160,44 @@ class TestBusemannAI:
     def test_degenerate_direction_rejected(self):
         with pytest.raises(DegenerateDirection):
             busemann_ai(np.eye(2), np.eye(2) / np.sqrt(2.0))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_batch_matches_per_atom_loop(self, d):
+        x = sample_spd_cloud(d, 30, seed=d, spread=1.5)
+        slices = sample_unit_symmetric(d, 25, seed=10 + d)
+        want = np.stack([busemann_ai_loop(x, a) for a in slices], axis=1)
+        got = SpdSlicer(slices, kind="horospherical").coordinates(x)
+        np.testing.assert_allclose(got, -want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            busemann_ai(x, slices[3]), want[:, 3], rtol=0, atol=1e-12
+        )
+        assert busemann_ai(x[7], slices[3]) == pytest.approx(want[7, 3], abs=1e-12)
+
+    @pytest.mark.parametrize("entries", [27, 900])
+    def test_blocks_match_one_batch(self, monkeypatch, entries):
+        # 27 entries: blocks of 1 atom x 3 slices; 900: 4 atoms x all 25 slices
+        x = sample_spd_cloud(3, 30, seed=3, spread=1.5)
+        slices = sample_unit_symmetric(3, 25, seed=13)
+        slicer = SpdSlicer(slices, kind="horospherical")
+        whole = slicer.coordinates(x)
+        monkeypatch.setattr(spd, "AI_BLOCK_ENTRIES", entries)
+        np.testing.assert_array_equal(slicer.coordinates(x), whole)
+        bad_x = x.copy()
+        bad_x[-1] = np.diag([1.0, 2.0, -1.0])
+        with pytest.raises(NotPositiveDefinite):
+            slicer.coordinates(bad_x)
+
+    def test_one_bad_slice_or_atom_fails_the_batch(self):
+        x = sample_spd_cloud(3, 10, seed=0)
+        slices = sample_unit_symmetric(3, 8, seed=1)
+        bad_slices = slices.copy()
+        bad_slices[5] = np.diag([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+        with pytest.raises(DegenerateDirection):
+            SpdSlicer(bad_slices, kind="horospherical").coordinates(x)
+        bad_x = x.copy()
+        bad_x[4] = np.diag([1.0, 2.0, -1.0])
+        with pytest.raises(NotPositiveDefinite):
+            SpdSlicer(slices, kind="horospherical").coordinates(bad_x)
 
 
 class TestSlicedDistances:

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from msot.errors import InvalidInput, MassMismatch
-from msot.hyperbolic import exp_map, origin, poincare_to_lorentz, sample_wrapped_normal
+from msot.hyperbolic import (
+    HyperbolicSlicer,
+    exp_map,
+    origin,
+    poincare_to_lorentz,
+    sample_wrapped_normal,
+)
 from msot.measures import build_profile, wasserstein_1d
-from msot.sliced import sample_directions, sw_p
+from msot.sliced import EuclideanSlicer, sample_directions, sw_p
 from msot.unbalanced import (
     DualPotentials,
-    EuclideanSlicer,
-    HyperbolicSlicer,
-    SpdSlicer,
     UnbalancedParams,
     fw_translation,
     norm_reweight,
@@ -308,7 +311,7 @@ class TestSlicerPluggability:
         _ = rng
 
     def test_spd_slicer_runs(self):
-        from msot.spd import sample_spd_cloud, sample_unit_symmetric
+        from msot.spd import SpdSlicer, sample_spd_cloud, sample_unit_symmetric
 
         x = sample_spd_cloud(3, 6, seed=0)
         y = sample_spd_cloud(3, 7, seed=1)
