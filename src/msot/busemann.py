@@ -256,6 +256,8 @@ def gaussian_pca_1d(data, origin=None):
     pts = np.asarray(data, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise InvalidInput("data must be an (n, 2) array of (mean, sigma) rows")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidInput("means and sigmas must be finite")
     if np.any(pts[:, 1] <= 0):
         raise InvalidInput("sigmas must be positive")
     if origin is None:

@@ -17,9 +17,14 @@ import numpy as np
 
 from .errors import InvalidInput
 from .hyperbolic import geodesic_coordinate, riemannian_step_lorentz
-from .measures import build_profile, validate_weights, wasserstein_1d_batched
+from .measures import (
+    dual_1d_batched,
+    slice_mean,
+    sorted_rows,
+    validate_weights,
+    wasserstein_1d_batched,
+)
 from .sliced import matched_residual, sample_directions, sw2_subgradient, sw_p
-from .unbalanced import sliced_dual
 
 ENTROPY_FLOOR = 1e-300
 
@@ -33,6 +38,8 @@ class GridState:
     cell_volume: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.rho)):
+            raise InvalidInput("grid weights must be finite")
         if abs(float(np.sum(self.rho)) - 1.0) > 1e-10 or np.any(self.rho < 0):
             raise InvalidInput("grid weights must lie on the probability simplex")
         if self.cell_volume <= 0:
@@ -327,19 +334,11 @@ def _sw_weight_gradient(nodes, rho, target, target_weights, dirs):
     By the envelope theorem this is the slice average of the source dual
     potential; the additive gauge is immaterial under simplex projection.
     """
-    coords = np.asarray(nodes, dtype=float) @ dirs.dirs.T
-    coords_t = np.asarray(target, dtype=float) @ dirs.dirs.T
-    wt = validate_weights(target_weights, n=coords_t.shape[0])
-    grad = np.zeros(rho.size)
-    for ell in range(dirs.n_projections):
-        mu = build_profile(coords[:, ell], rho)
-        nu = build_profile(coords_t[:, ell], wt)
-        pots = sliced_dual(mu, nu, p=2.0)
-        order = np.argsort(coords[:, ell], kind="stable")
-        back = np.empty_like(pots.f)
-        back[order] = pots.f
-        grad += back
-    return grad / dirs.n_projections
+    xs, x_order = sorted_rows(np.asarray(nodes, dtype=float) @ dirs.dirs.T)
+    ys, y_order = sorted_rows(np.asarray(target, dtype=float) @ dirs.dirs.T)
+    wt = validate_weights(target_weights, n=ys.shape[1])
+    f, _ = dual_1d_batched(xs, rho[x_order], ys, wt[y_order], p=2.0)
+    return slice_mean(f, x_order)
 
 
 def eval_functional(functional, state):
@@ -474,16 +473,12 @@ def swjko_grid(
     for k in range(1, n_steps + 1):
         dirs = sample_directions(d, n_projections, seed=seed + k)
         coords = nodes @ dirs.dirs.T
-        orders = np.argsort(coords, axis=0, kind="stable")
+        xs, order = sorted_rows(coords)
         rho_prev = rho.copy()
         grad = np.zeros(n)
         for _ in range(inner.n_steps):
-            grad_sw = np.zeros(n)
-            for ell in range(dirs.n_projections):
-                order = orders[:, ell]
-                f, _ = _grid_dual(coords[order, ell], rho[order], rho_prev[order])
-                grad_sw[order] += f
-            grad_sw /= dirs.n_projections
+            f, _ = dual_1d_batched(xs, rho[order], xs, rho_prev[order], 2.0)
+            grad_sw = slice_mean(f, order)
             grad = factor / (2.0 * tau) * grad_sw + functional.grid_gradient(
                 GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
             )
@@ -505,12 +500,6 @@ def swjko_grid(
             )
         )
     return trace
-
-
-def _grid_dual(sorted_coords, rho_sorted, rho_prev_sorted):
-    from .unbalanced import _dual_sweep
-
-    return _dual_sweep(sorted_coords, rho_sorted, sorted_coords, rho_prev_sorted, 2.0)
 
 
 def euler_particles(

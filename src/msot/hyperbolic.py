@@ -172,6 +172,11 @@ class HyperbolicSlicer:
     kind: str = "geodesic"
 
     def coordinates(self, points):
+        points = point_rows(points)
+        # Lorentz points carry the time coordinate ahead of the directions'
+        d = self.dirs.dirs.shape[1] + (self.model == "lorentz")
+        if points.shape[1] != d:
+            raise InvalidInput(f"these directions need {self.model} points in R^{d}")
         if self.kind == "geodesic":
             return geodesic_coordinate(points, self.dirs.dirs, model=self.model)
         if self.kind == "horospherical":

@@ -161,6 +161,101 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     return np.sum(delta * cost, axis=-1)
 
 
+def sorted_rows(columns):
+    """Stably sorted ``(L, n)`` rows of ``(n, L)`` coordinates, with the sort."""
+    rows = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
+    order = np.argsort(rows, axis=-1, kind="stable")
+    return np.take_along_axis(rows, order, axis=-1), order
+
+
+def slice_mean(values, order):
+    """Mean over rows of row-sorted ``values``, returned in atom order."""
+    L, n = values.shape
+    return np.bincount(order.ravel(), weights=values.ravel(), minlength=n) / L
+
+
+def dual_1d_batched(x, a, y, b, p=2.0):
+    r"""Row-wise balanced 1D dual potentials along the monotone coupling.
+
+    ``x``/``a`` are ``(L, n)`` and ``y``/``b`` are ``(L, m)``: sorted atoms and
+    aligned weights per row, the two rows of a slice of equal mass (to
+    ``MASS_ATOL``, relative above unit mass).  Returns ``(f, g)`` with
+    ``f[:, 0] = 0`` and ``f_i + g_j = c(i, j) = |x_i - y_j|^p`` on the
+    north-west staircase, read off one stable merge of the cumulative
+    weights: row ``i`` advances at column ``j``, the number of target
+    breakpoints merged before its own, adding ``c(i+1, j) - c(i, j)`` to
+    ``f`` (a row-wise cumsum).  Where the r-th source breakpoint of a level
+    meets the r-th target breakpoint there, both indices advance and the
+    step is clamped to ``min(max(0, c(i+1, j+1) - c(i, j+1)), c(i+1, j) -
+    c(i, j))``, the flattest value feasible for the cells it skips.  Then
+    ``g[j] = c(i, j) - f[i]`` at the row ``i`` holding on reaching column
+    ``j``.  Feasibility of every step's cell ``(i+1, j)`` is asserted to 1e-9
+    relative to the largest such cost (absolute below unit cost).
+    """
+    if p < 1:
+        raise InvalidInput(f"order p must be >= 1, got {p}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    cum_a, cum_b = np.cumsum(a, axis=-1), np.cumsum(b, axis=-1)
+    gap = np.abs(cum_a[:, -1] - cum_b[:, -1]) / np.maximum(cum_a[:, -1], 1.0)
+    if np.any(gap > MASS_ATOL):
+        raise MassMismatch(f"total masses differ, by up to {np.max(gap):.2e} relative")
+    (L, n), m = x.shape, y.shape[1]
+    rows = np.arange(L)[:, None]
+
+    def cost(u, v):
+        d = u - v
+        return d * d if p == 2 else np.abs(d) ** p
+
+    # the last breakpoints never move the staircase; a target breakpoint
+    # merges ahead of an equal source one, so ``col`` counts those at or below
+    a_levels, b_levels = cum_a[:, :-1], cum_b[:, :-1]
+    merged = np.argsort(np.concatenate([b_levels, a_levels], axis=-1), kind="stable")
+    col = np.nonzero(merged >= m - 1)[1].reshape(L, n - 1) - np.arange(n - 1)
+    below = np.concatenate([np.full((L, 1), -np.inf), b_levels], axis=-1)
+    tie = below[rows, col] == a_levels
+    if np.any(tie):
+        # on a shared level, pair the r-th breakpoints of the two sides; the
+        # unpaired rest of the source side steps at the level's last column
+        on_level = np.zeros((L, m), dtype=np.intp)
+        on_level[:, 1:] = _run_rank(b_levels) + 1
+        paired = np.where(tie, on_level[rows, col], 0)
+        rank = _run_rank(a_levels)
+        tie = rank < paired
+        col = col - np.maximum(paired - rank, 0)
+
+    y_at = y[rows, col]
+    landing = cost(x[:, 1:], y_at)
+    step = landing - cost(x[:, :-1], y_at)
+    if np.any(tie):
+        y_next = y[rows, np.minimum(col + 1, m - 1)]
+        flat = cost(x[:, 1:], y_next) - cost(x[:, :-1], y_next)
+        step = np.where(tie, np.minimum(np.maximum(flat, 0.0), step), step)
+    f = np.zeros((L, n))
+    np.cumsum(step, axis=-1, out=f[:, 1:])
+
+    # column j is reached at the row given by the steps taken at columns
+    # below j (a tied step is taken at the column it leaves)
+    reached = np.zeros((L, m), dtype=np.intp)
+    if m > 1:
+        counts = np.bincount((col + rows * m).ravel(), minlength=L * m)
+        np.cumsum(counts.reshape(L, m)[:, :-1], axis=-1, out=reached[:, 1:])
+    g = cost(x[rows, reached], y) - f[rows, reached]
+
+    slack = f[:, 1:] + g[rows, col] - landing
+    if slack.size and np.max(slack) > 1e-9 * max(1.0, np.max(np.abs(landing))):
+        raise InvalidInput(f"dual pair violates feasibility by {np.max(slack):.2e}")
+    return f, g
+
+
+def _run_rank(levels):
+    """Position of every entry inside its run of equal values along rows."""
+    idx = np.arange(levels.shape[-1])
+    starts = np.ones(levels.shape, dtype=bool)
+    starts[:, 1:] = levels[:, 1:] != levels[:, :-1]
+    return idx - np.maximum.accumulate(np.where(starts, idx, 0), axis=-1)
+
+
 def _sorted_with_cum(rows, weights, uniform):
     if uniform:
         sorted_rows = np.sort(rows, axis=-1)

@@ -56,6 +56,11 @@ def _project_frames(points, frames):
     for the angle convention and the measure-zero check.
     """
     x = _check_sphere(points)
+    frames = np.asarray(frames, dtype=float)
+    if frames.shape[-2] != x.shape[1]:
+        raise InvalidInput(
+            f"frames in R^{frames.shape[-2]} cannot slice points in R^{x.shape[1]}"
+        )
     z = x @ frames  # (L, n, 2)
     norms = np.linalg.norm(z, axis=-1, keepdims=True)
     if np.min(norms) <= PROJECTION_FLOOR:

@@ -18,10 +18,9 @@ or :class:`~msot.spd.SpdSlicer`.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import InvalidInput, MassMismatch
-from .measures import merged_breakpoints
+from .errors import InvalidInput
+from .measures import dual_1d_batched, slice_mean, sorted_rows
 from .sliced import validate_pair
 
 
@@ -96,9 +95,15 @@ def fw_translation(source_weights, target_weights, f, g, rho1, rho2):
     if np.sum(a) <= 0 or np.sum(b) <= 0:
         raise InvalidInput("translation undefined for zero total mass")
     tau = rho1 * rho2 / (rho1 + rho2)
-    log_a = logsumexp(-np.asarray(f, float) / rho1, b=a, axis=-1)
-    log_b = logsumexp(-np.asarray(g, float) / rho2, b=b, axis=-1)
-    return tau * (log_a - log_b)
+    return tau * (_log_mass(a, f, rho1) - _log_mass(b, g, rho2))
+
+
+def _log_mass(weights, potential, rho):
+    """``log sum_i w_i exp(-potential_i / rho)`` along the last axis, shifted
+    by the largest exponent of positive weight (as ``scipy``'s logsumexp)."""
+    z = np.where(weights > 0, -np.asarray(potential, dtype=float) / rho, -np.inf)
+    top = np.max(z, axis=-1, keepdims=True)
+    return np.log(np.sum(weights * np.exp(z - top), axis=-1)) + top[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -106,97 +111,56 @@ def fw_translation(source_weights, target_weights, f, g, rho1, rho2):
 # ---------------------------------------------------------------------------
 
 
-def _dual_sweep(x, a, y, b, p):
-    """Potentials of the balanced 1D problem between sorted atom lists.
-
-    Walks the staircase support of the north-west (monotone) coupling,
-    anchoring ``f[0] = 0`` and propagating ``f_i + g_j = |x_i - y_j|^p``
-    along it.  On an exact mass tie the support is disconnected and both
-    indices advance; the new anchor is then free inside the interval cut
-    out by the two adjacent constraints (nonempty by the Monge property of
-    convex 1D costs) and we keep it as flat as allowed, which returns the
-    all-zero pair on identical profiles instead of a climbing one.
-    """
-
-    def cost(i, j):
-        return np.abs(x[i] - y[j]) ** p
-
-    n, m = x.size, y.size
-    f = np.zeros(n)
-    g = np.zeros(m)
-    g[0] = cost(0, 0)
-    i = j = 0
-    ra, rb = a[0], b[0]
-    while i < n - 1 or j < m - 1:
-        if i < n - 1 and j < m - 1 and ra == rb:
-            lower = f[i] + cost(i + 1, j + 1) - cost(i, j + 1)
-            upper = cost(i + 1, j) - g[j]
-            i += 1
-            j += 1
-            f[i] = min(max(f[i - 1], lower), upper)
-            g[j] = cost(i, j) - f[i]
-            ra, rb = a[i], b[j]
-        elif j == m - 1 or (i < n - 1 and ra < rb):
-            rb -= ra
-            i += 1
-            ra = a[i]
-            f[i] = cost(i, j) - g[j]
-        else:
-            ra -= rb
-            j += 1
-            rb = b[j]
-            g[j] = cost(i, j) - f[i]
-    return f, g
-
-
 def sliced_dual(mu, nu, p=2.0):
     """Balanced dual potentials for two sorted profiles of equal mass.
 
-    The pair is complementary-slack on the monotone support by
-    construction, so its dual value equals the primal cost exactly;
-    feasibility along the support staircase is re-checked here.
+    The one-row case of :func:`~msot.measures.dual_1d_batched` (which
+    raises ``MassMismatch`` on masses 1e-9 apart): complementary-slack on
+    the monotone support, so its dual value equals the primal cost exactly.
     """
-    if abs(mu.total_mass - nu.total_mass) > 1e-9:
-        raise MassMismatch(
-            f"total masses differ: {mu.total_mass} vs {nu.total_mass}"
+    f, g = dual_1d_batched(
+        mu.positions[None], mu.weights[None], nu.positions[None], nu.weights[None], p
+    )
+    return DualPotentials(f=f[0], g=g[0])
+
+
+def _mass_matched_dual(xs, src, ys, tgt, p):
+    """Per-slice balanced dual after scaling each target row to its source mass."""
+    tgt = tgt * (np.sum(src, axis=-1) / np.sum(tgt, axis=-1))[:, None]
+    return dual_1d_batched(xs, src, ys, tgt, p)
+
+
+def _translated(a, b, f, g, params):
+    lam = np.asarray(fw_translation(a, b, f, g, params.rho1, params.rho2))
+    return f + lam[..., None], g - lam[..., None]
+
+
+def _frank_wolfe(a, b, f, g, params, oracle):
+    """Frank-Wolfe on the dual, ``f``/``g`` per slice (2D) or shared (1D).
+
+    ``oracle(t, src, tgt)`` returns the balanced potentials between the
+    reweighted marginals, laid out like ``f`` and ``g``.  Returns the best
+    post-translation iterate as ``(value, f, g)`` and the dual values per
+    round: fixed-step rounds can overshoot past the optimum (badly so for
+    small penalties), and every post-translation iterate is a feasible dual,
+    so the best one seen is the honest answer.
+    """
+    history = []
+    best = (-np.inf, None, None)
+    for t in range(params.n_iters):
+        f, g = _translated(a, b, f, g, params)
+        r, s = oracle(t, a * np.exp(-f / params.rho1), b * np.exp(-g / params.rho2))
+        gamma = 2.0 / (3.0 + t)  # gamma_{t+1} = 2 / (2 + t + 1) for t = 0, 1, ...
+        f, g = _translated(a, b, f + gamma * (r - f), g + gamma * (s - g), params)
+        per_slice = np.sum(a * phi_conj(f, params.rho1), axis=-1) + np.sum(
+            b * phi_conj(g, params.rho2), axis=-1
         )
-    f, g = _dual_sweep(mu.positions, mu.weights, nu.positions, nu.weights, p)
-    _check_support_feasibility(mu, nu, f, g, p)
-    return DualPotentials(f=f, g=g)
-
-
-def _check_support_feasibility(mu, nu, f, g, p, atol=1e-9):
-    """Assert f_i + g_j <= c_ij along the monotone coupling staircase."""
-    qs = merged_breakpoints([mu, nu])
-    i_idx = np.clip(
-        np.searchsorted(mu.cum, qs, side="left"), 0, mu.positions.size - 1
-    )
-    j_idx = np.clip(
-        np.searchsorted(nu.cum, qs, side="left"), 0, nu.positions.size - 1
-    )
-    cost = np.abs(mu.positions[i_idx] - nu.positions[j_idx]) ** p
-    slack = f[i_idx] + g[j_idx] - cost
-    if np.max(slack) > atol:
-        raise InvalidInput(f"dual pair violates feasibility by {np.max(slack):.2e}")
-
-
-def _sorted_oracle(xs, ws, ys, wt, p):
-    """Dual sweep after an exact mass match of the target side."""
-    scale = np.sum(ws) / np.sum(wt)
-    return _dual_sweep(xs, ws, ys, wt * scale, p)
-
-
-def _sorted_coordinates(points, slicer):
-    """Column-sorted ``(n, L)`` coordinates with the sort and its inverse."""
-    coords = slicer.coordinates(points)
-    order = np.argsort(coords, axis=0, kind="stable")
-    inverse = np.argsort(order, axis=0, kind="stable")
-    return np.take_along_axis(coords, order, axis=0), order, inverse
-
-
-def _fw_step_size(t):
-    # gamma_{t+1} = 2 / (2 + t + 1) for the round indexed by t = 0, 1, ...
-    return 2.0 / (3.0 + t)
+        history.append(float(np.mean(per_slice)))
+        if history[-1] > best[0]:
+            best = (history[-1], f, g)
+        if t > 0 and 0.0 <= history[-1] - history[-2] < params.eps:
+            break
+    return best, np.array(history)
 
 
 def suot(x, y, slicer, params, x_weights=None, y_weights=None):
@@ -207,55 +171,22 @@ def suot(x, y, slicer, params, x_weights=None, y_weights=None):
     ``history`` the post-translation dual values per Frank-Wolfe round.
     """
     x, a, y, b = validate_pair(x, y, x_weights, y_weights)
-    xs, x_order, x_inv = _sorted_coordinates(x, slicer)
-    ys, y_order, y_inv = _sorted_coordinates(y, slicer)
-    n, L = xs.shape
-    m = ys.shape[0]
-    f = np.zeros((L, n))
-    g = np.zeros((L, m))
-    history = []
-    best = (-np.inf, None, None)
-    for t in range(params.n_iters):
-        lam = fw_translation(a, b, f, g, params.rho1, params.rho2)
-        f += lam[:, None]
-        g -= lam[:, None]
-        src = a * np.exp(-f / params.rho1)  # (L, n)
-        tgt = b * np.exp(-g / params.rho2)
-        r = np.empty_like(f)
-        s = np.empty_like(g)
-        for ell in range(L):
-            fs, gs = _sorted_oracle(
-                xs[:, ell],
-                src[ell, x_order[:, ell]],
-                ys[:, ell],
-                tgt[ell, y_order[:, ell]],
-                params.p,
-            )
-            r[ell] = fs[x_inv[:, ell]]
-            s[ell] = gs[y_inv[:, ell]]
-        gamma = _fw_step_size(t)
-        f += gamma * (r - f)
-        g += gamma * (s - g)
-        lam = fw_translation(a, b, f, g, params.rho1, params.rho2)
-        f += lam[:, None]
-        g -= lam[:, None]
-        history.append(_suot_dual_value(a, b, f, g, params))
-        if history[-1] > best[0]:
-            best = (history[-1], f.copy(), g.copy())
-        if t > 0 and 0.0 <= history[-1] - history[-2] < params.eps:
-            break
-    # fixed-step rounds can overshoot past the optimum (badly so for small
-    # penalties); every post-translation iterate is a feasible dual, so the
-    # best one seen is the honest answer
-    value, f, g = best
-    return value, DualPotentials(f=f, g=g), np.array(history)
+    xs, x_order = sorted_rows(slicer.coordinates(x))
+    ys, y_order = sorted_rows(slicer.coordinates(y))
 
+    def oracle(t, src, tgt):
+        src = np.take_along_axis(src, x_order, axis=-1)
+        tgt = np.take_along_axis(tgt, y_order, axis=-1)
+        fs, gs = _mass_matched_dual(xs, src, ys, tgt, params.p)
+        r, s = np.empty_like(fs), np.empty_like(gs)
+        np.put_along_axis(r, x_order, fs, axis=-1)
+        np.put_along_axis(s, y_order, gs, axis=-1)
+        return r, s
 
-def _suot_dual_value(a, b, f, g, params):
-    per_slice = np.sum(a * phi_conj(f, params.rho1), axis=1) + np.sum(
-        b * phi_conj(g, params.rho2), axis=1
+    (value, f, g), history = _frank_wolfe(
+        a, b, np.zeros(xs.shape), np.zeros(ys.shape), params, oracle
     )
-    return float(np.mean(per_slice))
+    return value, DualPotentials(f=f, g=g), history
 
 
 def usw(x, y, slicer, params, x_weights=None, y_weights=None, stochastic_slicer=None):
@@ -270,54 +201,22 @@ def usw(x, y, slicer, params, x_weights=None, y_weights=None, stochastic_slicer=
     (fresh slices per round); the default keeps the given slices fixed.
     """
     x, a, y, b = validate_pair(x, y, x_weights, y_weights)
-    xs, x_order, x_inv = _sorted_coordinates(x, slicer)
-    ys, y_order, y_inv = _sorted_coordinates(y, slicer)
-    n, L = xs.shape
-    m = ys.shape[0]
-    f = np.zeros(n)
-    g = np.zeros(m)
-    history = []
-    best = (-np.inf, None, None)
-    for t in range(params.n_iters):
-        if stochastic_slicer is not None and t > 0:
-            fresh = stochastic_slicer(t)
-            xs, x_order, x_inv = _sorted_coordinates(x, fresh)
-            ys, y_order, y_inv = _sorted_coordinates(y, fresh)
-        lam = float(fw_translation(a, b, f, g, params.rho1, params.rho2))
-        f += lam
-        g -= lam
-        src = a * np.exp(-f / params.rho1)
-        tgt = b * np.exp(-g / params.rho2)
-        r = np.empty((L, n))
-        s = np.empty((L, m))
-        for ell in range(L):
-            fs, gs = _sorted_oracle(
-                xs[:, ell],
-                src[x_order[:, ell]],
-                ys[:, ell],
-                tgt[y_order[:, ell]],
-                params.p,
-            )
-            r[ell] = fs[x_inv[:, ell]]
-            s[ell] = gs[y_inv[:, ell]]
-        gamma = _fw_step_size(t)
-        f += gamma * (np.mean(r, axis=0) - f)
-        g += gamma * (np.mean(s, axis=0) - g)
-        lam = float(fw_translation(a, b, f, g, params.rho1, params.rho2))
-        f += lam
-        g -= lam
-        history.append(_usw_dual_value(a, b, f, g, params))
-        if history[-1] > best[0]:
-            best = (history[-1], f.copy(), g.copy())
-        if t > 0 and 0.0 <= history[-1] - history[-2] < params.eps:
-            break
-    value, f, g = best
+
+    def sorted_pair(sl):
+        return sorted_rows(sl.coordinates(x)), sorted_rows(sl.coordinates(y))
+
+    fixed = sorted_pair(slicer)
+
+    def oracle(t, src, tgt):
+        fresh = stochastic_slicer is not None and t > 0
+        rows = sorted_pair(stochastic_slicer(t)) if fresh else fixed
+        (xs, x_order), (ys, y_order) = rows
+        fs, gs = _mass_matched_dual(xs, src[x_order], ys, tgt[y_order], params.p)
+        return slice_mean(fs, x_order), slice_mean(gs, y_order)
+
+    (value, f, g), history = _frank_wolfe(
+        a, b, np.zeros(x.shape[0]), np.zeros(y.shape[0]), params, oracle
+    )
     potentials = DualPotentials(f=f, g=g)
     marginals = norm_reweight(a, b, potentials, params.rho1, params.rho2)
-    return value, potentials, marginals, np.array(history)
-
-
-def _usw_dual_value(a, b, f, g, params):
-    return float(
-        np.sum(a * phi_conj(f, params.rho1)) + np.sum(b * phi_conj(g, params.rho2))
-    )
+    return value, potentials, marginals, history

@@ -185,3 +185,46 @@ def busemann_ai_loop(m, a):
         chol = np.linalg.cholesky(rotated[::-1, ::-1])
         out[i] = -float(np.dot(vals, np.log(np.diag(chol)[::-1] ** 2)))
     return out
+
+
+def dual_sweep(x, a, y, b, p):
+    """Potentials of the balanced 1D problem between sorted atom lists.
+
+    Walks the staircase support of the north-west (monotone) coupling,
+    anchoring ``f[0] = 0`` and propagating ``f_i + g_j = |x_i - y_j|^p``
+    along it.  On an exact mass tie the support is disconnected and both
+    indices advance; the new anchor is then free inside the interval cut
+    out by the two adjacent constraints (nonempty by the Monge property of
+    convex 1D costs) and we keep it as flat as allowed, which returns the
+    all-zero pair on identical profiles instead of a climbing one.
+    """
+
+    def cost(i, j):
+        return np.abs(x[i] - y[j]) ** p
+
+    n, m = x.size, y.size
+    f = np.zeros(n)
+    g = np.zeros(m)
+    g[0] = cost(0, 0)
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while i < n - 1 or j < m - 1:
+        if i < n - 1 and j < m - 1 and ra == rb:
+            lower = f[i] + cost(i + 1, j + 1) - cost(i, j + 1)
+            upper = cost(i + 1, j) - g[j]
+            i += 1
+            j += 1
+            f[i] = min(max(f[i - 1], lower), upper)
+            g[j] = cost(i, j) - f[i]
+            ra, rb = a[i], b[j]
+        elif j == m - 1 or (i < n - 1 and ra < rb):
+            rb -= ra
+            i += 1
+            ra = a[i]
+            f[i] = cost(i, j) - g[j]
+        else:
+            ra -= rb
+            j += 1
+            rb = b[j]
+            g[j] = cost(i, j) - f[i]
+    return f, g

@@ -140,7 +140,9 @@ def test_single_point_is_a_one_atom_cloud(name):
     assert call(x[0], y, None, None, d) == call(x[:1], y, None, None, d)
 
 
-@pytest.mark.parametrize("name", ["sw_p", "spdsw", "hspdsw", "logsw", "usw", "suot"])
+@pytest.mark.parametrize(
+    "name", ["sw_p", "ghsw", "hhsw", "spdsw", "hspdsw", "logsw", "ssw", "usw", "suot"]
+)
 def test_slices_of_another_dimension_are_invalid(name):
     make, d, call = DISTANCES[name]
     with pytest.raises(InvalidInput):

@@ -273,6 +273,14 @@ class TestRayDomainAndProjection:
 
 
 class TestGaussianPCA:
+    @pytest.mark.parametrize("bad", [(1, 1, np.nan), (1, 0, np.nan), (2, 1, np.inf)])
+    def test_non_finite_rows_are_invalid(self, bad):
+        data = np.array([[0.0, 1.0], [1.0, 2.0], [2.0, 0.5]])
+        row, col, value = bad
+        data[row, col] = value
+        with pytest.raises(InvalidInput):
+            gaussian_pca_1d(data)
+
     def test_equal_means_component(self):
         rng = np.random.default_rng(0)
         data = np.stack([np.full(30, 0.7), rng.random(30) + 0.5], axis=1)

@@ -245,6 +245,11 @@ class TestSwjkoParticles:
 
 
 class TestSwjkoGrid:
+    @pytest.mark.parametrize("rho", [[np.nan, 1.0], [np.inf, 1.0], [0.5, np.nan]])
+    def test_non_finite_weights_are_invalid(self, rho):
+        with pytest.raises(InvalidInput):
+            GridState(nodes=np.zeros((2, 1)), rho=np.array(rho), cell_volume=1.0)
+
     def test_single_node_stays(self):
         grid = GridState(nodes=np.zeros((1, 1)), rho=np.array([1.0]), cell_volume=1.0)
         func = quadratic_potential(np.array([0.0]))
@@ -397,22 +402,30 @@ class TestSwTargetGridGradient:
             assert float(grad @ d) == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
     def test_grid_flow_descends_toward_target_profile(self):
-        rng = np.random.default_rng(32)
+        # the inner solver is fixed-step projected subgradient descent on a
+        # piecewise-linear objective: near the optimum (energy below ~2% of
+        # its start) it oscillates, and whether a step there rises is decided
+        # by rounding.  Monotone descent is asserted on the steps that start
+        # at or above 5% of the initial energy, over six seed shifts.
         nodes = np.linspace(-1.0, 1.0, 30)[:, None]
         rho0 = np.exp(-0.5 * (nodes[:, 0] + 0.5) ** 2 / 0.04)
         rho0 /= rho0.sum()
-        target = rng.normal(size=(40, 1)) * 0.2 + 0.4
-        dirs = sample_directions(1, 4, seed=33)
-        func = SwToTargetFunctional(target, dirs)
         grid = GridState(nodes=nodes, rho=rho0, cell_volume=2.0 / 30)
-        trace = swjko_grid(
-            grid,
-            func,
-            tau=0.5,
-            n_steps=10,
-            inner=InnerOptimizer(learning_rate=0.01, n_steps=200),
-            n_projections=1,
-            seed=34,
-        )
-        assert trace.energies[-1] < trace.energies[0] / 5.0
-        assert np.max(np.diff(trace.energies)) <= 1e-8
+        for shift in range(6):
+            rng = np.random.default_rng(32 + shift)
+            target = rng.normal(size=(40, 1)) * 0.2 + 0.4
+            dirs = sample_directions(1, 4, seed=33 + shift)
+            func = SwToTargetFunctional(target, dirs)
+            trace = swjko_grid(
+                grid,
+                func,
+                tau=0.5,
+                n_steps=10,
+                inner=InnerOptimizer(learning_rate=0.01, n_steps=200),
+                n_projections=1,
+                seed=34 + shift,
+            )
+            energies = trace.energies
+            assert energies[-1] < energies[0] / 5.0, shift
+            rises = np.diff(energies)[energies[:-1] >= 0.05 * energies[0]]
+            assert np.max(rises) <= 1e-8, shift

@@ -12,10 +12,12 @@ from msot.measures import (
     build_circle_profile,
     build_profile,
     circle_w1_level_median,
+    dual_1d_batched,
     wasserstein_1d,
 )
 from msot.unbalanced import UnbalancedParams, phi_conj, sliced_dual, suot
 from msot.sliced import EuclideanSlicer, sample_directions
+from oracles import dual_sweep
 
 finite_floats = st.floats(-100.0, 100.0, allow_nan=False)
 
@@ -82,6 +84,71 @@ class TestDualSweepProperties:
         assert dual == pytest.approx(wasserstein_1d(mu, nu, 2), abs=1e-10)
         cost = (mu.positions[:, None] - nu.positions[None, :]) ** 2
         assert np.max(pots.f[:, None] + pots.g[None, :] - cost) <= 1e-10
+
+
+@st.composite
+def exact_tie_rows(draw):
+    """Row-sorted atoms with integer weights / 8 and equal row totals.
+
+    Exact binary fractions make every cumulative weight exact, so the
+    scalar walk and the batched merge see the same ties; zero-mass atoms,
+    coincident positions and identical profiles all occur.
+    """
+    L, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    total = draw(st.integers(1, 24))
+
+    def weights(k):
+        cuts = draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1))
+        return np.diff([0, *sorted(cuts), total]) / 8.0
+
+    position = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    x = np.sort(draw(hnp.arrays(np.float64, (L, n), elements=position)), axis=-1)
+    a = np.stack([weights(n) for _ in range(L)])
+    if n == m and draw(st.booleans()):
+        return x, a, x.copy(), a.copy()
+    y = np.sort(draw(hnp.arrays(np.float64, (L, m), elements=position)), axis=-1)
+    return x, a, y, np.stack([weights(m) for _ in range(L)])
+
+
+@st.composite
+def float_rows(draw):
+    """Row-sorted atoms with float probability weights, some of them zero."""
+    L, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 5.0))
+
+    def side(k):
+        x = np.sort(draw(hnp.arrays(np.float64, (L, k), elements=st.floats(-5.0, 5.0))))
+        w = draw(hnp.arrays(np.float64, (L, k), elements=weight))
+        w[:, draw(st.integers(0, k - 1))] += 1.0  # positive mass on every row
+        return x, w / w.sum(axis=-1, keepdims=True)
+
+    return (*side(n), *side(m))
+
+
+class TestBatchedDualKernel:
+    @given(exact_tie_rows(), st.sampled_from([1.0, 1.5, 2.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_scalar_sweep_on_exact_ties(self, rows, p):
+        x, a, y, b = rows
+        f, g = dual_1d_batched(x, a, y, b, p)
+        for ell in range(x.shape[0]):
+            f_walk, g_walk = dual_sweep(x[ell], a[ell], y[ell], b[ell], p)
+            assert np.max(np.abs(f[ell] - f_walk)) <= 1e-12
+            assert np.max(np.abs(g[ell] - g_walk)) <= 1e-12
+
+    @given(float_rows(), st.sampled_from([1.0, 1.5, 2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_optimal_and_feasible_on_float_weights(self, rows, p):
+        # where ``rb -= ra`` of the walk and the cumulative sums round a
+        # near-tie differently, the two staircases differ but both are optimal
+        x, a, y, b = rows
+        f, g = dual_1d_batched(x, a, y, b, p)
+        for ell in range(x.shape[0]):
+            mu, nu = build_profile(x[ell], a[ell]), build_profile(y[ell], b[ell])
+            dual = float(f[ell] @ a[ell] + g[ell] @ b[ell])
+            assert dual == pytest.approx(wasserstein_1d(mu, nu, p), rel=1e-10, abs=1e-10)
+            cost = np.abs(x[ell][:, None] - y[ell][None, :]) ** p
+            assert np.max(f[ell][:, None] + g[ell][None, :] - cost) <= 1e-9
 
 
 class TestSimplexProjectProperties:

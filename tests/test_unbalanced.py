@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from msot.errors import InvalidInput, MassMismatch
 from msot.hyperbolic import (
@@ -92,6 +93,33 @@ class TestFwTranslation:
     def test_zero_mass_rejected(self):
         with pytest.raises(InvalidInput):
             fw_translation(np.zeros(2), np.ones(2), np.zeros(2), np.zeros(2), 1, 1)
+
+    def test_matches_the_logsumexp_closed_form(self):
+        # potentials of a few hundred over rho = 0.5 overflow a plain exp
+        rng = np.random.default_rng(3)
+        a, b = rng.random(7) + 0.1, rng.random(5) + 0.1
+        f, g = 300 * rng.normal(size=(4, 7)), 300 * rng.normal(size=(4, 5))
+        want = (0.5 * 2.0 / 2.5) * (
+            logsumexp(-f / 0.5, b=a, axis=-1) - logsumexp(-g / 2.0, b=b, axis=-1)
+        )
+        got = fw_translation(a, b, f, g, 0.5, 2.0)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_zero_weight_atoms_do_not_set_the_shift(self):
+        # the zero-weight atoms lead every exponent by over 745, where a
+        # shift taken from them underflows all the weighted terms
+        rng = np.random.default_rng(4)
+        a, b = rng.random(7) + 0.1, rng.random(5) + 0.1
+        a[[0, 4]] = 0.0
+        b[2] = 0.0
+        f, g = 300 * rng.normal(size=(4, 7)), 300 * rng.normal(size=(4, 5))
+        f[:, 0], g[:, 2] = -3000.0, -9000.0
+        want = (0.5 * 2.0 / 2.5) * (
+            logsumexp(-f / 0.5, b=a, axis=-1) - logsumexp(-g / 2.0, b=b, axis=-1)
+        )
+        got = fw_translation(a, b, f, g, 0.5, 2.0)
+        assert np.all(np.isfinite(got))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestSlicedDual:
@@ -207,6 +235,53 @@ class TestSuot:
         )
         assert np.isfinite(value)
         assert value >= 0
+
+
+class TestZeroWeightAtoms:
+    # the zero-weight source at 5 leads the exponents of the translation by
+    # 1500 at rho = 0.05: its balanced potential is 75 below the weighted one
+    x, y = np.array([[0.0], [5.0]]), np.array([[10.0]])
+    slicer = EuclideanSlicer(sample_directions(1, 1, seed=0))
+    params = UnbalancedParams(rho1=0.05, rho2=0.05, n_iters=10)
+
+    def test_suot_ignores_them(self):
+        value, pots, _ = suot(
+            self.x, self.y, self.slicer, self.params, x_weights=[1.0, 0.0]
+        )
+        alone, _, _ = suot(self.x[:1], self.y, self.slicer, self.params)
+        assert np.all(np.isfinite(pots.f)) and np.all(np.isfinite(pots.g))
+        assert value == pytest.approx(alone, rel=1e-12)
+
+    def test_usw_ignores_them(self):
+        value, pots, marginals, _ = usw(
+            self.x, self.y, self.slicer, self.params, x_weights=[1.0, 0.0]
+        )
+        alone, _, _, _ = usw(self.x[:1], self.y, self.slicer, self.params)
+        assert np.all(np.isfinite(pots.f)) and np.all(np.isfinite(pots.g))
+        assert marginals.source[1] == 0.0
+        assert value == pytest.approx(alone, rel=1e-12)
+
+
+class TestLargeCoordinates:
+    # costs near 1e8: the staircase sums a rounded cost difference per
+    # step, so its feasibility error is about 1e-8 in absolute terms
+    rng = np.random.default_rng(0)
+    x = 1e4 * (1 + rng.random((300, 2)))
+    y = 1e4 * (1 + rng.random((3, 2)))
+    slicer = EuclideanSlicer(sample_directions(2, 4, seed=0))
+    params = UnbalancedParams(rho1=1e9, rho2=1e9, n_iters=3)
+
+    def test_suot_and_usw_accept_them(self):
+        v_suot, pots, _ = suot(self.x, self.y, self.slicer, self.params)
+        v_usw, _, _, _ = usw(self.x, self.y, self.slicer, self.params)
+        assert np.isfinite(v_suot) and np.isfinite(v_usw)
+        assert v_suot <= v_usw * (1 + 1e-12)
+        # every slice's pair stays feasible relative to the cost scale
+        proj_x = self.slicer.coordinates(self.x).T
+        proj_y = self.slicer.coordinates(self.y).T
+        cost = (proj_x[:, :, None] - proj_y[:, None, :]) ** 2
+        slack = pots.f[:, :, None] + pots.g[:, None, :] - cost
+        assert np.max(slack) <= 1e-9 * np.max(cost)
 
 
 class TestUsw:
