@@ -354,7 +354,10 @@ def run_matrix(args, cfg):
 
 
 def _parse_vector(text):
-    return np.array([float(v) for v in text.split(",")], dtype=float)
+    try:
+        return np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError as exc:
+        raise InvalidInput(f"malformed vector {text!r}") from exc
 
 
 def _build_functional(args, data, cfg):

@@ -23,6 +23,11 @@ class DegenerateDirection(ValueError):
     """A symmetric slicing direction has (numerically) colliding eigenvalues."""
 
 
+class DualOverflow(ValueError):
+    """An exponential dual solver overflowed on every round (costs dwarf the
+    marginal penalties), leaving no finite iterate to return."""
+
+
 class MeasureZeroProjection(ValueError):
     """A sphere point projects onto the measure-zero set of a great circle."""
 

@@ -24,9 +24,22 @@ from .measures import (
     validate_weights,
     wasserstein_1d_batched,
 )
-from .sliced import matched_residual, sample_directions, sw2_subgradient, sw_p
+from .sliced import (
+    matched_residual,
+    sample_directions,
+    sorted_residual,
+    sw2_subgradient,
+    sw_p,
+)
 
 ENTROPY_FLOOR = 1e-300
+
+
+def _check_positive(value, name):
+    """Reject a step size or volume that is not a positive finite number
+    (``value <= 0`` alone lets NaN through)."""
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidInput(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,8 +55,7 @@ class GridState:
             raise InvalidInput("grid weights must be finite")
         if abs(float(np.sum(self.rho)) - 1.0) > 1e-10 or np.any(self.rho < 0):
             raise InvalidInput("grid weights must lie on the probability simplex")
-        if self.cell_volume <= 0:
-            raise InvalidInput("cell volume must be positive")
+        _check_positive(self.cell_volume, "cell volume")
 
 
 @dataclass(frozen=True)
@@ -130,37 +142,76 @@ class Functional:
 
 
 class PotentialFunctional(Functional):
-    r"""Potential energy :math:`\int V\,d\mu` with an analytic gradient."""
+    r"""Potential energy :math:`\int V\,d\mu` with an analytic gradient.
+
+    ``v`` and ``grad_v`` act on one point.  Every surface goes through the
+    batched :meth:`values` and :meth:`gradients` on the whole ``(n, d)``
+    array; here they call ``v`` and ``grad_v`` atom by atom, and a potential
+    with a closed form overrides them with whole-array expressions.
+    """
 
     def __init__(self, v, grad_v):
         self.v = v
         self.grad_v = grad_v
 
+    def values(self, points):
+        """``V`` at every row of ``points``, shape ``(n,)``."""
+        return np.apply_along_axis(self.v, 1, points)
+
+    def gradients(self, points):
+        """``grad V`` at every row of ``points``, shape ``(n, d)``."""
+        return np.stack([self.grad_v(x) for x in points])
+
     def value(self, points, weights=None):
         points = np.asarray(points, dtype=float)
         w = validate_weights(weights, n=points.shape[0])
-        return float(np.sum(w * np.apply_along_axis(self.v, 1, points)))
+        return float(np.sum(w * self.values(points)))
 
     def particle_gradient(self, points, weights=None):
         points = np.asarray(points, dtype=float)
         w = validate_weights(weights, n=points.shape[0])
-        return w[:, None] * np.stack([self.grad_v(x) for x in points])
+        return w[:, None] * self.gradients(points)
 
     def grid_value(self, grid):
-        vals = np.apply_along_axis(self.v, 1, grid.nodes)
-        return float(np.sum(grid.rho * vals))
+        return float(np.sum(grid.rho * self.values(grid.nodes)))
 
     def grid_gradient(self, grid):
-        return np.apply_along_axis(self.v, 1, grid.nodes)
+        return self.values(grid.nodes)
+
+
+class _QuadraticPotential(PotentialFunctional):
+    """``V(x) = strength/2 * |x - target|^2`` in closed form along the last
+    axis; a 0-d target is the same center in every coordinate."""
+
+    def __init__(self, target, strength):
+        target = np.asarray(target, dtype=float)
+        if target.ndim > 1 or not np.all(np.isfinite(target)):
+            raise InvalidInput("the potential center must be a finite vector")
+        if not np.isfinite(strength):
+            raise InvalidInput("the potential strength must be finite")
+        self.target = target
+        self.strength = strength
+        super().__init__(v=lambda x: float(self.values(x)), grad_v=self.gradients)
+
+    def _offset(self, points):
+        points = np.asarray(points, dtype=float)
+        if self.target.ndim and points.shape[-1:] != self.target.shape:
+            raise InvalidInput(
+                f"the potential center has dimension {self.target.size}, "
+                f"the atoms have shape {points.shape}"
+            )
+        return points - self.target
+
+    def values(self, points):
+        return 0.5 * self.strength * np.sum(self._offset(points) ** 2, axis=-1)
+
+    def gradients(self, points):
+        return self.strength * self._offset(points)
 
 
 def quadratic_potential(target, strength=1.0):
     """``V(x) = strength/2 * |x - target|^2`` as a potential functional."""
-    target = np.asarray(target, dtype=float)
-    return PotentialFunctional(
-        v=lambda x: 0.5 * strength * float(np.sum((x - target) ** 2)),
-        grad_v=lambda x: strength * (x - target),
-    )
+    return _QuadraticPotential(target, strength)
 
 
 class InteractionFunctional(Functional):
@@ -170,6 +221,8 @@ class InteractionFunctional(Functional):
     :math:`(\|z\|^2 - 1)z`)."""
 
     def __init__(self, a=4.0, b=2.0):
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise InvalidInput("kernel exponents must be finite")
         if a <= b:
             raise InvalidInput("need a > b for a repulsive-attractive kernel")
         self.a = a
@@ -180,32 +233,44 @@ class InteractionFunctional(Functional):
         return norms**self.a / self.a - norms**self.b / self.b
 
     def _pairwise(self, points):
-        diff = points[:, None, :] - points[None, :, :]
-        return diff, np.sum(diff**2, axis=-1)
+        """Squared distances between all rows, summed one coordinate at a
+        time into a single ``(n, n)`` array, in the order of
+        ``np.sum(diff**2, axis=-1)`` over the ``(n, n, d)`` differences."""
+        n = points.shape[0]
+        sq = np.zeros((n, n))
+        diff = np.empty((n, n))
+        for col in points.T:
+            np.subtract.outer(col, col, out=diff)
+            sq += np.square(diff, out=diff)
+        return sq
 
     def value(self, points, weights=None):
         points = np.asarray(points, dtype=float)
         w = validate_weights(weights, n=points.shape[0])
-        _, sq = self._pairwise(points)
-        return 0.5 * float(w @ self._kernel(sq) @ w)
+        return 0.5 * float(w @ self._kernel(self._pairwise(points)) @ w)
 
     def particle_gradient(self, points, weights=None):
+        r"""``w_i sum_j C_ij (x_i - x_j)`` with ``C_ij = w_j W'(r_ij) / r_ij``,
+        as :math:`x_i \sum_j C_{ij} - (C x)_i`.  The force does not change
+        under translation; centering the cloud first keeps the cancellation
+        between the two terms at the scale of the cloud's spread."""
         points = np.asarray(points, dtype=float)
         w = validate_weights(weights, n=points.shape[0])
-        diff, sq = self._pairwise(points)
-        norms = np.sqrt(sq)
+        norms = np.sqrt(self._pairwise(points))
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = np.where(
                 norms > 0, norms ** (self.a - 2) - norms ** (self.b - 2), 0.0
             )
-        force = np.einsum("ij,ijk->ik", coef * w[None, :], diff)
+        coef *= w[None, :]
+        centered = points - np.mean(points, axis=0)
+        force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
         return w[:, None] * force
 
     def grid_value(self, grid):
         return self.value(grid.nodes, grid.rho)
 
     def grid_gradient(self, grid):
-        _, sq = self._pairwise(np.asarray(grid.nodes, dtype=float))
+        sq = self._pairwise(np.asarray(grid.nodes, dtype=float))
         return self._kernel(sq) @ grid.rho
 
 
@@ -318,14 +383,13 @@ class GhswToTargetFunctional(Functional):
         u = x @ jv.T  # <x, v>_L, (n, L)
         w = -x[:, :1]  # <x, x0>_L, (n, 1)
         ratio = -u / w
-        jx0 = np.zeros(x.shape[1])
-        jx0[0] = -1.0
         denom = (1.0 - ratio**2) * w**2
-        # dP/dx = (-(Jv) w + u Jx0) / ((1 - r^2) w^2)
-        grad_coords = (
-            -jv[None, :, :] * w[:, :, None] + u[:, :, None] * jx0[None, None, :]
-        ) / denom[:, :, None]
-        return np.einsum("nl,nld->nd", resid, grad_coords) / (n * n_proj)
+        # dP/dx = (-(Jv) w + u Jx0) / ((1 - r^2) w^2) with Jx0 = -e_0, summed
+        # over slices against the residual without an (n, L, d) temporary
+        r = resid / denom
+        grad = -w * (r @ jv)
+        grad[:, 0] -= np.sum(r * u, axis=1)
+        return grad / (n * n_proj)
 
 
 def _sw_weight_gradient(nodes, rho, target, target_weights, dirs):
@@ -379,6 +443,9 @@ class InnerOptimizer:
     learning_rate: float = 0.05
     n_steps: int = 50
 
+    def __post_init__(self):
+        _check_positive(self.learning_rate, "inner learning rate")
+
 
 def swjko_particles(
     initial,
@@ -401,8 +468,7 @@ def swjko_particles(
     count.  Records the functional value and the proximal objective of
     each accepted state.
     """
-    if tau <= 0:
-        raise InvalidInput("tau must be positive")
+    _check_positive(tau, "tau")
     x = np.asarray(initial, dtype=float).copy()
     n, d = x.shape
     factor = float(d) if dilation else 1.0
@@ -417,12 +483,16 @@ def swjko_particles(
     )
     for k in range(1, n_steps + 1):
         dirs = sample_directions(d, n_projections, seed=seed + k)
+        theta = dirs.dirs
         prev = x.copy()
+        # sw2_subgradient(x, prev, dirs), with the fixed previous iterate's
+        # projections sorted once per outer step
+        prev_sorted = np.sort(prev @ theta.T, axis=0, kind="stable")
+        scale = 2.0 / (n * n_projections)
         grad = np.zeros_like(x)
         for _ in range(inner.n_steps):
-            grad = factor / (2.0 * tau) * sw2_subgradient(
-                x, prev, dirs
-            ) + functional.particle_gradient(x)
+            sw_grad = scale * sorted_residual(x @ theta.T, prev_sorted) @ theta
+            grad = factor / (2.0 * tau) * sw_grad + functional.particle_gradient(x)
             x = x - inner.learning_rate * n * grad
         energy = functional.value(x)
         objective = factor / (2.0 * tau) * sw_p(x, prev, dirs) + energy
@@ -454,8 +524,7 @@ def swjko_grid(
     The SW term between weighted grid profiles uses the general-weights 1D
     solver; its weight gradient is the slice-averaged dual potential.
     """
-    if tau <= 0:
-        raise InvalidInput("tau must be positive")
+    _check_positive(tau, "tau")
     nodes = np.asarray(grid.nodes, dtype=float)
     n, d = nodes.shape
     rho = np.asarray(grid.rho, dtype=float).copy()
@@ -515,8 +584,7 @@ def euler_particles(
     Uniform particle clouds descend ``x_i <- x_i - tau n grad_i``; on the
     Lorentz geometry the ambient gradient goes through the Riemannian step.
     """
-    if step_size <= 0:
-        raise InvalidInput("step size must be positive")
+    _check_positive(step_size, "step size")
     if geometry not in ("euclidean", "lorentz"):
         raise InvalidInput(f"unsupported geometry {geometry!r}")
     x = np.asarray(initial, dtype=float).copy()

@@ -141,11 +141,14 @@ def matched_residual(x_coords, y_coords):
     difference ``x_(i) - y_(i)`` is written back to the atom of ``x`` that
     holds rank ``i``.  Returns an array of the shape of ``x_coords``.
     """
+    return sorted_residual(x_coords, np.sort(y_coords, axis=0, kind="stable"))
+
+
+def sorted_residual(x_coords, y_sorted):
+    """:func:`matched_residual` against columns ``y_sorted`` sorted already,
+    e.g. a fixed target matched many times."""
     sigma = np.argsort(x_coords, axis=0, kind="stable")
-    tau = np.argsort(y_coords, axis=0, kind="stable")
-    diff = np.take_along_axis(x_coords, sigma, axis=0) - np.take_along_axis(
-        y_coords, tau, axis=0
-    )
+    diff = np.take_along_axis(x_coords, sigma, axis=0) - y_sorted
     resid = np.empty_like(diff)
     np.put_along_axis(resid, sigma, diff, axis=0)
     return resid

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import DualOverflow, InvalidInput
 from .measures import dual_1d_batched, slice_mean, sorted_rows
 from .sliced import validate_pair
 
@@ -143,7 +143,8 @@ def _frank_wolfe(a, b, f, g, params, oracle):
     post-translation iterate as ``(value, f, g)`` and the dual values per
     round: fixed-step rounds can overshoot past the optimum (badly so for
     small penalties), and every post-translation iterate is a feasible dual,
-    so the best one seen is the honest answer.
+    so the best one seen is the honest answer.  Raises ``DualOverflow``
+    when no round has a finite dual value.
     """
     history = []
     best = (-np.inf, None, None)
@@ -160,6 +161,13 @@ def _frank_wolfe(a, b, f, g, params, oracle):
             best = (history[-1], f, g)
         if t > 0 and 0.0 <= history[-1] - history[-2] < params.eps:
             break
+    if best[1] is None:
+        raise DualOverflow(
+            f"Frank-Wolfe found no finite dual value in {len(history)} rounds: "
+            f"exp(-potential / rho) overflows when the transport costs dwarf the "
+            f"penalties rho1={params.rho1}, rho2={params.rho2}; rescale the data "
+            "or raise rho"
+        )
     return best, np.array(history)
 
 

@@ -228,3 +228,84 @@ def dual_sweep(x, a, y, b, p):
             rb = b[j]
             g[j] = cost(i, j) - f[i]
     return f, g
+
+
+def potential_per_atom(v, grad_v, points, weights):
+    """Potential energy ``int V dmu`` evaluated one atom at a time.
+
+    Returns ``(value, particle_gradient, node_values)``: the weighted sum of
+    ``V`` at the atoms, ``w_i grad V(x_i)`` stacked, and ``V`` per atom.
+    """
+    vals = np.apply_along_axis(v, 1, points)
+    grads = np.stack([grad_v(x) for x in points])
+    return float(np.sum(weights * vals)), weights[:, None] * grads, vals
+
+
+def interaction_dense(points, weights, a, b):
+    """Power-law interaction energy through the full ``(n, n, d)`` tensor of
+    pairwise differences.
+
+    Returns ``(value, particle_gradient, node_gradient)`` for the kernel
+    ``W(z) = |z|^a/a - |z|^b/b``: ``1/2 w^T W w``, the force
+    ``w_i sum_j w_j W'(r_ij)/r_ij (x_i - x_j)`` summed by ``einsum``, and
+    ``W @ w``.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    norms = np.sqrt(np.sum(diff**2, axis=-1))
+    kernel = norms**a / a - norms**b / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(norms > 0, norms ** (a - 2) - norms ** (b - 2), 0.0)
+    force = np.einsum("ij,ijk->ik", coef * weights[None, :], diff)
+    value = 0.5 * float(weights @ kernel @ weights)
+    return value, weights[:, None] * force, kernel @ weights
+
+
+def swjko_particles_loop(initial, functional, tau, n_steps, inner, n_projections, seed):
+    """Backward-Euler particle flow written out with the public
+    ``sw2_subgradient`` on every inner step.
+
+    Returns the per-step ``(energy, objective, residual_grad, positions)``.
+    """
+    from msot.sliced import sample_directions, sw2_subgradient, sw_p
+
+    x = np.asarray(initial, dtype=float).copy()
+    n, d = x.shape
+    records = [(functional.value(x), functional.value(x), None, x.copy())]
+    for k in range(1, n_steps + 1):
+        dirs = sample_directions(d, n_projections, seed=seed + k)
+        prev = x.copy()
+        grad = np.zeros_like(x)
+        for _ in range(inner.n_steps):
+            grad = 1.0 / (2.0 * tau) * sw2_subgradient(
+                x, prev, dirs
+            ) + functional.particle_gradient(x)
+            x = x - inner.learning_rate * n * grad
+        energy = functional.value(x)
+        objective = 1.0 / (2.0 * tau) * sw_p(x, prev, dirs) + energy
+        records.append((energy, objective, float(np.linalg.norm(n * grad)), x.copy()))
+    return records
+
+
+def ghsw_gradient_dense(x, target, ideal):
+    """Ambient gradient of 1/2 GHSW_2^2 toward ``target`` on the Lorentz
+    model through the full ``(n, L, d)`` tensor of coordinate gradients."""
+    from msot.hyperbolic import geodesic_coordinate
+    from msot.sliced import matched_residual
+
+    n, n_proj = x.shape[0], ideal.shape[0]
+    resid = matched_residual(
+        geodesic_coordinate(x, ideal, model="lorentz"),
+        geodesic_coordinate(target, ideal, model="lorentz"),
+    )
+    v = np.concatenate([np.zeros((n_proj, 1)), ideal], axis=-1)
+    jv = v.copy()
+    jv[:, 0] = -jv[:, 0]
+    u = x @ jv.T
+    w = -x[:, :1]
+    jx0 = np.zeros(x.shape[1])
+    jx0[0] = -1.0
+    denom = (1.0 - (u / w) ** 2) * w**2
+    grad_coords = (
+        -jv[None, :, :] * w[:, :, None] + u[:, :, None] * jx0[None, None, :]
+    ) / denom[:, :, None]
+    return np.einsum("nl,nld->nd", resid, grad_coords) / (n * n_proj)

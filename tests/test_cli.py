@@ -353,6 +353,56 @@ class TestInputBoundary:
         assert capsys.readouterr().out == ""
 
 
+class TestFlowBoundary:
+    """Bad flow parameters are input errors (exit 2), not numerical ones."""
+
+    def run(self, tmp_path, capsys, scheme, extra, dim=3):
+        path = tmp_path / "c.csv"
+        euclidean_csv(path, np.random.default_rng(9).normal(size=(6, dim)))
+        argv = ["flow", scheme, str(path), "--steps", "2", "--inner-steps", "3",
+                "--projections", "8", "--cell-volume", "0.5", *extra]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err
+
+    @pytest.mark.parametrize("scheme", ["euler", "jko-particles", "jko-grid"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--potential-center", "0,0"], "dimension 2"),
+            (["--potential-center", "nan,0,0"], "finite vector"),
+            (["--potential-center", "0,x,0"], "malformed vector"),
+            (["--potential-strength", "inf"], "strength must be finite"),
+            (["--tau", "nan"], "tau must be positive"),
+            (["--tau", "inf"], "tau must be positive"),
+        ],
+    )
+    def test_bad_potential_flow_exits_two(
+        self, tmp_path, capsys, scheme, extra, message
+    ):
+        functional = "fokker-planck" if scheme == "jko-grid" else "potential"
+        if scheme == "euler":
+            message = message.replace("tau", "step size")
+        code, err = self.run(
+            tmp_path, capsys, scheme, ["--functional", functional, *extra]
+        )
+        assert code == 2
+        assert message in err
+
+    def test_unbalanced_overflow_exits_three(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        euclidean_csv(a, rng.uniform(1e3, 4e3, (400, 2)))
+        euclidean_csv(b, rng.uniform(0, 3, (3, 2)))
+        with np.errstate(all="ignore"):
+            code = main(["dist", "suot", str(a), str(b), "--projections", "5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "no finite dual value" in captured.err
+
+
 def test_msot_threads_caps_blas_before_numpy_loads():
     blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS")

@@ -24,8 +24,12 @@ from msot.hyperbolic import dist_lorentz, exp_map, origin, sample_wrapped_normal
 from msot.sliced import sample_directions
 
 from oracles import (
+    ghsw_gradient_dense,
+    interaction_dense,
+    potential_per_atom,
     ring_equilibrium_radius,
     ring_radial_force,
+    swjko_particles_loop,
     wasserstein_pp_assignment,
 )
 
@@ -102,6 +106,156 @@ class TestFunctionalValues:
             fd = (func.value(plus) - func.value(minus)) / (2 * h)
             want = float(np.sum(grad * xi))
             assert fd == pytest.approx(want, rel=1e-4, abs=1e-7)
+
+
+def _cloud(d, weighted, seed):
+    """A cloud of 17 atoms in R^d, off the origin, with two coincident pairs."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(17, d)) * 0.8 + 2.5
+    x[3] = x[0]
+    x[-1] = x[5]
+    w = rng.uniform(0.0, 1.0, 17) if weighted else np.full(17, 1.0 / 17)
+    return x, w / np.sum(w)
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBatchedFunctionals:
+    """The whole-array functionals against per-atom and (n, n, d) oracles."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_quadratic_potential_matches_per_atom(self, d, weighted):
+        x, w = _cloud(d, weighted, seed=d)
+        target, strength = np.linspace(-1.0, 1.0, d), 1.7
+        func = quadratic_potential(target, strength=strength)
+        value, grad, node_values = potential_per_atom(
+            lambda p: 0.5 * strength * float(np.sum((p - target) ** 2)),
+            lambda p: strength * (p - target),
+            x,
+            w,
+        )
+        weights = w if weighted else None
+        assert func.value(x, weights) == pytest.approx(value, rel=1e-12)
+        assert _max_rel(func.particle_gradient(x, weights), grad) <= 1e-12
+        grid = GridState(nodes=x, rho=w, cell_volume=1.0)
+        assert func.grid_value(grid) == pytest.approx(value, rel=1e-12)
+        assert _max_rel(func.grid_gradient(grid), node_values) <= 1e-12
+
+    def test_user_callables_run_per_atom(self):
+        x, w = _cloud(3, True, seed=0)
+
+        def v(p):
+            return float(np.sin(p[0]) + p[1] * p[2])
+
+        def grad_v(p):
+            return np.array([np.cos(p[0]), p[2], p[1]])
+
+        func = PotentialFunctional(v=v, grad_v=grad_v)
+        value, grad, node_values = potential_per_atom(v, grad_v, x, w)
+        assert func.value(x, w) == value
+        assert np.array_equal(func.particle_gradient(x, w), grad)
+        grid = GridState(nodes=x, rho=w, cell_volume=1.0)
+        assert np.array_equal(func.grid_gradient(grid), node_values)
+
+    @pytest.mark.parametrize("kernel", [(4.0, 2.0), (3.0, 1.5)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_interaction_matches_dense_tensor(self, d, weighted, kernel):
+        x, w = _cloud(d, weighted, seed=10 + d)
+        func = InteractionFunctional(*kernel)
+        value, grad, node_grad = interaction_dense(x, w, *kernel)
+        weights = w if weighted else None
+        assert func.value(x, weights) == pytest.approx(value, rel=1e-12)
+        assert _max_rel(func.particle_gradient(x, weights), grad) <= 1e-12
+        grid = GridState(nodes=x, rho=w, cell_volume=1.0)
+        assert func.grid_value(grid) == pytest.approx(value, rel=1e-12)
+        assert _max_rel(func.grid_gradient(grid), node_grad) <= 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_ghsw_gradient_matches_dense_tensor(self, d):
+        x = sample_wrapped_normal(origin(d), 0.3 * np.eye(d), 17, seed=d)
+        x[3] = x[0]
+        target = sample_wrapped_normal(origin(d), 0.5 * np.eye(d), 17, seed=9)
+        dirs = sample_directions(d, 12, seed=d)
+        got = GhswToTargetFunctional(target, dirs).particle_gradient(x)
+        assert _max_rel(got, ghsw_gradient_dense(x, target, dirs.dirs)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "functional",
+        [quadratic_potential(np.array([0.5, -0.2])), InteractionFunctional()],
+        ids=["potential", "interaction"],
+    )
+    def test_swjko_particles_matches_the_subgradient_loop(self, functional):
+        rng = np.random.default_rng(3)
+        x0 = rng.normal(size=(30, 2))
+        x0[7] = x0[2]
+        inner = InnerOptimizer(learning_rate=0.02, n_steps=15)
+        trace = swjko_particles(
+            x0, functional, tau=0.1, n_steps=3, inner=inner,
+            n_projections=20, seed=4, record_positions=True,
+        )
+        want = swjko_particles_loop(x0, functional, 0.1, 3, inner, 20, 4)
+        assert len(trace.records) == len(want)
+        for record, (energy, objective, residual, positions) in zip(
+            trace.records, want
+        ):
+            assert record.energy == energy
+            assert record.objective == objective
+            assert record.residual_grad == residual
+            assert np.array_equal(record.positions, positions)
+
+
+class TestFlowInputBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_step_sizes_must_be_positive_and_finite(self, bad):
+        x0 = np.zeros((3, 2))
+        func = quadratic_potential(np.zeros(2))
+        grid = GridState(nodes=x0, rho=np.full(3, 1.0 / 3), cell_volume=1.0)
+        with pytest.raises(InvalidInput):
+            euler_particles(x0, func, step_size=bad, n_steps=2)
+        with pytest.raises(InvalidInput):
+            swjko_particles(x0, func, tau=bad, n_steps=2)
+        with pytest.raises(InvalidInput):
+            swjko_grid(grid, func, tau=bad, n_steps=2)
+        with pytest.raises(InvalidInput):
+            InnerOptimizer(learning_rate=bad)
+        with pytest.raises(InvalidInput):
+            GridState(nodes=x0, rho=np.full(3, 1.0 / 3), cell_volume=bad)
+
+    @pytest.mark.parametrize(
+        "target, strength",
+        [([np.nan, 0.0], 1.0), ([0.0, np.inf], 1.0), ([0.0, 0.0], np.inf),
+         ([0.0, 0.0], np.nan), (np.zeros((2, 2)), 1.0)],
+    )
+    def test_quadratic_potential_parameters_must_be_finite(self, target, strength):
+        with pytest.raises(InvalidInput):
+            quadratic_potential(target, strength=strength)
+
+    def test_potential_center_of_another_dimension(self):
+        func = quadratic_potential(np.zeros(2))
+        x = np.zeros((4, 3))
+        grid = GridState(nodes=x, rho=np.full(4, 0.25), cell_volume=1.0)
+        for call in (
+            lambda: func.value(x),
+            lambda: func.particle_gradient(x),
+            lambda: func.grid_value(grid),
+            lambda: func.grid_gradient(grid),
+            lambda: euler_particles(x, func, step_size=0.1, n_steps=1),
+        ):
+            with pytest.raises(InvalidInput, match="dimension 2"):
+                call()
+
+    def test_scalar_center_applies_to_every_coordinate(self):
+        x = np.array([[1.0, 2.0, 3.0]])
+        assert quadratic_potential(1.0, strength=2.0).value(x) == 5.0
+
+    @pytest.mark.parametrize("a, b", [(np.nan, 2.0), (4.0, np.nan), (np.inf, 2.0)])
+    def test_interaction_exponents_must_be_finite(self, a, b):
+        with pytest.raises(InvalidInput):
+            InteractionFunctional(a=a, b=b)
 
 
 class TestSimplexProject:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from msot.errors import InvalidInput, MassMismatch
+from msot.errors import DualOverflow, InvalidInput, MassMismatch
 from msot.hyperbolic import (
     HyperbolicSlicer,
     exp_map,
@@ -282,6 +282,35 @@ class TestLargeCoordinates:
         cost = (proj_x[:, :, None] - proj_y[:, None, :]) ** 2
         slack = pots.f[:, :, None] + pots.g[:, None, :] - cost
         assert np.max(slack) <= 1e-9 * np.max(cost)
+
+
+class TestNoFiniteRound:
+    # costs of order 1e7 (1e9 for usw) against rho = 1: exp(-f / rho)
+    # overflows on every Frank-Wolfe round, so there is no answer to return
+    params = UnbalancedParams(rho1=1.0, rho2=1.0)
+
+    @staticmethod
+    def clouds(seed, scale):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(scale, 4 * scale, (400, 2)), rng.uniform(0, 3, (3, 2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_suot_raises_a_numerical_failure(self, seed):
+        x, y = self.clouds(seed, 1e3)
+        slicer = EuclideanSlicer(sample_directions(2, 5, 0))
+        with pytest.raises(DualOverflow, match="no finite dual value") as info:
+            suot(x, y, slicer, self.params)
+        assert not isinstance(info.value, InvalidInput)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_usw_raises_a_numerical_failure(self, seed):
+        x, y = self.clouds(0, 1e4)
+        slicer = EuclideanSlicer(sample_directions(2, 1, seed))
+        with pytest.raises(DualOverflow, match="raise rho") as info:
+            usw(x, y, slicer, self.params)
+        assert not isinstance(info.value, InvalidInput)
 
 
 class TestUsw:
