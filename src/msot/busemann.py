@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateData, InvalidInput, NotARay
-from .measures import SortedProfile, _quantiles, merged_breakpoints
+from .measures import SortedProfile, quantile_rows
 from .spd import sym_eig
 
 UNIT_SPEED_ATOL = 1e-10
@@ -70,8 +70,8 @@ def is_geodesic_ray_1d(mu0, mu1):
     the difference of quantile functions is non-decreasing; returns
     ``(flag, witness)`` with the first violating breakpoint pair if not.
     """
-    qs = merged_breakpoints([mu0, mu1])
-    diff = _quantiles(mu1, qs) - _quantiles(mu0, qs)
+    qs, (q0, q1) = _steps(mu0, mu1)
+    diff = q1 - q0
     drops = np.nonzero(np.diff(diff) < -1e-12)[0]
     if drops.size == 0:
         return True, None
@@ -95,17 +95,23 @@ class QuantileRay:
             raise NotARay(f"ray must have unit speed, got W2^2 = {speed}")
 
     def quantiles_at(self, t, qs):
-        q0 = _quantiles(self.mu0, qs)
-        return q0 + t * (_quantiles(self.mu1, qs) - q0)
+        """Quantiles of the ray at time ``t`` on non-decreasing levels ``qs``."""
+        q0 = quantile_rows(self.mu0.positions, self.mu0.cum, qs)
+        return q0 + t * (quantile_rows(self.mu1.positions, self.mu1.cum, qs) - q0)
+
+
+def _steps(*profiles):
+    """Sorted union ``qs`` of the profiles' cumulative weights, with every
+    profile's left-continuous quantile function on it."""
+    qs = np.sort(np.concatenate([p.cum for p in profiles]))
+    return qs, [quantile_rows(p.positions, p.cum, qs) for p in profiles]
 
 
 def _piecewise_inner(a1, a0, b1, b0):
     """Exact ``<Q_a1 - Q_a0, Q_b1 - Q_b0>_{L^2([0,1])}`` for step quantiles."""
-    qs = merged_breakpoints([a1, a0, b1, b0])
+    qs, (qa1, qa0, qb1, qb0) = _steps(a1, a0, b1, b0)
     delta = np.diff(qs, prepend=0.0)
-    left = _quantiles(a1, qs) - _quantiles(a0, qs)
-    right = _quantiles(b1, qs) - _quantiles(b0, qs)
-    return float(np.sum(delta * left * right))
+    return float(np.sum(delta * (qa1 - qa0) * (qb1 - qb0)))
 
 
 def busemann_w1d(ray, nu):
@@ -225,8 +231,8 @@ def project_on_ray(ray, nu):
         t_used = max(t, lo)
         return t_used, clipped, ray.at(t_used)
     t = -busemann_w1d(ray, nu)
-    qs = merged_breakpoints([ray.mu0, ray.mu1])
-    return t, False, (qs, ray.quantiles_at(t, qs))
+    qs, (q0, q1) = _steps(ray.mu0, ray.mu1)
+    return t, False, (qs, q0 + t * (q1 - q0))
 
 
 def _unit_direction(phi):

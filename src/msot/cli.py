@@ -224,27 +224,21 @@ def _usw(mu, nu, cfg):
     return value, _dual_extras(marginals, pots, history)
 
 
-def _gw1d_sorted(mu, nu):
-    """gw1d on sorted atoms: ``(plan, value, order_x, order_y)``."""
+def _gw1d_plan(mu, nu, cfg):
+    """gw1d on sorted atoms, with the plan put back in input order."""
     if mu.atoms.shape[1] != 1:
         raise InvalidInput("gw1d needs one-dimensional atoms")
     order_x = np.argsort(mu.atoms[:, 0], kind="stable")
     order_y = np.argsort(nu.atoms[:, 0], kind="stable")
-    plan, value = gw.gw1d_inner(
+    sorted_plan, value = gw.gw1d_inner(
         mu.atoms[order_x, 0],
         mu.weights[order_x],
         nu.atoms[order_y, 0],
         nu.weights[order_y],
     )
-    return plan, value, order_x, order_y
-
-
-def _gw1d_plan(mu, nu, cfg):
-    """gw1d with the plan put back in input order."""
-    plan, value, order_x, order_y = _gw1d_sorted(mu, nu)
-    unsorted_plan = np.zeros_like(plan)
-    unsorted_plan[np.ix_(order_x, order_y)] = plan
-    return unsorted_plan, value
+    plan = np.zeros_like(sorted_plan)
+    plan[np.ix_(order_x, order_y)] = sorted_plan
+    return plan, value
 
 
 def _hw_plan(mu, nu, cfg):
@@ -257,8 +251,7 @@ GW_PLANS = {"gw1d": _gw1d_plan, "hw": _hw_plan}
 
 
 def _gw1d(mu, nu, cfg):
-    # the support size does not depend on the order of the atoms
-    plan, value, _, _ = _gw1d_sorted(mu, nu)
+    plan, value = _gw1d_plan(mu, nu, cfg)
     return value, {"plan_support_size": int(np.count_nonzero(plan))}
 
 

@@ -28,6 +28,10 @@ class DualOverflow(ValueError):
     marginal penalties), leaving no finite iterate to return."""
 
 
+class FlowDiverged(ValueError):
+    """A flow step produced a non-finite gradient, energy or objective."""
+
+
 class MeasureZeroProjection(ValueError):
     """A sphere point projects onto the measure-zero set of a great circle."""
 

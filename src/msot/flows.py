@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import FlowDiverged, InvalidInput
 from .hyperbolic import geodesic_coordinate, riemannian_step_lorentz
 from .measures import (
     dual_1d_batched,
@@ -68,6 +68,9 @@ class FlowRecord:
     rho: np.ndarray | None = None
 
 
+_OPTIONAL_FIELDS = ("objective", "residual_grad", "positions", "rho")
+
+
 @dataclass
 class FlowTrace:
     """Per-step records of a flow, serializable as line-delimited JSON."""
@@ -87,14 +90,9 @@ class FlowTrace:
         lines = []
         for r in self.records:
             payload = {"step": r.step, "energy": r.energy}
-            if r.objective is not None:
-                payload["objective"] = r.objective
-            if r.residual_grad is not None:
-                payload["residual_grad"] = r.residual_grad
-            if r.positions is not None:
-                payload["positions"] = np.asarray(r.positions).tolist()
-            if r.rho is not None:
-                payload["rho"] = np.asarray(r.rho).tolist()
+            for key in _OPTIONAL_FIELDS:
+                if getattr(r, key) is not None:
+                    payload[key] = np.asarray(getattr(r, key)).tolist()
             lines.append(json.dumps(payload, sort_keys=True, allow_nan=False))
         return "\n".join(lines) + "\n"
 
@@ -103,20 +101,15 @@ class FlowTrace:
         trace = cls()
         for line in text.strip().splitlines():
             payload = json.loads(line)
-            trace.append(
-                FlowRecord(
-                    step=payload["step"],
-                    energy=payload["energy"],
-                    objective=payload.get("objective"),
-                    residual_grad=payload.get("residual_grad"),
-                    positions=(
-                        np.array(payload["positions"])
-                        if "positions" in payload
-                        else None
-                    ),
-                    rho=np.array(payload["rho"]) if "rho" in payload else None,
-                )
+            arrays = {k: np.array(payload[k]) for k in ("positions", "rho") if k in payload}
+            record = FlowRecord(
+                step=payload["step"],
+                energy=payload["energy"],
+                objective=payload.get("objective"),
+                residual_grad=payload.get("residual_grad"),
+                **arrays,
             )
+            trace.append(record)
         return trace
 
 
@@ -417,16 +410,24 @@ def eval_functional(functional, state):
 # ---------------------------------------------------------------------------
 
 
+def _check_finite(value, what, step):
+    if not np.all(np.isfinite(value)):
+        raise FlowDiverged(f"grid flow diverged at step {step}: non-finite {what}")
+
+
 def simplex_project(v):
-    """Euclidean projection onto the probability simplex (sort-threshold)."""
+    """Euclidean projection onto the probability simplex (sort-threshold)
+    of ``v - max(v)``, whose test ``css_k - k u_k < 1`` holds at ``k = 1``
+    and fails on overflow (``inf`` or NaN) only where it fails anyway."""
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvalidInput("cannot project a non-finite vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    valid = u + (1.0 - css) / ks > 0
-    k = int(np.max(ks[valid]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = v - np.max(v)
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u)
+        ks = np.arange(1, v.size + 1)
+        k = int(np.max(ks[css - ks * u < 1.0]))
     tau = (1.0 - css[k - 1]) / k
     return np.maximum(v + tau, 0.0)
 
@@ -472,15 +473,9 @@ def swjko_particles(
     x = np.asarray(initial, dtype=float).copy()
     n, d = x.shape
     factor = float(d) if dilation else 1.0
-    trace = FlowTrace()
-    trace.append(
-        FlowRecord(
-            step=0,
-            energy=functional.value(x),
-            objective=functional.value(x),
-            positions=x.copy() if record_positions else None,
-        )
-    )
+    energy = functional.value(x)
+    x0 = x.copy() if record_positions else None
+    trace = FlowTrace([FlowRecord(step=0, energy=energy, objective=energy, positions=x0)])
     for k in range(1, n_steps + 1):
         dirs = sample_directions(d, n_projections, seed=seed + k)
         theta = dirs.dirs
@@ -522,23 +517,18 @@ def swjko_grid(
     """Backward-Euler flow on grid weights, projected on the simplex.
 
     The SW term between weighted grid profiles uses the general-weights 1D
-    solver; its weight gradient is the slice-averaged dual potential.
-    """
+    solver; its weight gradient is the slice-averaged dual potential.  A
+    non-finite value raises :class:`FlowDiverged` naming the step."""
     _check_positive(tau, "tau")
     nodes = np.asarray(grid.nodes, dtype=float)
     n, d = nodes.shape
     rho = np.asarray(grid.rho, dtype=float).copy()
     factor = float(d) if dilation else 1.0
     state = GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
-    trace = FlowTrace()
-    trace.append(
-        FlowRecord(
-            step=0,
-            energy=functional.grid_value(state),
-            objective=functional.grid_value(state),
-            rho=rho.copy() if record_rho else None,
-        )
-    )
+    energy = functional.grid_value(state)
+    _check_finite(energy, "energy", 0)
+    rho0 = rho.copy() if record_rho else None
+    trace = FlowTrace([FlowRecord(step=0, energy=energy, objective=energy, rho=rho0)])
     for k in range(1, n_steps + 1):
         dirs = sample_directions(d, n_projections, seed=seed + k)
         coords = nodes @ dirs.dirs.T
@@ -551,6 +541,7 @@ def swjko_grid(
             grad = factor / (2.0 * tau) * grad_sw + functional.grid_gradient(
                 GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
             )
+            _check_finite(grad, "gradient", k)
             rho = simplex_project(rho - inner.learning_rate * grad)
         state = GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
         energy = functional.grid_value(state)
@@ -559,12 +550,16 @@ def swjko_grid(
                 wasserstein_1d_batched(coords, coords, rho, rho_prev, p=2.0)
             )
         )
+        objective = factor / (2.0 * tau) * coupling + energy
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            residual = float(np.linalg.norm(grad - np.mean(grad)))
+        _check_finite([residual, energy, objective], "gradient, energy or objective", k)
         trace.append(
             FlowRecord(
                 step=k,
                 energy=energy,
-                objective=factor / (2.0 * tau) * coupling + energy,
-                residual_grad=float(np.linalg.norm(grad - np.mean(grad))),
+                objective=objective,
+                residual_grad=residual,
                 rho=rho.copy() if record_rho else None,
             )
         )
@@ -589,14 +584,8 @@ def euler_particles(
         raise InvalidInput(f"unsupported geometry {geometry!r}")
     x = np.asarray(initial, dtype=float).copy()
     n = x.shape[0]
-    trace = FlowTrace()
-    trace.append(
-        FlowRecord(
-            step=0,
-            energy=functional.value(x),
-            positions=x.copy() if record_positions else None,
-        )
-    )
+    x0 = x.copy() if record_positions else None
+    trace = FlowTrace([FlowRecord(step=0, energy=functional.value(x), positions=x0)])
     for k in range(1, n_steps + 1):
         grad = n * functional.particle_gradient(x)
         if geometry == "euclidean":

@@ -15,34 +15,10 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .errors import InstanceTooLarge, InvalidInput, MassMismatch
-from .measures import MASS_ATOL
+from .measures import MASS_ATOL, nw_corner
 from .spd import sym_eig
 
 HW_EXHAUSTIVE_LIMIT = 8
-
-
-def nw_corner(a, b):
-    """North-west corner coupling: greedy fill from the sorted top-left."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if abs(a.sum() - b.sum()) > MASS_ATOL:
-        raise MassMismatch(f"total masses differ: {a.sum()} vs {b.sum()}")
-    n, m = a.size, b.size
-    plan = np.zeros((n, m))
-    i = j = 0
-    ra, rb = a[0], b[0]
-    while i < n and j < m:
-        move = min(ra, rb)
-        plan[i, j] = move
-        ra -= move
-        rb -= move
-        if ra == 0.0:
-            i += 1
-            ra = a[i] if i < n else 0.0
-        if rb == 0.0:
-            j += 1
-            rb = b[j] if j < m else 0.0
-    return plan
 
 
 def _inner_gw_value(x, a, y, b, cross):

@@ -80,14 +80,6 @@ def dist_lorentz(x, y):
     return np.arccosh(np.maximum(ip, 1.0))
 
 
-def dist_poincare(x, y):
-    x = np.atleast_2d(x)
-    y = np.atleast_2d(y)
-    num = np.sum((x - y) ** 2, axis=-1)
-    den = (1.0 - np.sum(x**2, axis=-1)) * (1.0 - np.sum(y**2, axis=-1))
-    return np.arccosh(1.0 + np.maximum(2.0 * num / den, 0.0))
-
-
 def _lift_directions(ideal):
     """Ideal points (L, d) -> tangent directions (L, d+1) with v0 = 0."""
     ideal = np.atleast_2d(np.asarray(ideal, dtype=float))

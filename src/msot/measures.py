@@ -73,50 +73,41 @@ def quantile(profile, q):
     q = float(q)
     if q < 0 or q > profile.total_mass + MASS_ATOL:
         raise InvalidInput(f"quantile level {q} outside [0, {profile.total_mass}]")
-    idx = np.searchsorted(profile.cum, q, side="left")
-    return float(profile.positions[min(idx, profile.positions.size - 1)])
+    return float(quantile_rows(profile.positions, profile.cum, np.array([q]))[0])
 
 
-def _quantiles(profile, qs, side="left"):
-    """Vectorized quantiles; ``side='right'`` gives the right-limit values."""
-    idx = np.searchsorted(profile.cum, qs, side=side)
-    return profile.positions[np.clip(idx, 0, profile.positions.size - 1)]
+def quantile_rows(values, cum, levels):
+    """Row-wise :func:`quantile` at non-decreasing ``levels``.
 
-
-def merged_breakpoints(profiles):
-    """Sorted union of cumulative-weight breakpoints of several profiles."""
-    return np.sort(np.concatenate([p.cum for p in profiles]), kind="stable")
+    ``values``/``cum`` are sorted atoms and their cumulative weights; all
+    three are ``(L, .)`` rows or one 1D row.  A level's index counts the
+    weights below it: its :func:`_ranks` in a merge with the levels ahead.
+    """
+    shape = np.shape(levels)
+    values, cum, levels = np.atleast_2d(values, cum, levels)
+    if np.any(np.diff(levels, axis=-1) < 0):
+        raise InvalidInput("quantile levels must be non-decreasing along rows")
+    k = levels.shape[-1]
+    first = _merge(np.concatenate([levels, cum], axis=-1)) < k
+    return _take_rows(values, _ranks(first, k)).reshape(shape)
 
 
 def wasserstein_1d(mu, nu, p=2.0):
-    r"""Exact :math:`W_p^p` between two profiles of equal total mass.
-
-    Computes :math:`\int_0^T |F_\mu^{-1}(u) - F_\nu^{-1}(u)|^p\,du` by
-    merging the two cumulative-weight breakpoint lists; no sampling.
-    """
-    if p < 1:
-        raise InvalidInput(f"order p must be >= 1, got {p}")
-    if abs(mu.total_mass - nu.total_mass) > MASS_ATOL:
-        raise MassMismatch(
-            f"total masses differ: {mu.total_mass} vs {nu.total_mass}"
-        )
-    qs = merged_breakpoints([mu, nu])
-    delta = np.diff(qs, prepend=0.0)
-    diff = np.abs(_quantiles(mu, qs) - _quantiles(nu, qs))
-    if p == 1:
-        return float(np.sum(delta * diff))
-    if p == 2:
-        return float(np.sum(delta * diff * diff))
-    return float(np.sum(delta * diff**p))
+    r"""Exact :math:`W_p^p` between two profiles of equal total mass: the
+    one-column case of :func:`wasserstein_1d_batched`."""
+    u, v = mu.positions[:, None], nu.positions[:, None]
+    return float(wasserstein_1d_batched(u, v, mu.weights, nu.weights, p)[0])
 
 
 def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p=2.0):
-    """Column-wise :math:`W_p^p` between 1D measures sharing fixed weights.
+    r"""Column-wise :math:`W_p^p` between 1D measures sharing fixed weights.
 
     ``u_values`` has shape ``(n, L)`` and ``v_values`` shape ``(m, L)``; the
-    weights apply to every column.  Returns an array of length ``L``.  This
-    is the merged-breakpoint computation of :func:`wasserstein_1d`
-    vectorized over columns with an offset trick for ``searchsorted``.
+    weights apply to every column.  Returns an array of length ``L``.
+    Matched uniform clouds pair sorted values; otherwise the counts of a
+    :func:`_merge` of the cumulative weights are the quantile indices
+    ``(i_k, j_k)`` and the cost is :math:`\sum_k (q_k - q_{k-1})
+    c(u_{i_k}, v_{j_k})` over the merged levels, computed in place.
     """
     if p < 1:
         raise InvalidInput(f"order p must be >= 1, got {p}")
@@ -145,20 +136,28 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
         diff = np.abs(np.sort(u_rows, axis=-1) - np.sort(v_rows, axis=-1))
         return np.sum(diff if p == 1 else diff**p, axis=-1) * u_weights[0]
 
-    u_sorted, u_cum = _sorted_with_cum(u_rows, u_weights, u_uniform)
-    v_sorted, v_cum = _sorted_with_cum(v_rows, v_weights, v_uniform)
-    qs = np.sort(np.concatenate([u_cum, v_cum], axis=-1), axis=-1)
-    delta = np.diff(qs, axis=-1, prepend=0.0)
-    u_icdf = _rowwise_quantiles(u_sorted, u_cum, qs)
-    v_icdf = _rowwise_quantiles(v_sorted, v_cum, qs)
-    diff = np.abs(u_icdf - v_icdf)
+    levels = np.empty((L, n + m))
+    u_sorted = _sorted_with_cum(u_rows, u_weights, u_uniform, levels[:, :n])
+    v_sorted = _sorted_with_cum(v_rows, v_weights, v_uniform, levels[:, n:])
+    del u_rows, v_rows
+    order = _merge(levels)
+    ahead = _ahead(order, n)
+    levels = _take_rows(levels, order)
+    del order
+    delta = np.diff(levels, axis=-1, prepend=0.0)
+    del levels
+    behind = np.arange(n + m) - ahead
+    cost = _take_rows(u_sorted, ahead)
+    del ahead
+    cost -= _take_rows(v_sorted, behind)
+    del behind
+    np.abs(cost, out=cost)
     if p == 2:
-        cost = diff * diff
-    elif p == 1:
-        cost = diff
-    else:
-        cost = diff**p
-    return np.sum(delta * cost, axis=-1)
+        cost *= cost
+    elif p != 1:
+        np.power(cost, p, out=cost)
+    cost *= delta
+    return np.sum(cost, axis=-1)
 
 
 def sorted_rows(columns):
@@ -181,7 +180,7 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     aligned weights per row, the two rows of a slice of equal mass (to
     ``MASS_ATOL``, relative above unit mass).  Returns ``(f, g)`` with
     ``f[:, 0] = 0`` and ``f_i + g_j = c(i, j) = |x_i - y_j|^p`` on the
-    north-west staircase, read off one stable merge of the cumulative
+    north-west staircase, read off one :func:`_merge` of the cumulative
     weights: row ``i`` advances at column ``j``, the number of target
     breakpoints merged before its own, adding ``c(i+1, j) - c(i, j)`` to
     ``f`` (a row-wise cumsum).  Where the r-th source breakpoint of a level
@@ -210,8 +209,8 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     # the last breakpoints never move the staircase; a target breakpoint
     # merges ahead of an equal source one, so ``col`` counts those at or below
     a_levels, b_levels = cum_a[:, :-1], cum_b[:, :-1]
-    merged = np.argsort(np.concatenate([b_levels, a_levels], axis=-1), kind="stable")
-    col = np.nonzero(merged >= m - 1)[1].reshape(L, n - 1) - np.arange(n - 1)
+    merged = _merge(np.concatenate([b_levels, a_levels], axis=-1))
+    col = _ranks(merged >= m - 1, n - 1)
     below = np.concatenate([np.full((L, 1), -np.inf), b_levels], axis=-1)
     tie = below[rows, col] == a_levels
     if np.any(tie):
@@ -248,6 +247,28 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     return f, g
 
 
+def nw_corner(a, b):
+    """North-west corner (monotone) coupling of two weight vectors.
+
+    Cell ``(i, j)`` holds the overlap of the i-th and j-th cumulative-weight
+    intervals: the rise of every merged level, at the counts of a
+    :func:`_merge`.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if abs(a.sum() - b.sum()) > MASS_ATOL:
+        raise MassMismatch(f"total masses differ: {a.sum()} vs {b.sum()}")
+    n, m = a.size, b.size
+    levels = np.concatenate([np.cumsum(a), np.cumsum(b)])[None]
+    order = _merge(levels)
+    ahead = _ahead(order, n)
+    rise = np.diff(_take_rows(levels, order), prepend=0.0)
+    plan = np.zeros((n, m))
+    cols = np.minimum(np.arange(n + m) - ahead, m - 1)
+    np.add.at(plan, (np.minimum(ahead, n - 1), cols), rise)
+    return plan
+
+
 def _run_rank(levels):
     """Position of every entry inside its run of equal values along rows."""
     idx = np.arange(levels.shape[-1])
@@ -256,25 +277,50 @@ def _run_rank(levels):
     return idx - np.maximum.accumulate(np.where(starts, idx, 0), axis=-1)
 
 
-def _sorted_with_cum(rows, weights, uniform):
+def _merge(both):
+    """Row-wise stable merge of two row-sorted halves ``both[:, :n]`` and
+    ``both[:, n:]``, the first half ahead on ties: the stable ``argsort``
+    of the rows, a merge of two runs.
+
+    Where the merged level rises at position ``k``, the count of each
+    half's entries before ``k`` is ``searchsorted(half, level)``: the
+    quantile index every 1D solver here reads, via :func:`_ahead` at every
+    position or :func:`_ranks` at the entries of one half.
+    """
+    return np.argsort(both, axis=-1, kind="stable")
+
+
+def _ahead(order, n):
+    """First-half entries before every position of a :func:`_merge`: ``i``
+    at the i-th first-half entry, ``k - j`` at the j-th second-half one."""
+    ahead = np.arange(n, n + order.shape[-1]) - order
+    np.copyto(ahead, order, where=order < n)
+    return ahead
+
+
+def _ranks(mask, count):
+    """False positions before each of the ``count`` True ones per mask row."""
+    L, N = mask.shape
+    pos = np.flatnonzero(mask).reshape(L, count)
+    return pos - N * np.arange(L)[:, None] - np.arange(count)
+
+
+def _take_rows(values, idx):
+    """``values[l, min(idx[l, k], n - 1)]`` as one flat take; reuses ``idx``."""
+    L, n = values.shape
+    np.minimum(idx, n - 1, out=idx)
+    idx += np.arange(0, L * n, n)[:, None]
+    return np.take(values.ravel(), idx)
+
+
+def _sorted_with_cum(rows, weights, uniform, cum):
+    """Sorted copy of ``(L, n)`` rows; their cumulative weights go to ``cum``."""
     if uniform:
-        sorted_rows = np.sort(rows, axis=-1)
-        cum = np.broadcast_to(np.cumsum(weights), rows.shape)
-        return sorted_rows, cum
+        cum[:] = np.cumsum(weights)
+        return np.sort(rows, axis=-1)
     sorter = np.argsort(rows, axis=-1)
-    return np.take_along_axis(rows, sorter, axis=-1), np.cumsum(
-        weights[sorter], axis=-1
-    )
-
-
-def _rowwise_quantiles(values, cums, qs):
-    """searchsorted per row, emulated with row offsets on flat views."""
-    L, k = values.shape
-    step = float(np.max(cums[:, -1])) + 2.0
-    offsets = (np.arange(L) * step)[:, None]
-    idx = np.searchsorted((cums + offsets).ravel(), (qs + offsets).ravel())
-    idx = idx.reshape(L, qs.shape[1]) - (np.arange(L) * k)[:, None]
-    return np.take_along_axis(values, np.clip(idx, 0, k - 1), axis=-1)
+    np.cumsum(weights[sorter], axis=-1, out=cum)
+    return _take_rows(rows, sorter)
 
 
 # ---------------------------------------------------------------------------

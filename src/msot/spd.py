@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite
-from .measures import validate_weights
+from .measures import quantile_rows, sorted_rows, validate_weights
 from .sliced import (
     EuclideanSlicer,
     haar_orthonormal,
@@ -286,18 +286,10 @@ def kernel_features(cloud, slices, n_quantiles, grid=None, weights=None):
         raise InvalidInput("quantile grid must be strictly increasing inside (0, 1)")
     cloud = np.asarray(cloud, dtype=float)
     w = validate_weights(weights, n=cloud.shape[0])
-    coords = coordinate_le(cloud, slices)  # (n, L)
-    order = np.argsort(coords, axis=0, kind="stable")
-    sorted_coords = np.take_along_axis(coords, order, axis=0)
-    cums = np.cumsum(w[order], axis=0)
-    n_slices = coords.shape[1]
-    values = np.empty((grid.size, n_slices))
-    for i in range(n_slices):
-        idx = np.searchsorted(cums[:, i], grid * cums[-1, i], side="left")
-        values[:, i] = sorted_coords[np.clip(idx, 0, coords.shape[0] - 1), i]
-    return QuantileFeatures(
-        values=values / np.sqrt(grid.size * n_slices), grid=grid
-    )
+    rows, order = sorted_rows(coordinate_le(cloud, slices))  # (L, n)
+    cums = np.cumsum(w[order], axis=-1)
+    values = quantile_rows(rows, cums, grid * cums[:, -1:]).T
+    return QuantileFeatures(values=values / np.sqrt(values.size), grid=grid)
 
 
 def gaussian_kernel(f, g, sigma):

@@ -38,6 +38,77 @@ def transport_lp(a, b, cost):
     return res.x.reshape(n, m)
 
 
+def quantile_search(profile, qs):
+    """Left-continuous quantiles of a sorted profile at levels ``qs``, one
+    binary search of its cumulative weights per level."""
+    idx = np.searchsorted(profile.cum, qs, side="left")
+    return profile.positions[np.minimum(idx, profile.positions.size - 1)]
+
+
+def quantile_steps(*profiles):
+    """Sorted union of the profiles' cumulative weights and every profile's
+    quantiles there: the quantile functions as step functions."""
+    qs = np.sort(np.concatenate([p.cum for p in profiles]), kind="stable")
+    return qs, [quantile_search(p, qs) for p in profiles]
+
+
+def wasserstein_1d_walk(mu, nu, p):
+    """1D W_p^p integrated step by step over the merged breakpoints."""
+    qs, (q_mu, q_nu) = quantile_steps(mu, nu)
+    return float(np.sum(np.diff(qs, prepend=0.0) * np.abs(q_mu - q_nu) ** p))
+
+
+def is_geodesic_ray_1d_walk(mu0, mu1):
+    """Quantile criterion of a 1D ray checked on the merged breakpoints:
+    ``(flag, witness)`` with the first drop of ``Q_mu1 - Q_mu0``."""
+    qs, (q0, q1) = quantile_steps(mu0, mu1)
+    diff = q1 - q0
+    drops = np.nonzero(np.diff(diff) < -1e-12)[0]
+    if drops.size == 0:
+        return True, None
+    k = int(drops[0])
+    return False, (float(qs[k]), float(diff[k]), float(diff[k + 1]))
+
+
+def piecewise_inner_walk(a1, a0, b1, b0):
+    """``<Q_a1 - Q_a0, Q_b1 - Q_b0>_{L^2}`` summed over the merged breakpoints."""
+    qs, (qa1, qa0, qb1, qb0) = quantile_steps(a1, a0, b1, b0)
+    return float(np.sum(np.diff(qs, prepend=0.0) * (qa1 - qa0) * (qb1 - qb0)))
+
+
+def quantile_features_loop(coords, weights, grid):
+    """Left quantiles of every column of ``(n, L)`` coordinates at the mass
+    fractions ``grid``, one ``searchsorted`` per slice; shape ``(k, L)``."""
+    order = np.argsort(coords, axis=0, kind="stable")
+    values = np.take_along_axis(coords, order, axis=0)
+    cums = np.cumsum(np.asarray(weights)[order], axis=0)
+    out = np.empty((len(grid), coords.shape[1]))
+    for i in range(coords.shape[1]):
+        idx = np.searchsorted(cums[:, i], grid * cums[-1, i], side="left")
+        out[:, i] = values[np.minimum(idx, coords.shape[0] - 1), i]
+    return out
+
+
+def nw_corner_greedy(a, b):
+    """North-west corner plan by the greedy fill from the top-left cell."""
+    n, m = len(a), len(b)
+    plan = np.zeros((n, m))
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while i < n and j < m:
+        move = min(ra, rb)
+        plan[i, j] = move
+        ra -= move
+        rb -= move
+        if ra == 0.0:
+            i += 1
+            ra = a[i] if i < n else 0.0
+        if rb == 0.0:
+            j += 1
+            rb = b[j] if j < m else 0.0
+    return plan
+
+
 def wasserstein_pp_permutations(cost_matrix, p):
     """W_p^p for uniform weights by enumerating all permutations (n <= 8)."""
     n = cost_matrix.shape[0]

@@ -91,6 +91,10 @@ class TestBusemannW1D:
             nu = build_profile(positions, np.diff(qs, prepend=0.0))
             assert busemann_w1d(ray, nu) == pytest.approx(-t, abs=1e-8)
 
+    def test_decreasing_levels_rejected(self):
+        with pytest.raises(InvalidInput, match="non-decreasing"):
+            self._ray().quantiles_at(1.0, np.array([1.0, 0.5]))
+
     def test_gaussian_cross_check(self):
         # ray N(0,1) -> N(0,2), target N(0,3): value -(s1-s0)(s-s0) = -2
         ray = discretized_unit_ray(0.0, 1.0, 0.0, 2.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from msot.errors import InvalidInput
+from msot.errors import FlowDiverged, InvalidInput
 from msot.flows import (
     EntropyFunctional,
     FlowRecord,
@@ -284,6 +284,17 @@ class TestSimplexProject:
             q = simplex_project(v + 1e-3 * rng.normal(size=5))
             assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-9
 
+    @pytest.mark.parametrize(
+        "v, want",
+        [
+            ([1e308, -1e308, 0.0], [1.0, 0.0, 0.0]),
+            ([-1e308, 1e308, 1e308], [0.0, 0.5, 0.5]),
+        ],
+    )
+    def test_extreme_entries_do_not_overflow(self, v, want):
+        # the cumulative sum of the unshifted sorted entries overflows here
+        assert simplex_project(np.array(v)).tolist() == want
+
 
 class TestFlowTrace:
     def test_round_trip_lossless(self):
@@ -403,6 +414,14 @@ class TestSwjkoGrid:
     def test_non_finite_weights_are_invalid(self, rho):
         with pytest.raises(InvalidInput):
             GridState(nodes=np.zeros((2, 1)), rho=np.array(rho), cell_volume=1.0)
+
+    def test_diverging_step_is_named(self):
+        nodes = np.array([[0.1, 0.2], [0.5, -0.3], [-0.4, 0.1]])
+        grid = GridState(nodes=nodes, rho=np.full(3, 1.0 / 3), cell_volume=0.25)
+        func = quadratic_potential(np.zeros(2), strength=1e300)
+        with pytest.raises(FlowDiverged, match="at step 1"):
+            swjko_grid(grid, func, tau=0.05, n_steps=2,
+                       inner=InnerOptimizer(n_steps=3), n_projections=8)
 
     def test_single_node_stays(self):
         grid = GridState(nodes=np.zeros((1, 1)), rho=np.array([1.0]), cell_volume=1.0)

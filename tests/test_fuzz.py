@@ -158,3 +158,17 @@ def test_fuzz_parameters(pair, tau, strength, center):
             strict_records(out.read_text())
         else:
             assert not out.exists()
+
+
+def test_diverging_grid_step_is_named(tmp_path, capsys):
+    """A potential strength whose gradient norm overflows: exit 3 naming the
+    step, not a JSON encoder error."""
+    path = tmp_path / "a.csv"
+    path.write_text("x0,x1\n0.1,0.2\n0.5,-0.3\n-0.4,0.1\n")
+    argv = ["flow", "jko-grid", str(path), "--functional", "potential",
+            "--potential-strength=1e300", *SMALL]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "grid flow diverged at step 1" in captured.err

@@ -11,7 +11,12 @@ from msot.gw import (
     nw_corner,
 )
 
-from oracles import gw_inner_exhaustive, gw_inner_objective, hw_tensor_naive
+from oracles import (
+    gw_inner_exhaustive,
+    gw_inner_objective,
+    hw_tensor_naive,
+    nw_corner_greedy,
+)
 
 
 def random_orthobasis(p, k, seed):
@@ -51,6 +56,20 @@ class TestNwCorner:
     def test_mass_mismatch(self):
         with pytest.raises(MassMismatch):
             nw_corner(np.array([1.0]), np.array([0.5]))
+
+    def test_equals_greedy_fill(self):
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            n, m = rng.integers(1, 12, size=2)
+            if trial % 2:  # eighths: exact ties between the cumulative weights
+                a = np.diff([0, *np.sort(rng.integers(0, 9, n - 1)), 8]) / 8.0
+                b = np.diff([0, *np.sort(rng.integers(0, 9, m - 1)), 8]) / 8.0
+            else:
+                a, b = rng.random(n) + 0.01, rng.random(m) + 0.01
+                a, b = a / a.sum(), b / b.sum()
+            plan = nw_corner(a, b)
+            assert np.max(np.abs(plan - nw_corner_greedy(a, b))) <= 1e-15
+            assert np.count_nonzero(plan) == np.count_nonzero(nw_corner_greedy(a, b))
 
 
 class TestGw1dInner:

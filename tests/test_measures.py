@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,12 @@ from msot.measures import (
     wasserstein_1d_batched,
 )
 
-from oracles import circle_w2_uniform_dirac, circle_wpp_grid, wasserstein_1d_lp
+from oracles import (
+    circle_w2_uniform_dirac,
+    circle_wpp_grid,
+    wasserstein_1d_lp,
+    wasserstein_1d_walk,
+)
 
 
 class TestBuildProfile:
@@ -159,10 +166,25 @@ class TestBatchedWasserstein:
         b /= b.sum()
         got = wasserstein_1d_batched(u, v, a, b, p=p)
         for ell in range(L):
-            want = wasserstein_1d(
-                build_profile(u[:, ell], a), build_profile(v[:, ell], b), p
-            )
-            assert got[ell] == pytest.approx(want, abs=1e-12)
+            mu, nu = build_profile(u[:, ell], a), build_profile(v[:, ell], b)
+            assert got[ell] == wasserstein_1d(mu, nu, p)
+            assert got[ell] == pytest.approx(wasserstein_1d_walk(mu, nu, p), abs=1e-12)
+
+    def test_peak_memory_per_merged_breakpoint(self):
+        # the general-weight path holds a few (L, n + m) arrays at a time
+        rng = np.random.default_rng(5)
+        n = m = 1000
+        L = 100
+        u, v = rng.normal(size=(n, L)), rng.normal(size=(m, L))
+        a, b = rng.random(n) + 0.1, rng.random(m) + 0.1
+        a, b = a / a.sum(), b / b.sum()
+        tracemalloc.start()
+        try:
+            wasserstein_1d_batched(u, v, a, b, p=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * L * (n + m)
 
     def test_uniform_weights_default(self):
         rng = np.random.default_rng(4)

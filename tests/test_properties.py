@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from msot.busemann import _piecewise_inner, is_geodesic_ray_1d
 from msot.flows import simplex_project
 from msot.gw import gw1d_inner, nw_corner
 from msot.measures import (
@@ -14,10 +15,24 @@ from msot.measures import (
     circle_w1_level_median,
     dual_1d_batched,
     wasserstein_1d,
+    wasserstein_1d_batched,
+)
+from msot.spd import (
+    coordinate_le,
+    kernel_features,
+    sample_spd_cloud,
+    sample_unit_symmetric,
 )
 from msot.unbalanced import UnbalancedParams, phi_conj, sliced_dual, suot
 from msot.sliced import EuclideanSlicer, sample_directions
-from oracles import dual_sweep
+from oracles import (
+    dual_sweep,
+    is_geodesic_ray_1d_walk,
+    piecewise_inner_walk,
+    quantile_features_loop,
+    wasserstein_1d_lp,
+    wasserstein_1d_walk,
+)
 
 finite_floats = st.floats(-100.0, 100.0, allow_nan=False)
 
@@ -149,6 +164,79 @@ class TestBatchedDualKernel:
             assert dual == pytest.approx(wasserstein_1d(mu, nu, p), rel=1e-10, abs=1e-10)
             cost = np.abs(x[ell][:, None] - y[ell][None, :]) ** p
             assert np.max(f[ell][:, None] + g[ell][None, :] - cost) <= 1e-9
+
+
+@st.composite
+def shared_weight_columns(draw):
+    """``(n, L)`` and ``(m, L)`` integer-valued columns with one weight vector
+    per side, integers from 0 to 3 scaled to the same integer total: ties
+    between values, exact ties between cumulative weights and zero weights
+    all occur, as does ``n != m``."""
+    L, n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def side(k):
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), float)
+        w[draw(st.integers(0, k - 1))] += 1.0  # positive mass
+        x = draw(hnp.arrays(np.float64, (k, L), elements=st.integers(-3, 3).map(float)))
+        return x, w
+
+    (u, a), (v, b) = side(n), side(m)
+    return u, a * b.sum(), v, b * a.sum()
+
+
+@st.composite
+def eighths_profile(draw):
+    """A profile of mass 1 in multiples of 1/8, zero weights included."""
+    n = draw(st.integers(1, 8))
+    cuts = draw(st.lists(st.integers(0, 8), min_size=n - 1, max_size=n - 1))
+    position = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    x = draw(hnp.arrays(np.float64, n, elements=position))
+    return build_profile(x, np.diff([0, *sorted(cuts), 8]) / 8.0)
+
+
+class TestMergeReaders:
+    """The readers of the one stable merge against per-level binary searches."""
+
+    @given(shared_weight_columns(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_cost_kernel_matches_walk_and_lp(self, columns, p):
+        u, a, v, b = columns
+        got = wasserstein_1d_batched(u, v, a, b, p)
+        for ell in range(u.shape[1]):
+            mu, nu = build_profile(u[:, ell], a), build_profile(v[:, ell], b)
+            walk = wasserstein_1d_walk(mu, nu, p)
+            lp = wasserstein_1d_lp(u[:, ell], a, v[:, ell], b, p)
+            assert got[ell] == pytest.approx(walk, rel=1e-12, abs=1e-12)
+            assert got[ell] == pytest.approx(lp, rel=1e-12, abs=1e-12)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        st.integers(1, 6),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_features_equal_per_slice_search(
+        self, seed, counts, n_grid, n_slices
+    ):
+        rng = np.random.default_rng(seed)
+        # atoms drawn from three matrices: tied coordinates on every slice
+        distinct = sample_spd_cloud(2, 3, seed=seed % 1000)
+        cloud = distinct[rng.integers(0, 3, len(counts))]
+        w = np.array(counts, float)
+        w[0] += 1.0
+        slices = sample_unit_symmetric(2, n_slices, seed=seed % 997)
+        # levels j / (n_grid + 1) of an integer mass often hit cumulative weights
+        grid = np.arange(1, n_grid + 1) / (n_grid + 1)
+        feats = kernel_features(cloud, slices, n_grid, grid=grid, weights=w)
+        want = quantile_features_loop(coordinate_le(cloud, slices), w, grid)
+        assert np.array_equal(feats.values, want / np.sqrt(n_grid * n_slices))
+
+    @given(eighths_profile(), eighths_profile(), eighths_profile(), eighths_profile())
+    @settings(max_examples=150, deadline=None)
+    def test_busemann_steps_equal_walk(self, a1, a0, b1, b0):
+        assert is_geodesic_ray_1d(a0, a1) == is_geodesic_ray_1d_walk(a0, a1)
+        assert _piecewise_inner(a1, a0, b1, b0) == piecewise_inner_walk(a1, a0, b1, b0)
 
 
 class TestSimplexProjectProperties:
