@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateData, InvalidInput, NotARay
+from .errors import DegenerateData, InvalidInput, NotARay, check_atoms
 from .measures import SortedProfile, quantile_rows
 from .spd import sym_eig
 
@@ -246,6 +246,21 @@ def _unit_direction(phi):
     return float(np.cos(phi)), float(np.sin(phi))
 
 
+def validate_gaussians(data):
+    """1D Gaussians as ``(n, 2)`` rows of a finite mean and a finite
+    ``sigma > 0``; names the first offending atom (atom 0 when the rows
+    have another width)."""
+    pts = np.asarray(data, dtype=float)
+    if pts.ndim != 2:
+        raise InvalidInput("data must be an (n, 2) array of (mean, sigma) rows")
+    if pts.shape[1] == 2:
+        ok = np.all(np.isfinite(pts), axis=1) & (pts[:, 1] > 0)
+    else:
+        ok = np.zeros(len(pts), dtype=bool)
+    check_atoms(ok, "gaussian1d rows are (mean, sigma>0)")
+    return pts
+
+
 def gaussian_pca_1d(data, origin=None):
     r"""Closed-form Busemann PCA of 1D Gaussians ``(m_k, s_k)``.
 
@@ -259,13 +274,7 @@ def gaussian_pca_1d(data, origin=None):
     sweep oracle in the test suite pins down.  Returns the two rays and
     the ``(n, 2)`` score matrix of ray coordinates ``-B``.
     """
-    pts = np.asarray(data, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise InvalidInput("data must be an (n, 2) array of (mean, sigma) rows")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInput("means and sigmas must be finite")
-    if np.any(pts[:, 1] <= 0):
-        raise InvalidInput("sigmas must be positive")
+    pts = validate_gaussians(data)
     if origin is None:
         origin = (float(np.mean(pts[:, 0])), float(np.mean(pts[:, 1])))
     m0, s0 = origin
@@ -287,11 +296,7 @@ def gaussian_pca_1d(data, origin=None):
         GaussianRay(m0=m0, s0=s0, m1=m0 + c, s1=s0 + s)
         for c, s in (_unit_direction(phi1), _unit_direction(phi2))
     )
-    scores = np.stack(
-        [
-            [-busemann_gaussian1d(ray, m, s) for (m, s) in pts]
-            for ray in rays
-        ],
-        axis=1,
-    )
+    # -busemann_gaussian1d(ray, m, s) for every row and ray
+    step = np.array([[ray.m1 - ray.m0, ray.s1 - ray.s0] for ray in rays])
+    scores = centered[:, :1] * step[:, 0] + centered[:, 1:] * step[:, 1]
     return rays[0], rays[1], scores

@@ -13,13 +13,12 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, compress
 
 import numpy as np
 
 from . import busemann, flows, gw, hyperbolic, sliced, spd, sphere, unbalanced
-from .errors import InvalidInput
-
-GEOMETRIES = ("euclidean", "lorentz", "poincare", "spd", "sphere", "circle", "gaussian1d")
+from .errors import InvalidAtom, InvalidInput
 
 
 @dataclass(frozen=True)
@@ -48,21 +47,57 @@ class RunConfig:
 
 def _read_rows(path):
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        rows = list(csv.reader(handle))
+    # drop blank rows: those with no non-whitespace character in any cell
+    rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if len(rows) < 2:
         raise InvalidInput(f"{path}: need a header row and at least one atom")
     return [cell.strip() for cell in rows[0]], rows[1:]
 
 
-def _parse_float(cell, path, row_num):
-    try:
-        value = float(cell)
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: row {row_num}: malformed number {cell!r}") from exc
-    if not math.isfinite(value):
-        raise InvalidInput(f"{path}: row {row_num}: non-finite number {cell!r}")
-    return value
+def _first_bad_row(path, rows, width, has_weight):
+    """Raise the error of the first offending row in file order; only called
+    once a whole-file check has failed, since it walks the rows."""
+    for k, row in enumerate(rows, start=2):
+        at = f"{path}: row {k}"
+        if len(row) != width:
+            raise InvalidInput(f"{at}: expected {width} cells, got {len(row)}")
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise InvalidInput(f"{at}: malformed number {cell!r}") from exc
+            if not math.isfinite(value):
+                raise InvalidInput(f"{at}: non-finite number {cell!r}")
+        if has_weight and float(row[-1]) < 0:
+            raise InvalidInput(f"{at}: negative weight")
+    raise AssertionError("no offending row")
+
+
+def _spd_stack(data, header):
+    """The ``(n, d, d)`` matrices of an SPD file: a ``dim`` column, then
+    the ``d*d`` row-major entries of each atom."""
+    if header[0].lower() != "dim":
+        raise InvalidInput("SPD files need a leading 'dim' column")
+    d = int(data[0, 0])
+    if np.any(data[:, 0] != d):
+        raise InvalidInput("inconsistent 'dim' entries")
+    if data.shape[1] - 1 != d * d:
+        raise InvalidInput(f"expected {d * d} matrix entries per row for dim {d}")
+    return data[:, 1:].reshape(-1, d, d)
+
+
+# geometry tag -> library membership check of the atom array; each raises
+# InvalidAtom naming the first atom off the manifold
+MEMBERSHIP = {
+    "euclidean": sliced.point_rows,
+    "lorentz": hyperbolic.validate_lorentz,
+    "poincare": hyperbolic.validate_poincare,
+    "spd": spd.validate_spd,
+    "sphere": sphere.validate_sphere,
+    "gaussian1d": busemann.validate_gaussians,
+}
+GEOMETRIES = tuple(MEMBERSHIP)
 
 
 def load_dataset(path, geometry):
@@ -70,71 +105,38 @@ def load_dataset(path, geometry):
 
     One atom per row; a header row is required; a trailing ``weight``
     column is optional (uniform weights otherwise).  SPD atoms carry a
-    leading ``dim`` column followed by the d*d row-major entries.
+    leading ``dim`` column followed by the d*d row-major entries.  Errors
+    name the offending row, counting non-blank rows with the header as
+    row 1.
     """
-    if geometry not in GEOMETRIES:
+    if geometry not in MEMBERSHIP:
         raise InvalidInput(f"unknown geometry {geometry!r}")
     header, rows = _read_rows(path)
+    width = len(header)
     has_weight = header[-1].lower() == "weight"
-    value_cols = len(header) - (1 if has_weight else 0)
-    atoms, weights = [], []
-    for k, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise InvalidInput(
-                f"{path}: row {k}: expected {len(header)} cells, got {len(row)}"
-            )
-        values = [_parse_float(c, path, k) for c in row[:value_cols]]
-        if has_weight:
-            w = _parse_float(row[-1], path, k)
-            if w < 0:
-                raise InvalidInput(f"{path}: row {k}: negative weight")
-            weights.append(w)
-        atoms.append(values)
-    data = np.array(atoms, dtype=float)
-    w = np.array(weights) if has_weight else np.full(len(data), 1.0 / len(data))
-    atoms = _validate_atoms(data, geometry, path, header)
-    return Dataset(geometry=geometry, atoms=atoms, weights=w, path=path)
-
-
-def _validate_atoms(data, geometry, path, header):
-    for k in range(data.shape[0]):
-        row_num = k + 2
-        row = data[k]
-        try:
-            if geometry == "lorentz":
-                hyperbolic.validate_lorentz(row)
-            elif geometry == "poincare":
-                hyperbolic.validate_poincare(row)
-            elif geometry == "sphere":
-                if abs(np.linalg.norm(row) - 1.0) > 1e-6:
-                    raise InvalidInput("not on the unit sphere")
-            elif geometry == "circle":
-                if row.size != 1 or not 0.0 <= row[0] < 1.0:
-                    raise InvalidInput("circle atoms are single angles in [0, 1)")
-            elif geometry == "gaussian1d":
-                if row.size != 2 or row[1] <= 0:
-                    raise InvalidInput("gaussian1d rows are (mean, sigma>0)")
-        except (InvalidInput, ValueError) as exc:
-            raise InvalidInput(f"{path}: row {row_num}: {exc}") from exc
-    if geometry == "spd":
-        if header[0].lower() != "dim":
-            raise InvalidInput(f"{path}: SPD files need a leading 'dim' column")
-        d = int(data[0, 0])
-        if np.any(data[:, 0] != d):
-            raise InvalidInput(f"{path}: inconsistent 'dim' entries")
-        if data.shape[1] - 1 != d * d:
-            raise InvalidInput(
-                f"{path}: expected {d * d} matrix entries per row for dim {d}"
-            )
-        mats = data[:, 1:].reshape(-1, d, d)
-        for k, mat in enumerate(mats, start=2):
-            if np.max(np.abs(mat - mat.T)) > spd.SYM_ATOL:
-                raise InvalidInput(f"{path}: row {k}: matrix not symmetric")
-            vals = np.linalg.eigvalsh((mat + mat.T) / 2.0)
-            if np.min(vals) <= spd.EIG_FLOOR:
-                raise InvalidInput(f"{path}: row {k}: matrix not positive definite")
-        return mats
-    return data
+    try:
+        if set(map(len, rows)) != {width}:
+            raise ValueError("ragged rows")
+        cells = map(float, chain.from_iterable(rows))
+        values = np.fromiter(cells, float, len(rows) * width).reshape(-1, width)
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite cell")
+        if has_weight and np.any(values[:, -1] < 0):
+            raise ValueError("negative weight")
+    except ValueError:
+        _first_bad_row(path, rows, width, has_weight)
+    n = values.shape[0]
+    weights = values[:, -1].copy() if has_weight else np.full(n, 1.0 / n)
+    atoms = np.ascontiguousarray(values[:, : width - has_weight])
+    try:
+        if geometry == "spd":
+            atoms = _spd_stack(atoms, header)
+        atoms = MEMBERSHIP[geometry](atoms)
+    except InvalidAtom as exc:
+        raise InvalidInput(f"{path}: row {exc.index + 2}: {exc.reason}") from exc
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+    return Dataset(geometry=geometry, atoms=atoms, weights=weights, path=path)
 
 
 def _slicer(mu, cfg, kind):
@@ -226,7 +228,7 @@ def _usw(mu, nu, cfg):
 
 def _gw1d_plan(mu, nu, cfg):
     """gw1d on sorted atoms, with the plan put back in input order."""
-    if mu.atoms.shape[1] != 1:
+    if mu.atoms.shape[1] != 1 or nu.atoms.shape[1] != 1:
         raise InvalidInput("gw1d needs one-dimensional atoms")
     order_x = np.argsort(mu.atoms[:, 0], kind="stable")
     order_y = np.argsort(nu.atoms[:, 0], kind="stable")

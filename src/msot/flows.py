@@ -410,9 +410,9 @@ def eval_functional(functional, state):
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(value, what, step):
+def _check_finite(value, what, step, flow):
     if not np.all(np.isfinite(value)):
-        raise FlowDiverged(f"grid flow diverged at step {step}: non-finite {what}")
+        raise FlowDiverged(f"{flow} flow diverged at step {step}: non-finite {what}")
 
 
 def simplex_project(v):
@@ -474,6 +474,7 @@ def swjko_particles(
     n, d = x.shape
     factor = float(d) if dilation else 1.0
     energy = functional.value(x)
+    _check_finite(energy, "energy", 0, "particle JKO")
     x0 = x.copy() if record_positions else None
     trace = FlowTrace([FlowRecord(step=0, energy=energy, objective=energy, positions=x0)])
     for k in range(1, n_steps + 1):
@@ -488,9 +489,12 @@ def swjko_particles(
         for _ in range(inner.n_steps):
             sw_grad = scale * sorted_residual(x @ theta.T, prev_sorted) @ theta
             grad = factor / (2.0 * tau) * sw_grad + functional.particle_gradient(x)
+            _check_finite(grad, "gradient", k, "particle JKO")
             x = x - inner.learning_rate * n * grad
         energy = functional.value(x)
+        _check_finite(energy, "energy", k, "particle JKO")
         objective = factor / (2.0 * tau) * sw_p(x, prev, dirs) + energy
+        _check_finite(objective, "objective", k, "particle JKO")
         trace.append(
             FlowRecord(
                 step=k,
@@ -526,7 +530,7 @@ def swjko_grid(
     factor = float(d) if dilation else 1.0
     state = GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
     energy = functional.grid_value(state)
-    _check_finite(energy, "energy", 0)
+    _check_finite(energy, "energy", 0, "grid")
     rho0 = rho.copy() if record_rho else None
     trace = FlowTrace([FlowRecord(step=0, energy=energy, objective=energy, rho=rho0)])
     for k in range(1, n_steps + 1):
@@ -541,7 +545,7 @@ def swjko_grid(
             grad = factor / (2.0 * tau) * grad_sw + functional.grid_gradient(
                 GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
             )
-            _check_finite(grad, "gradient", k)
+            _check_finite(grad, "gradient", k, "grid")
             rho = simplex_project(rho - inner.learning_rate * grad)
         state = GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
         energy = functional.grid_value(state)
@@ -553,7 +557,9 @@ def swjko_grid(
         objective = factor / (2.0 * tau) * coupling + energy
         with np.errstate(over="ignore"):  # an overflow is reported just below
             residual = float(np.linalg.norm(grad - np.mean(grad)))
-        _check_finite([residual, energy, objective], "gradient, energy or objective", k)
+        _check_finite(
+            [residual, energy, objective], "gradient, energy or objective", k, "grid"
+        )
         trace.append(
             FlowRecord(
                 step=k,
@@ -584,18 +590,23 @@ def euler_particles(
         raise InvalidInput(f"unsupported geometry {geometry!r}")
     x = np.asarray(initial, dtype=float).copy()
     n = x.shape[0]
+    energy = functional.value(x)
+    _check_finite(energy, "energy", 0, "Euler")
     x0 = x.copy() if record_positions else None
-    trace = FlowTrace([FlowRecord(step=0, energy=functional.value(x), positions=x0)])
+    trace = FlowTrace([FlowRecord(step=0, energy=energy, positions=x0)])
     for k in range(1, n_steps + 1):
         grad = n * functional.particle_gradient(x)
+        _check_finite(grad, "gradient", k, "Euler")
         if geometry == "euclidean":
             x = x - step_size * grad
         else:
             x = riemannian_step_lorentz(x, grad, step_size)
+        energy = functional.value(x)
+        _check_finite(energy, "energy", k, "Euler")
         trace.append(
             FlowRecord(
                 step=k,
-                energy=functional.value(x),
+                energy=energy,
                 positions=x.copy() if record_positions else None,
             )
         )

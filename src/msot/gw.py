@@ -42,6 +42,8 @@ def gw1d_inner(x, a, y, b):
     b = np.asarray(b, dtype=float)
     if np.any(np.diff(x) < 0) or np.any(np.diff(y) < 0):
         raise InvalidInput("gw1d_inner expects sorted inputs")
+    if not (np.sum(a) > 0 and np.sum(b) > 0):
+        raise InvalidInput("measures must carry positive total mass")
     asc = nw_corner(a, b)
     desc = nw_corner(a[::-1], b)[::-1, :]
     cross_asc = float(x @ asc @ y)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_atoms
 from .sliced import DirectionSet, point_rows, sample_directions, sliced_cost
 
 LORENTZ_ATOL = 1e-9
@@ -36,20 +36,23 @@ def origin(d):
 
 
 def validate_lorentz(x, atol=LORENTZ_ATOL):
+    """Hyperboloid points as ``(n, d + 1)`` rows; names the first atom off it."""
     x = point_rows(x)
+    if x.shape[1] < 1:
+        raise InvalidInput("Lorentz points need a time coordinate")
     # negated comparisons so that non-finite coordinates fail too
-    if not np.all(x[:, 0] > 0):
-        raise InvalidInput("Lorentz points need a positive time coordinate")
+    timelike = x[:, 0] > 0
     err = np.abs(minkowski_ip(x, x) + 1.0)
-    if not np.max(err) <= atol:
-        raise InvalidInput(f"points off the hyperboloid by {np.max(err):.2e}")
+    check_atoms(timelike & (err <= atol), lambda i: (
+        f"points off the hyperboloid by {err[i]:.2e}" if timelike[i]
+        else "Lorentz points need a positive time coordinate"))
     return x
 
 
 def validate_poincare(x):
+    """Poincare ball points as ``(n, d)`` rows; names the first atom outside."""
     x = point_rows(x)
-    if not np.all(np.linalg.norm(x, axis=-1) < 1.0):
-        raise InvalidInput("Poincare points must have norm < 1")
+    check_atoms(np.linalg.norm(x, axis=-1) < 1.0, "Poincare points must have norm < 1")
     return x
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite
+from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite, check_atoms
 from .measures import quantile_rows, sorted_rows, validate_weights
 from .sliced import (
     EuclideanSlicer,
@@ -28,7 +28,10 @@ EIG_FLOOR = 1e-13
 AI_BLOCK_ENTRIES = 1 << 18
 
 
-def _check_symmetric(m):
+def _symmetric_stack(m):
+    """A finite square stack (one matrix becomes a stack of one), and which
+    of its matrices are symmetric within ``SYM_ATOL`` relative to the
+    stack's largest entry (at least 1)."""
     m = np.asarray(m, dtype=float)
     if m.ndim == 2:
         m = m[None]
@@ -36,10 +39,18 @@ def _check_symmetric(m):
         raise InvalidInput("matrices must be square")
     if not np.all(np.isfinite(m)):
         raise InvalidInput("matrices must be finite")
-    err = np.max(np.abs(m - np.swapaxes(m, -1, -2)))
-    scale = max(1.0, float(np.max(np.abs(m))))
-    if err > SYM_ATOL * scale:
-        raise InvalidInput(f"matrices not symmetric, asymmetry {err:.2e}")
+    err = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
+    return m, err <= SYM_ATOL * max(1.0, float(np.max(np.abs(m))))
+
+
+def validate_spd(m):
+    """SPD atoms as an ``(n, d, d)`` stack; names the first matrix that is
+    not symmetric or whose smallest eigenvalue is at most ``EIG_FLOOR``.
+    Bad input, so :class:`InvalidInput`, not :class:`NotPositiveDefinite`."""
+    m, symmetric = _symmetric_stack(m)
+    low = np.linalg.eigvalsh((m + np.swapaxes(m, -1, -2)) / 2.0)[:, 0]
+    check_atoms(symmetric & (low > EIG_FLOOR), lambda i: (
+        "matrix not positive definite" if symmetric[i] else "matrix not symmetric"))
     return m
 
 
@@ -49,7 +60,8 @@ def sym_eig(m):
     Returns ``(eigvals, eigvecs)`` with ``m = eigvecs @ diag(eigvals) @
     eigvecs.T``; batched over a leading axis when present.
     """
-    arr = _check_symmetric(m)
+    arr, symmetric = _symmetric_stack(m)
+    check_atoms(symmetric.ravel(), "matrix not symmetric")
     vals, vecs = np.linalg.eigh(arr)
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     if np.asarray(m).ndim == 2:

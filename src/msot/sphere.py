@@ -8,7 +8,7 @@ Wasserstein solvers of :mod:`msot.measures`.
 
 import numpy as np
 
-from .errors import InvalidInput, MeasureZeroProjection
+from .errors import InvalidInput, MeasureZeroProjection, check_atoms
 from .measures import (
     build_circle_profile,
     circle_w1_level_median,
@@ -30,10 +30,12 @@ def sample_stiefel(d, n_projections, seed=0):
     return haar_orthonormal(rng.standard_normal((n_projections, d, 2)))
 
 
-def _check_sphere(points):
+def validate_sphere(points):
+    """Unit-sphere points as ``(n, d)`` rows; names the first atom off it."""
     x = point_rows(points)
-    if np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) > 1e-6:
-        raise InvalidInput("points must lie on the unit sphere")
+    # negated comparison so that non-finite coordinates fail too
+    off = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
+    check_atoms(off <= 1e-6, "not on the unit sphere")
     return x
 
 
@@ -55,7 +57,7 @@ def _project_frames(points, frames):
     All ``L`` frames are applied in one product; see :func:`project_circle`
     for the angle convention and the measure-zero check.
     """
-    x = _check_sphere(points)
+    x = validate_sphere(points)
     frames = np.asarray(frames, dtype=float)
     if frames.shape[-2] != x.shape[1]:
         raise InvalidInput(

@@ -5,7 +5,9 @@ package: couplings are solved as explicit linear programs or permutation
 enumerations, integrals by quadrature or dense grids.
 """
 
+import csv
 import itertools
+import math
 
 import numpy as np
 from scipy import integrate, optimize
@@ -380,3 +382,83 @@ def ghsw_gradient_dense(x, target, ideal):
         -jv[None, :, :] * w[:, :, None] + u[:, :, None] * jx0[None, None, :]
     ) / denom[:, :, None]
     return np.einsum("nl,nld->nd", resid, grad_coords) / (n * n_proj)
+
+
+def load_dataset_rows(path, geometry, relative_symmetry=False):
+    """Row-by-row CSV loader, the reference for ``msot.cli.load_dataset``.
+
+    Every cell is parsed by its own ``float`` call and every atom is checked
+    on its own, in file order, so the first error raised is the first
+    offending row's.  Returns ``(atoms, weights)``.  SPD symmetry is
+    checked to the absolute ``SYM_ATOL``, or with ``relative_symmetry`` to
+    ``SYM_ATOL`` times the file's largest entry (at least 1), the
+    library's rule.
+    """
+    from msot.errors import InvalidInput
+    from msot.hyperbolic import LORENTZ_ATOL, minkowski_ip
+    from msot.spd import EIG_FLOOR, SYM_ATOL
+
+    if geometry not in ("euclidean", "lorentz", "poincare", "spd", "sphere", "gaussian1d"):
+        raise InvalidInput(f"unknown geometry {geometry!r}")
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row and any(c.strip() for c in row)]
+    if len(rows) < 2:
+        raise InvalidInput(f"{path}: need a header row and at least one atom")
+    header, rows = [cell.strip() for cell in rows[0]], rows[1:]
+
+    def parse(cell, k):
+        try:
+            value = float(cell)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: row {k}: malformed number {cell!r}") from exc
+        if not math.isfinite(value):
+            raise InvalidInput(f"{path}: row {k}: non-finite number {cell!r}")
+        return value
+
+    has_weight = header[-1].lower() == "weight"
+    value_cols = len(header) - (1 if has_weight else 0)
+    atoms, weights = [], []
+    for k, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise InvalidInput(f"{path}: row {k}: expected {len(header)} cells, got {len(row)}")
+        atoms.append([parse(c, k) for c in row[:value_cols]])
+        if has_weight:
+            w = parse(row[-1], k)
+            if w < 0:
+                raise InvalidInput(f"{path}: row {k}: negative weight")
+            weights.append(w)
+    data = np.array(atoms, dtype=float)
+    w = np.array(weights) if has_weight else np.full(len(data), 1.0 / len(data))
+    for k, row in enumerate(data, start=2):
+        reason = None
+        if geometry == "lorentz":
+            err = abs(minkowski_ip(row, row) + 1.0)
+            if not row[0] > 0:
+                reason = "Lorentz points need a positive time coordinate"
+            elif not err <= LORENTZ_ATOL:
+                reason = f"points off the hyperboloid by {err:.2e}"
+        elif geometry == "poincare" and not np.linalg.norm(row[None], axis=-1)[0] < 1.0:
+            reason = "Poincare points must have norm < 1"
+        elif geometry == "sphere" and abs(np.linalg.norm(row) - 1.0) > 1e-6:
+            reason = "not on the unit sphere"
+        elif geometry == "gaussian1d" and (row.size != 2 or row[1] <= 0):
+            reason = "gaussian1d rows are (mean, sigma>0)"
+        if reason:
+            raise InvalidInput(f"{path}: row {k}: {reason}")
+    if geometry != "spd":
+        return data, w
+    if header[0].lower() != "dim":
+        raise InvalidInput(f"{path}: SPD files need a leading 'dim' column")
+    d = int(data[0, 0])
+    if np.any(data[:, 0] != d):
+        raise InvalidInput(f"{path}: inconsistent 'dim' entries")
+    if data.shape[1] - 1 != d * d:
+        raise InvalidInput(f"{path}: expected {d * d} matrix entries per row for dim {d}")
+    mats = data[:, 1:].reshape(-1, d, d)
+    sym_tol = SYM_ATOL * max(1.0, np.max(np.abs(mats))) if relative_symmetry else SYM_ATOL
+    for k, mat in enumerate(mats, start=2):
+        if np.max(np.abs(mat - mat.T)) > sym_tol:
+            raise InvalidInput(f"{path}: row {k}: matrix not symmetric")
+        if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) <= EIG_FLOOR:
+            raise InvalidInput(f"{path}: row {k}: matrix not positive definite")
+    return mats, w

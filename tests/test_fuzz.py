@@ -1,4 +1,4 @@
-"""CLI fuzz for ``msot flow``: bad input never exits 0 with non-finite output.
+"""CLI fuzz: bad input never exits 0 with non-finite output.
 
 Every scheme x functional pair that ``run_flow`` accepts is run on files
 with NaN and +-inf cells, on empty files and with a potential center of
@@ -6,7 +6,12 @@ the wrong dimension; each must exit 2 (bad input) or 3 (numerical
 failure) with nothing on stdout.  Valid seeded runs must rerun to
 byte-identical JSONL, and a Hypothesis fuzz over the step size and the
 potential's parameters checks that an exit 0 only ever carries finite
-numbers.
+numbers.  Diverging particle and grid flows exit 3 naming the step.
+
+``dist``, ``matrix``, ``pca`` and ``gw`` get the same ingest fuzz for
+every geometry each accepts: non-finite cells, empty and header-only
+files, zero total mass, atoms off the manifold and clouds of another
+dimension all exit 2 or 3 with nothing on stdout.
 """
 
 import json
@@ -18,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msot.cli import main
+from msot.cli import DISTANCES, GW_PLANS, main
+from msot.hyperbolic import poincare_to_lorentz
 
 SCHEMES = ("euler", "jko-particles", "jko-grid")
 FUNCTIONALS = ("interaction", "potential", "fokker-planck", "sw-target")
@@ -172,3 +178,149 @@ def test_diverging_grid_step_is_named(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert "grid flow diverged at step 1" in captured.err
+
+
+@pytest.mark.parametrize("scheme", ["euler", "jko-particles"])
+def test_diverging_particle_step_is_named(tmp_path, capsys, scheme):
+    """The same overflow in a particle flow is a numerical failure (exit 3)
+    naming the step, not an encoder error or an input error (exit 2)."""
+    path = tmp_path / "a.csv"
+    path.write_text("x0,x1\n0.1,0.2\n0.5,-0.3\n-0.4,0.1\n")
+    argv = ["flow", scheme, str(path), "--functional", "potential",
+            "--potential-strength=1e300", *SMALL]
+    with np.errstate(all="ignore"):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "flow diverged at step 1" in captured.err
+
+
+# --- dist, matrix, pca and gw ---------------------------------------------
+
+FAST = ["--projections", "4", "--fw-iters", "2", "--steps", "3"]
+INGEST_RUNS = (
+    [("dist", name, g) for name, (geoms, _) in DISTANCES.items() for g in geoms]
+    + [("matrix", name, g) for name, (geoms, _) in DISTANCES.items() for g in geoms]
+    + [("pca", None, "gaussian1d")]
+    + [("gw", name, "euclidean") for name in GW_PLANS]
+)
+
+
+def valid_atoms(geometry, seed, d=2, n=5):
+    """Atoms on the geometry's manifold, one per row (SPD: dim, entries)."""
+    rng = np.random.default_rng(seed)
+    if geometry == "spd":
+        a = rng.normal(size=(n, d, d))
+        mats = a @ np.swapaxes(a, 1, 2) + np.eye(d)
+        return np.column_stack([np.full(n, d), mats.reshape(n, -1)])
+    if geometry == "gaussian1d":  # d - 1 means and a sigma
+        return np.column_stack([rng.normal(size=(n, d - 1)), rng.uniform(0.5, 2.0, n)])
+    if geometry == "sphere":
+        x = rng.normal(size=(n, d + 1))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+    ball = rng.uniform(-0.4, 0.4, (n, d)) / np.sqrt(d)
+    return poincare_to_lorentz(ball) if geometry == "lorentz" else ball
+
+
+def off_manifold(geometry, atoms):
+    bad = atoms.copy()
+    if geometry == "spd":
+        bad[2, 1:] *= -1
+    elif geometry == "gaussian1d":
+        bad[2, 1] = -1.0
+    else:
+        bad[2] *= 1.5 / np.linalg.norm(bad[2]) if geometry == "poincare" else 1.5
+    return bad
+
+
+def write_atoms(path, geometry, atoms, weights=None):
+    header = [f"x{k}" for k in range(atoms.shape[1])]
+    if geometry == "spd":
+        header[0] = "dim"
+    cells = [[repr(float(v)) for v in row] for row in atoms]
+    if weights is not None:
+        header.append("weight")
+        cells = [row + [repr(float(w))] for row, w in zip(cells, weights)]
+    path.write_text("\n".join(",".join(row) for row in [header, *cells]) + "\n")
+    return path
+
+
+def ingest_argv(command, name, geometry, source, target):
+    if command == "pca":
+        return ["pca", str(source), *FAST]
+    head = [command, name, str(source), str(target)]
+    return head + ([] if command == "gw" else ["--geometry", geometry]) + FAST
+
+
+def strict_payload(text):
+    payload = json.loads(text, parse_constant=_reject)
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in numbers(v)]
+        if isinstance(value, list):
+            return [x for v in value for x in numbers(v)]
+        return [value] if isinstance(value, float) else []
+
+    assert np.all(np.isfinite(numbers(payload)))
+    return payload
+
+
+def ingest_files(tmp_path, command, name, geometry):
+    """A valid source and target of the run's geometry."""
+    d = 1 if name == "gw1d" else 2
+    source = write_atoms(tmp_path / "a.csv", geometry, valid_atoms(geometry, 0, d))
+    target = write_atoms(tmp_path / "b.csv", geometry, valid_atoms(geometry, 1, d))
+    return source, target
+
+
+@pytest.mark.parametrize("command, name, geometry", INGEST_RUNS)
+def test_ingest_valid_run_is_finite(tmp_path, capsys, command, name, geometry):
+    source, target = ingest_files(tmp_path, command, name, geometry)
+    code, out = run(ingest_argv(command, name, geometry, source, target), capsys)
+    assert code == 0
+    strict_payload(out)
+
+
+def corrupt(kind, geometry, name, source, target):
+    """Corrupt the source; zero mass goes on both sides, and the target
+    (the source for ``pca``) gets another dimension."""
+    atoms = valid_atoms(geometry, 0, 1 if name == "gw1d" else 2)
+    if kind in ("nan", "inf", "-inf"):
+        lines = source.read_text().splitlines()
+        lines[3] = ",".join(lines[3].split(",")[:-1] + [kind])
+        source.write_text("\n".join(lines) + "\n")
+    elif kind == "empty":
+        source.write_text("")
+    elif kind == "header-only":
+        source.write_text(source.read_text().splitlines()[0] + "\n")
+    elif kind == "zero-mass":
+        for path in (source, target):
+            write_atoms(path, geometry, atoms, weights=np.zeros(len(atoms)))
+    elif kind == "off-manifold":
+        write_atoms(source, geometry, off_manifold(geometry, atoms))
+    else:
+        path = source if name is None else target
+        write_atoms(path, geometry, valid_atoms(geometry, 0, 3))
+
+
+INGEST_KINDS = ["nan", "inf", "-inf", "empty", "header-only", "zero-mass",
+                "off-manifold", "dimension"]
+
+
+@pytest.mark.parametrize(
+    "command, name, geometry, kind",
+    [(*r, kind) for r in INGEST_RUNS for kind in INGEST_KINDS
+     if not (kind == "off-manifold" and r[2] == "euclidean")],  # all of R^d
+)
+def test_ingest_bad_input(tmp_path, capsys, command, name, geometry, kind):
+    source, target = ingest_files(tmp_path, command, name, geometry)
+    corrupt(kind, geometry, name, source, target)
+    with np.errstate(all="ignore"):
+        code, out = run(ingest_argv(command, name, geometry, source, target), capsys)
+    if command == "pca" and kind == "zero-mass" and code == 0:
+        strict_payload(out)  # the PCA does not read the weights
+    else:
+        assert code in (2, 3)
+        assert out == ""

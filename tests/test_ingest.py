@@ -1,0 +1,212 @@
+"""Differential test of the CSV ingest boundary.
+
+``msot.cli.load_dataset`` parses a whole file in one call and leaves
+manifold membership to the library's vectorized checks.  It must agree
+with the row-by-row reference loader in ``tests/oracles.py`` on every
+file: the same atoms and weights, bit for bit, or the same error class
+and message, naming the same row.  Two deviations are documented, each
+with its own test: the SPD symmetry tolerance is the library's relative
+one, and a Lorentz file without coordinate columns is bad input instead
+of an ``IndexError``.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from msot import spd
+from msot.cli import load_dataset
+from msot.errors import InvalidInput
+from msot.hyperbolic import project_to_hyperboloid
+from oracles import load_dataset_rows
+
+GEOMETRIES = ("euclidean", "lorentz", "poincare", "spd", "sphere", "gaussian1d")
+BAD_TOKENS = ["nan", "-inf", "inf", "1e400", "-1e400", "1_000", "NaN", "Infinity",
+              "abc", "", " ", "1.2.3", "0x10", "--1", " 2.5 ", "+1", "-0.0"]
+BLANK_ROWS = ["", "   ", ",,", " , \t"]
+
+
+def _atoms(geometry, rng, n, d, scale):
+    """``n`` valid atoms of the geometry as file rows (SPD: ``dim`` and the
+    entries), and the header."""
+    if geometry == "spd":
+        a = rng.normal(size=(n, d, d))
+        mats = scale * (a @ np.swapaxes(a, 1, 2) + np.eye(d))
+        data = np.column_stack([np.full(n, d), mats.reshape(n, -1)])
+        return data, ["dim"] + [f"m{k}" for k in range(d * d)]
+    if geometry == "lorentz":
+        data = project_to_hyperboloid(rng.normal(size=(n, d + 1)))
+    elif geometry == "poincare":
+        data = rng.uniform(-0.5, 0.5, (n, d)) / np.sqrt(d)
+    elif geometry == "sphere":
+        x = rng.normal(size=(n, d)) + 0.1
+        data = x / np.linalg.norm(x, axis=1, keepdims=True)
+    elif geometry == "gaussian1d":
+        data = np.column_stack([rng.normal(size=n), rng.uniform(0.5, 2.0, n)])
+    else:
+        data = rng.normal(size=(n, d)) * scale
+    return data, [f"x{k}" for k in range(data.shape[1])]
+
+
+def _off_manifold(geometry, row, how):
+    """Move one atom off its manifold, or close to its edge on either side."""
+    if geometry == "spd":
+        d = int(row[0])
+        mat = row[1:].reshape(d, d).copy()
+        scale = np.max(np.abs(mat))
+        if how == 0:
+            mat = -mat
+        elif how == 1:  # smallest eigenvalue at the floor's scale
+            w, v = np.linalg.eigh(mat)
+            w[0] = 5e-14
+            mat = (v * w) @ v.T
+        else:  # asymmetric: clearly (1e-3) or only in absolute terms (1e-12)
+            mat.flat[d - 1] += scale * (1e-3 if how == 2 else 1e-12)
+        return np.concatenate([row[:1], mat.ravel()])
+    how %= 3
+    if geometry == "lorentz":
+        return [-row, 1.5 * row, row + 1e-12][how]
+    if geometry == "poincare":
+        return [row * 1.5 / max(np.linalg.norm(row), 1e-3), row / np.linalg.norm(row),
+                row * 0.999][how]
+    if geometry == "sphere":
+        return [row * 1.1, row * (1 + 2e-6), row * (1 + 1e-7)][how]
+    if geometry == "gaussian1d":
+        return [row * [1, -1], row * [1, 0], row * [1, 1e-300]][how]
+    return row + [1e300, 0, 1e-300][how]  # R^d has no edge
+
+
+@st.composite
+def csv_files(draw):
+    geometry = draw(st.sampled_from(GEOMETRIES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 1000.0]))
+    data, header = _atoms(geometry, rng, n, d, scale)
+    if draw(st.booleans()):
+        data = np.column_stack([data, rng.uniform(0.1, 1.0, n)])
+        header = header + [draw(st.sampled_from(["weight", "Weight", " WEIGHT "]))]
+        if draw(st.integers(0, 3)) == 3:
+            data[draw(st.integers(0, n - 1)), -1] *= -1
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, n - 1))
+        how = draw(st.integers(0, 3))
+        width = data.shape[1] - (header[-1].strip().lower() == "weight")
+        data[k, :width] = _off_manifold(geometry, data[k, :width], how)
+    rows = [[repr(float(v)) for v in row] for row in data]
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["token", "float", "short", "long", "blank", "dim"]))
+        if not rows[k]:
+            continue
+        if kind == "dim":  # an SPD layout error, or one more value elsewhere
+            rows[k][0] = str(draw(st.integers(0, 3)))
+        elif kind == "token":
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = draw(st.sampled_from(BAD_TOKENS))
+        elif kind == "float":
+            value = draw(st.floats(allow_nan=True, allow_infinity=True))
+            rows[k][draw(st.integers(0, len(rows[k]) - 1))] = repr(value)
+        elif kind == "short":
+            rows[k] = rows[k][:-1]
+        elif kind == "long":
+            rows[k] = rows[k] + ["0.5"]
+        else:
+            rows.insert(k, [draw(st.sampled_from(BLANK_ROWS))])
+    if geometry == "spd" and draw(st.integers(0, 9)) == 7:
+        header[0] = "d"
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return geometry, "\n".join(lines) + "\n"
+
+
+def _load(loader, path, geometry):
+    try:
+        return loader(path, geometry)
+    except Exception as exc:  # noqa: BLE001 - compared class and message
+        return exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=csv_files())
+def test_loader_agrees_with_row_by_row_reference(case):
+    geometry, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "data.csv")
+        Path(path).write_text(text)
+        got = _load(load_dataset, path, geometry)
+        want = _load(
+            lambda p, g: load_dataset_rows(p, g, relative_symmetry=True), path, geometry
+        )
+    if isinstance(want, IndexError):  # a Lorentz file without coordinates
+        assert geometry == "lorentz"
+        assert isinstance(got, InvalidInput)
+        assert "need a time coordinate" in str(got)
+    elif isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+    else:
+        assert not isinstance(got, Exception), got
+        atoms, weights = want
+        assert got.atoms.shape == atoms.shape
+        assert got.atoms.tobytes() == atoms.tobytes()
+        assert got.weights.tobytes() == weights.tobytes()
+
+
+def _write(tmp_path, header, rows):
+    path = tmp_path / "data.csv"
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_spd_symmetry_tolerance_is_the_library_one(tmp_path):
+    """The one rule change: 1e-9 asymmetry on a 1000-scale matrix was
+    rejected by the absolute 1e-10 of the old row check, and is accepted
+    now, as ``spdsw`` accepts it."""
+    mat = 1000.0 * np.array([[2.0, 0.5], [0.5, 1.0]])
+    mat[0, 1] += 1e-9
+    path = _write(tmp_path, ["dim", "m0", "m1", "m2", "m3"], [[2, *mat.ravel()]])
+    with pytest.raises(InvalidInput, match="row 2: matrix not symmetric"):
+        load_dataset_rows(path, "spd")
+    atoms = load_dataset(path, "spd").atoms
+    assert atoms.tobytes() == load_dataset_rows(path, "spd", relative_symmetry=True)[0].tobytes()
+    slices = spd.sample_unit_symmetric(2, 4, seed=0)
+    assert np.isfinite(spd.spdsw(atoms, atoms, slices))
+    # beyond the relative tolerance both reject, naming the row
+    mat[0, 1] += 1e-3
+    path = _write(tmp_path, ["dim", "m0", "m1", "m2", "m3"],
+                  [[2, 1.0, 0.0, 0.0, 1.0], [2, *mat.ravel()]])
+    with pytest.raises(InvalidInput, match="row 3: matrix not symmetric"):
+        load_dataset(path, "spd")
+
+
+def test_lorentz_file_without_coordinates_is_bad_input(tmp_path):
+    path = _write(tmp_path, ["weight"], [[1.0], [2.0]])
+    with pytest.raises(IndexError):
+        load_dataset_rows(path, "lorentz")
+    with pytest.raises(InvalidInput, match="need a time coordinate"):
+        load_dataset(path, "lorentz")
+
+
+@pytest.mark.parametrize(
+    "geometry, row, message",
+    [
+        ("lorentz", [-1.0, 0.0], "positive time coordinate"),
+        ("lorentz", [2.0, 0.0], "off the hyperboloid by 3.00e+00"),
+        ("poincare", [0.6, 0.8], "norm < 1"),
+        ("sphere", [0.6, 0.7], "not on the unit sphere"),
+        ("gaussian1d", [0.0, -1.0], "(mean, sigma>0)"),
+    ],
+)
+def test_first_offending_atom_names_its_row(tmp_path, geometry, row, message):
+    good = {"lorentz": [1.0, 0.0], "poincare": [0.0, 0.0], "sphere": [1.0, 0.0],
+            "gaussian1d": [0.0, 1.0]}[geometry]
+    path = _write(tmp_path, ["a", "b"], [good, good, row, row])
+    with pytest.raises(InvalidInput) as err:
+        load_dataset(path, geometry)
+    assert str(err.value).startswith(f"{path}: row 4: ")
+    assert message in str(err.value)
