@@ -56,8 +56,11 @@ from .measures import (
     SortedProfile,
     build_circle_profile,
     build_profile,
+    circle_w1_batched,
     circle_w1_level_median,
+    circle_w2_uniform_batched,
     circle_w2_vs_uniform,
+    circle_wp_batched,
     circle_wp_binary_search,
     quantile,
     wasserstein_1d,

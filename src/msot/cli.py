@@ -46,8 +46,15 @@ class RunConfig:
 
 
 def _read_rows(path):
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
+    try:
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+    except OSError as exc:
+        raise InvalidInput(f"{path}: cannot read file: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except csv.Error as exc:
+        raise InvalidInput(f"{path}: malformed CSV: {exc}") from exc
     # drop blank rows: those with no non-whitespace character in any cell
     rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if len(rows) < 2:
@@ -100,20 +107,25 @@ MEMBERSHIP = {
 GEOMETRIES = tuple(MEMBERSHIP)
 
 
-def load_dataset(path, geometry):
+def load_dataset(path, geometry, weighted=True):
     """Load a CSV dataset and validate its atoms against the geometry.
 
     One atom per row; a header row is required; a trailing ``weight``
-    column is optional (uniform weights otherwise).  SPD atoms carry a
-    leading ``dim`` column followed by the d*d row-major entries.  Errors
-    name the offending row, counting non-blank rows with the header as
-    row 1.
+    column is optional (uniform weights otherwise), and rejected when
+    ``weighted`` is False, for runs that read no weights.  SPD atoms carry
+    a leading ``dim`` column followed by the d*d row-major entries.  Errors
+    name the file; a bad row is named counting non-blank rows with the
+    header as row 1.
     """
     if geometry not in MEMBERSHIP:
         raise InvalidInput(f"unknown geometry {geometry!r}")
     header, rows = _read_rows(path)
     width = len(header)
     has_weight = header[-1].lower() == "weight"
+    if has_weight and not weighted:
+        raise InvalidInput(
+            f"{path}: column {header[-1]!r} is not accepted: this run is unweighted"
+        )
     try:
         if set(map(len, rows)) != {width}:
             raise ValueError("ragged rows")
@@ -438,7 +450,7 @@ def run_flow(args, cfg):
 
 
 def run_pca(args, cfg):
-    data = load_dataset(args.input, "gaussian1d")
+    data = load_dataset(args.input, "gaussian1d", weighted=False)
     start = time.perf_counter()
     origin = None
     if args.origin:

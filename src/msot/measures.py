@@ -1,9 +1,14 @@
-r"""Discrete measures on the real line and on the circle.
+"""Discrete measures on the real line and on the circle.
 
 Every sliced distance in this package reduces to one of the 1D solvers
-below: the quantile-based closed form on the line, and the shifted-quantile
-formulations on the circle (closed form against the uniform measure, level
-median for ``p = 1``, binary search on the shift otherwise).
+below, each batched over the rows (slices or frames) of one call: on the
+line, the quantile-based closed form read off one stable merge of the
+cumulative weights; on the circle, the closed form against the uniform
+measure, the level median for ``p = 1`` and a bisection on the shift
+otherwise.  On matched uniform rows the circle solvers search nothing: the
+shift cost is linear between the events ``k/n``, so an integer bisection
+over cyclic shifts of the sorted atoms finds its minimizing event.  The
+scalar functions taking profiles are the one-row cases.
 """
 
 from dataclasses import dataclass
@@ -129,16 +134,14 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     # use the (faster) default sort; only the subgradient needs stability.
     u_rows = np.ascontiguousarray(u_values.T)
     v_rows = np.ascontiguousarray(v_values.T)
-    u_uniform = float(np.ptp(u_weights)) == 0.0
-    v_uniform = float(np.ptp(v_weights)) == 0.0
-    if n == m and u_uniform and v_uniform and u_weights[0] == v_weights[0]:
+    if _matched_uniform(u_weights, v_weights):
         # matched uniform clouds: sorted pairing, no quantile merge needed
         diff = np.abs(np.sort(u_rows, axis=-1) - np.sort(v_rows, axis=-1))
         return np.sum(diff if p == 1 else diff**p, axis=-1) * u_weights[0]
 
     levels = np.empty((L, n + m))
-    u_sorted = _sorted_with_cum(u_rows, u_weights, u_uniform, levels[:, :n])
-    v_sorted = _sorted_with_cum(v_rows, v_weights, v_uniform, levels[:, n:])
+    u_sorted = _sorted_with_cum(u_rows, u_weights, levels[:, :n])
+    v_sorted = _sorted_with_cum(v_rows, v_weights, levels[:, n:])
     del u_rows, v_rows
     order = _merge(levels)
     ahead = _ahead(order, n)
@@ -313,9 +316,9 @@ def _take_rows(values, idx):
     return np.take(values.ravel(), idx)
 
 
-def _sorted_with_cum(rows, weights, uniform, cum):
+def _sorted_with_cum(rows, weights, cum):
     """Sorted copy of ``(L, n)`` rows; their cumulative weights go to ``cum``."""
-    if uniform:
+    if float(np.ptp(weights)) == 0.0:
         cum[:] = np.cumsum(weights)
         return np.sort(rows, axis=-1)
     sorter = np.argsort(rows, axis=-1)
@@ -342,22 +345,45 @@ def build_circle_profile(angles, weights=None):
     a = np.asarray(angles, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise InvalidInput("angles must be a non-empty 1D array")
+    return CircleProfile(*(np.array(rows[0]) for rows in _circle_rows(a[None], weights)))
+
+
+def _circle_rows(angles, weights=None):
+    """Sorted ``(L, n)`` angle rows in [0, 1), with aligned weights and
+    cumulative weights: ``weights`` is one probability vector for all rows.
+
+    The cumulative weights end at exactly 1, so periodic lifts use an exact
+    unit of mass.
+    """
+    a = np.asarray(angles, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise InvalidInput("angles must be non-empty (L, n) rows")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("angles must be finite")
-    a = np.mod(a, 1.0)
-    w = validate_weights(weights, n=a.size)
+    w = validate_weights(weights, n=a.shape[1])
     if abs(np.sum(w) - 1.0) > MASS_ATOL:
         raise InvalidInput("circle profiles must carry probability weights")
-    order = np.argsort(a, kind="stable")
-    a, w = a[order], w[order]
-    cum = np.cumsum(w)
-    # absorb float dust so periodic lifts use an exact unit of mass
-    cum = cum / cum[-1]
-    return CircleProfile(angles=a, weights=w, cum=cum)
+    a = np.mod(a, 1.0)
+    if float(np.ptp(w)) == 0.0:
+        # equal weights need no permutation, so no stable sort
+        w = np.broadcast_to(w, a.shape)
+        a = np.sort(a, axis=-1)
+    else:
+        order = np.argsort(a, axis=-1, kind="stable")
+        a, w = np.take_along_axis(a, order, axis=-1), w[order]
+    cum = np.cumsum(w, axis=-1)
+    cum /= cum[:, -1:]
+    return a, w, cum
 
 
 def circle_w2_vs_uniform(mu):
-    r"""Exact :math:`W_2^2` between ``mu`` and the uniform measure on the circle.
+    """Exact :math:`W_2^2` between ``mu`` and the uniform measure on the
+    circle: the one-row case of :func:`circle_w2_uniform_batched`."""
+    return float(circle_w2_uniform_batched(mu.angles[None], mu.weights)[0])
+
+
+def circle_w2_uniform_batched(angles, weights=None):
+    r"""Row-wise exact :math:`W_2^2` against the uniform measure on the circle.
 
     Uniform-weight inputs use the sorted closed form
 
@@ -369,125 +395,227 @@ def circle_w2_vs_uniform(mu):
     :math:`t \mapsto (F_\mu^{-1}(t) - t - \hat\alpha)^2` with the optimal
     shift :math:`\hat\alpha = \int x\,d\mu - 1/2`.
     """
-    x, w, cum = mu.angles, mu.weights, mu.cum
-    n = x.size
-    if np.max(np.abs(w - 1.0 / n)) <= 1e-12:
+    x, w, cum = _circle_rows(angles, weights)
+    n = x.shape[1]
+    if np.max(np.abs(w[0] - 1.0 / n)) <= 1e-12:
         i = np.arange(1, n + 1)
-        return float(
-            np.mean(x**2)
-            - np.mean(x) ** 2
-            + np.sum((n + 1 - 2 * i) * x) / n**2
+        return (
+            np.mean(x**2, axis=-1)
+            - np.mean(x, axis=-1) ** 2
+            + np.sum((n + 1 - 2 * i) * x, axis=-1) / n**2
             + 1.0 / 12.0
         )
-    alpha = float(np.sum(w * x)) - 0.5
-    upper = x - alpha - np.concatenate([[0.0], cum[:-1]])
+    alpha = np.sum(w * x, axis=-1, keepdims=True) - 0.5
+    upper = x - alpha - np.concatenate([np.zeros((x.shape[0], 1)), cum[:, :-1]], axis=-1)
     lower = x - alpha - cum
-    return float(np.sum(upper**3 - lower**3) / 3.0)
-
-
-def _cdf_difference_steps(mu, nu):
-    """Step representation of F_mu - F_nu on the circle.
-
-    Returns ``(values, lengths)`` where ``values[k]`` holds on an arc of
-    length ``lengths[k]``; the wrap-around arc (value 0) is included.
-    """
-    events = np.concatenate([mu.angles, nu.angles])
-    signed = np.concatenate([mu.weights, -nu.weights])
-    order = np.argsort(events, kind="stable")
-    events, signed = events[order], signed[order]
-    values = np.cumsum(signed)
-    lengths = np.empty_like(events)
-    lengths[:-1] = np.diff(events)
-    lengths[-1] = 1.0 - events[-1] + events[0]
-    return values, lengths
+    return np.sum(upper**3 - lower**3, axis=-1) / 3.0
 
 
 def circle_w1_level_median(mu, nu):
-    r"""Exact :math:`W_1` on the circle via the level-median closed form.
+    """Exact circle :math:`W_1`: the one-row case of :func:`circle_w1_batched`."""
+    w1 = circle_w1_batched(mu.angles[None], nu.angles[None], mu.weights, nu.weights)
+    return float(w1[0])
+
+
+def circle_w1_batched(x_angles, y_angles, x_weights=None, y_weights=None):
+    r"""Row-wise exact circle :math:`W_1` via the level-median closed form
 
     .. math::
         W_1(\mu,\nu) = \int_0^1 |F_\mu(t) - F_\nu(t) - \mathrm{LevMed}|\,dt,
 
-    where the level median is the smallest minimizer of the shift.
+    where the level median is the smallest minimizer of the shift.  On
+    matched uniform rows the shift cost is the interpolation of its values
+    at the ``n`` events (see :func:`circle_wp_batched`), so ``W_1`` is their
+    minimum.
     """
-    values, lengths = _cdf_difference_steps(mu, nu)
-    order = np.argsort(values, kind="stable")
-    cum_len = np.cumsum(lengths[order])
-    lev_med = values[order][np.searchsorted(cum_len, 0.5, side="left")]
-    return float(np.sum(lengths * np.abs(values - lev_med)))
-
-
-def _periodic_quantile(profile, s, side="left"):
-    """Quantile lifted to the universal cover: Q(s + k) = Q(s) + k."""
-    s = np.asarray(s, dtype=float)
-    if side == "left":
-        # reduce to (0, 1]
-        k = np.ceil(s) - 1.0
-    else:
-        # reduce to [0, 1)
-        k = np.floor(s)
-    u = s - k
-    idx = np.searchsorted(profile.cum, u, side=side)
-    return profile.angles[np.clip(idx, 0, profile.angles.size - 1)] + k
-
-
-def _circle_cost(mu, nu, alpha, p):
-    """Exact shifted cost ``int_0^1 |Qmu(t) - Qnu(t + alpha)|^p dt``.
-
-    Both quantiles are constant on the open intervals between merged
-    breakpoints, so evaluating at interval midpoints is exact and immune
-    to the float round-trip of the shift.
-    """
-    nu_breaks = nu.cum - alpha
-    nu_breaks = nu_breaks - np.ceil(nu_breaks) + 1.0  # into (0, 1]
-    qs = np.sort(np.concatenate([mu.cum, nu_breaks]), kind="stable")
-    delta = np.diff(qs, prepend=0.0)
-    mids = qs - 0.5 * delta
-    diff = np.abs(_periodic_quantile(mu, mids) - _periodic_quantile(nu, mids + alpha))
-    return float(np.sum(delta * diff**p))
-
-
-def _circle_cost_right_derivative(mu, nu, alpha, p):
-    """Right derivative of the shifted cost in the shift variable."""
-    m = nu.angles.size
-    s = nu.cum - alpha  # breakpoint locations in t, before reduction
-    k = np.ceil(s) - 1.0
-    t = s - k  # in (0, 1]
-    lift = t + alpha - nu.cum  # integer lift of the nu atom values
-    y_left = nu.angles + lift
-    y_right = np.empty(m)
-    y_right[:-1] = nu.angles[1:] + lift[:-1]
-    y_right[-1] = nu.angles[0] + lift[-1] + 1.0
-    x = _periodic_quantile(mu, t, side="right")
-    return float(np.sum(np.abs(x - y_right) ** p - np.abs(x - y_left) ** p))
+    x, a, _, y, b, _ = _circle_pair(x_angles, y_angles, x_weights, y_weights)
+    if _matched_uniform(a[0], b[0]):
+        # the least event cost: C(k*) is the smaller of C(k*) and C(k*+1),
+        # and C(n) the smaller of C(n-1) and C(n)
+        n = x.shape[1]
+        costs = _event_costs(x, y, 1.0)
+        turn = np.minimum(_event_argmin(costs, x.shape), n - 1)
+        return np.min(costs(turn), axis=-1) / n
+    events = np.concatenate([x, y], axis=-1)
+    order = np.argsort(events, axis=-1, kind="stable")
+    events = np.take_along_axis(events, order, axis=-1)
+    signed = np.take_along_axis(np.concatenate([a, -b], axis=-1), order, axis=-1)
+    values = np.cumsum(signed, axis=-1)
+    lengths = np.empty_like(events)
+    lengths[:, :-1] = np.diff(events, axis=-1)
+    lengths[:, -1] = 1.0 - events[:, -1] + events[:, 0]
+    order = np.argsort(values, axis=-1, kind="stable")
+    cum_len = np.cumsum(np.take_along_axis(lengths, order, axis=-1), axis=-1)
+    median = np.sum(cum_len < 0.5, axis=-1, keepdims=True)
+    lev_med = np.take_along_axis(values, np.take_along_axis(order, median, axis=-1), axis=-1)
+    return np.sum(lengths * np.abs(values - lev_med), axis=-1)
 
 
 def circle_wp_binary_search(mu, nu, p=2.0, eps=1e-6):
-    r"""Circle :math:`W_p^p` by bisection on the cdf shift.
+    """Circle :math:`W_p^p` by bisection on the cdf shift: the one-row case
+    of :func:`circle_wp_batched`."""
+    wp = circle_wp_batched(mu.angles[None], nu.angles[None], mu.weights, nu.weights, p, eps)
+    return float(wp[0])
+
+
+def circle_wp_batched(x_angles, y_angles, x_weights=None, y_weights=None, p=2.0, eps=1e-6):
+    r"""Row-wise circle :math:`W_p^p` by bisection on the cdf shift.
 
     Minimizes :math:`\alpha \mapsto \int_0^1 |F_\mu^{-1}(t) -
-    (F_\nu - \alpha)^{-1}(t)|^p\,dt` over the shift; the objective is convex
-    so its subgradient is monotone and bisection on the bracket
-    :math:`[-1, 1]` converges to shift-precision ``eps``.
+    (F_\nu - \alpha)^{-1}(t)|^p\,dt` over the shift of every row at once;
+    the objective is convex, so the sign of its right derivative steers a
+    bisection of the bracket :math:`[-1, 1]` down to width ``eps``, and the
+    value is the least of the costs at the final ``lo``, midpoint and ``hi``.
+
+    On matched uniform rows (``n`` atoms of weight ``1/n`` on both sides)
+    the cost is linear between the events ``k/n``, where it is
+    :math:`C(k) = \frac1n\sum_i |x_i - \tilde y_{i+k}|^p` on the lifted
+    sorted atoms, so the slope on ``[k/n, (k+1)/n)`` has the sign of
+    ``C(k+1) - C(k)``: an integer bisection finds where it turns positive,
+    and the shift bisection reads its signs off that index.  Other rows
+    evaluate the right derivative at every step, from row-wise exact
+    searches of the lifted quantiles.
     """
     if p < 1:
         raise InvalidInput(f"order p must be >= 1, got {p}")
     if eps <= 0:
         raise InvalidInput("eps must be positive")
-    lo, hi = -1.0, 1.0
-    while hi - lo > eps:
+    x, a, cum_a, y, b, cum_b = _circle_pair(x_angles, y_angles, x_weights, y_weights)
+    lo, hi = np.full(x.shape[0], -1.0), np.full(x.shape[0], 1.0)
+    width = 2.0
+    if _matched_uniform(a[0], b[0]):
+        n = x.shape[1]
+        costs = _event_costs(x, y, p)
+        turn = _event_argmin(costs, x.shape)
+        # a flat cell reads as falling: the bracket then closes on the end
+        # of the flat run, where the interpolated cost is the same minimum
+        while width > eps:
+            mid = 0.5 * (lo + hi)
+            up = np.floor(mid * n) >= turn
+            hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+            width *= 0.5
+        values = []
+        for shift in (lo * n, 0.5 * (lo + hi) * n, hi * n):
+            cell = np.clip(np.floor(shift), -n, n - 1).astype(np.intp)
+            ends, frac = costs(cell), shift - cell
+            values.append((1.0 - frac) * ends[:, 0] + frac * ends[:, 1])
+        return np.minimum.reduce(values) / n
+    y_next = np.roll(y, -1, axis=-1)
+    y_next[:, -1] += 1.0
+    while width > eps:
+        # a zero slope pins the row: lo = hi = mid, and mid stays put
         mid = 0.5 * (lo + hi)
-        g = _circle_cost_right_derivative(mu, nu, mid, p)
-        if g > 0:
-            hi = mid
-        elif g < 0:
-            lo = mid
-        else:
-            lo = hi = mid
+        slope = _shift_slope(x, cum_a, y, y_next, cum_b, mid, p)
+        hi, lo = np.where(slope >= 0, mid, hi), np.where(slope <= 0, mid, lo)
+        width *= 0.5
     # the minimizer lies in [lo, hi]; evaluating all three candidates makes
     # the value exact when a bracket endpoint sits on the kink itself
-    return min(
-        _circle_cost(mu, nu, lo, p),
-        _circle_cost(mu, nu, 0.5 * (lo + hi), p),
-        _circle_cost(mu, nu, hi, p),
+    return np.minimum.reduce(
+        [_shift_cost(x, cum_a, y, cum_b, s, p) for s in (lo, 0.5 * (lo + hi), hi)]
     )
+
+
+def _circle_pair(x_angles, y_angles, x_weights, y_weights):
+    """:func:`_circle_rows` of both sides, which must have as many rows."""
+    x_rows = _circle_rows(x_angles, x_weights)
+    y_rows = _circle_rows(y_angles, y_weights)
+    if x_rows[0].shape[0] != y_rows[0].shape[0]:
+        raise InvalidInput("both sides need one angle row per slice")
+    return x_rows + y_rows
+
+
+def _matched_uniform(a, b):
+    """Whether two weight vectors are equal uniform ones: the case where
+    sorted atoms pair one to one."""
+    return a.size == b.size and float(np.ptp(a)) == float(np.ptp(b)) == 0.0 and a[0] == b[0]
+
+
+def _event_costs(x, y, p):
+    r"""``k -> (n C(k), n C(k+1))`` on sorted ``(L, n)`` rows, where
+    :math:`n C(k) = \sum_i |x_i - \tilde y_{i+k}|^p` and the lift is
+    :math:`\tilde y_{j+n} = \tilde y_j + 1`, for one shift per row in
+    ``[-n, n - 1]``; both costs read one window of ``n + 1`` lifted atoms."""
+    L, n = x.shape
+    lifted = np.concatenate([y - 1.0, y, y + 1.0], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(lifted, n + 1, axis=-1)
+    rows = np.arange(L)
+
+    def costs(k):
+        window = windows[rows, k + n]
+        pair = (x - window[:, :-1], x - window[:, 1:])
+        return np.stack([_power_sums(d, p) for d in pair], axis=-1)
+
+    return costs
+
+
+def _power_sums(d, p):
+    """Row sums of ``|d|^p``, overwriting ``d``."""
+    if p == 2:
+        return np.einsum("ij,ij->i", d, d)
+    np.abs(d, out=d)
+    if p != 1:
+        np.power(d, p, out=d)
+    return np.sum(d, axis=-1)
+
+
+def _event_argmin(costs, shape):
+    """Per row of ``(L, n)`` rows, the least ``k`` in ``[-n, n]`` with
+    ``C(k+1) > C(k)`` (``n`` if none): the minimizing event of the convex
+    sequence, by integer bisection."""
+    L, n = shape
+    lo, hi = np.full(L, -n), np.full(L, n)
+    while np.any(lo < hi):
+        active = lo < hi
+        mid = np.minimum((lo + hi) // 2, n - 1)
+        pair = costs(mid)
+        rising = pair[:, 1] > pair[:, 0]
+        hi = np.where(active & rising, mid, hi)
+        lo = np.where(active & ~rising, mid + 1, lo)
+    return lo
+
+
+def _periodic_rows(x, cum, s, side):
+    """Row-wise quantile lifted to the universal cover, Q(s + k) = Q(s) + k,
+    at levels ``s`` ascending along each row over at most one period;
+    ``side="left"`` reduces ``s`` to (0, 1], ``"right"`` to [0, 1).
+
+    The reduced levels are an ascending row rotated at the wrap, so their
+    ranks among ``cum`` are read off one :func:`_merge` of the row turned
+    back, ahead of ``cum`` on ties for ``side="left"``.
+    """
+    (L, n), N = cum.shape, s.shape[1]
+    k = np.ceil(s) - 1.0 if side == "left" else np.floor(s)
+    start = np.sum(k < k[:, -1:], axis=-1, keepdims=True)
+    u = _take_rows(s - k, (start + np.arange(N)) % N)
+    if side == "left":
+        ranks = _ranks(_merge(np.concatenate([u, cum], axis=-1)) < N, N)
+    else:
+        ranks = _ranks(_merge(np.concatenate([cum, u], axis=-1)) >= n, N)
+    return _take_rows(x, _take_rows(ranks, (np.arange(N) - start) % N)) + k
+
+
+def _shift_cost(x, cum_a, y, cum_b, alpha, p):
+    """Exact row-wise shifted cost ``int_0^1 |Qmu(t) - Qnu(t + alpha)|^p dt``.
+
+    Both quantiles are constant on the open intervals between merged
+    breakpoints, so evaluating at interval midpoints is exact and immune
+    to the float round-trip of the shift.
+    """
+    alpha = alpha[:, None]
+    breaks = cum_b - alpha
+    breaks = breaks - np.ceil(breaks) + 1.0  # into (0, 1]
+    qs = np.sort(np.concatenate([cum_a, breaks], axis=-1), axis=-1)
+    delta = np.diff(qs, axis=-1, prepend=0.0)
+    mids = qs - 0.5 * delta
+    diff = _periodic_rows(x, cum_a, mids, "left")
+    diff -= _periodic_rows(y, cum_b, mids + alpha, "left")
+    return np.sum(delta * np.abs(diff) ** p, axis=-1)
+
+
+def _shift_slope(x, cum_a, y, y_next, cum_b, alpha, p):
+    """Row-wise right derivative of the shifted cost in the shift: at the
+    level ``cum_b[j] - alpha`` where ``Qnu(t + alpha)`` steps from ``y[j]``
+    to ``y_next[j]`` (the next atom, lifted), ``Qmu`` from the right pays
+    the difference of the two costs."""
+    xr = _periodic_rows(x, cum_a, cum_b - alpha[:, None], "right")
+    return np.sum(np.abs(xr - y_next) ** p - np.abs(xr - y) ** p, axis=-1)

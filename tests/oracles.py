@@ -9,6 +9,8 @@ import csv
 import itertools
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy import integrate, optimize
 
@@ -155,6 +157,128 @@ def circle_wpp_grid(mu_angles, mu_weights, nu_angles, nu_weights, p, n_grid=4001
         ys = (nu_angles - cut) % 1.0
         best = min(best, wasserstein_1d_lp(xs, mu_weights, ys, nu_weights, p))
     return best
+
+
+def circle_profile(angles, weights=None):
+    """Angles reduced modulo 1 and stably sorted, with aligned weights and
+    cumulative weights rescaled to end at exactly 1."""
+    x = np.mod(np.asarray(angles, dtype=float), 1.0)
+    w = np.full(x.size, 1.0 / x.size) if weights is None else np.asarray(weights, float)
+    order = np.argsort(x, kind="stable")
+    cum = np.cumsum(w[order])
+    return SimpleNamespace(angles=x[order], weights=w[order], cum=cum / cum[-1])
+
+
+def circle_w2_vs_uniform_profile(mu):
+    """W_2^2 of a circle profile against the uniform measure, one profile at
+    a time: the sorted closed form for uniform weights, else the integral of
+    ``(F_mu^{-1}(t) - t - alpha)^2`` at the optimal shift."""
+    x, w, cum = mu.angles, mu.weights, mu.cum
+    n = x.size
+    if np.max(np.abs(w - 1.0 / n)) <= 1e-12:
+        i = np.arange(1, n + 1)
+        spread = np.mean(x**2) - np.mean(x) ** 2
+        return float(spread + np.sum((n + 1 - 2 * i) * x) / n**2 + 1.0 / 12.0)
+    alpha = float(np.sum(w * x)) - 0.5
+    upper = x - alpha - np.concatenate([[0.0], cum[:-1]])
+    lower = x - alpha - cum
+    return float(np.sum(upper**3 - lower**3) / 3.0)
+
+
+def cdf_difference_steps(mu, nu):
+    """``F_mu - F_nu`` on the circle as ``(values, lengths)`` of its arcs,
+    the wrap-around arc included."""
+    events = np.concatenate([mu.angles, nu.angles])
+    signed = np.concatenate([mu.weights, -nu.weights])
+    order = np.argsort(events, kind="stable")
+    events, signed = events[order], signed[order]
+    values = np.cumsum(signed)
+    lengths = np.empty_like(events)
+    lengths[:-1] = np.diff(events)
+    lengths[-1] = 1.0 - events[-1] + events[0]
+    return values, lengths
+
+
+def circle_w1_level_median_profile(mu, nu):
+    """Circle W_1 of two profiles as ``int |F_mu - F_nu - LevMed|``."""
+    values, lengths = cdf_difference_steps(mu, nu)
+    order = np.argsort(values, kind="stable")
+    cum_len = np.cumsum(lengths[order])
+    lev_med = values[order][np.searchsorted(cum_len, 0.5, side="left")]
+    return float(np.sum(lengths * np.abs(values - lev_med)))
+
+
+def periodic_quantile(profile, s, side="left"):
+    """Quantile lifted to the universal cover, Q(s + k) = Q(s) + k, by one
+    binary search per level."""
+    s = np.asarray(s, dtype=float)
+    k = np.ceil(s) - 1.0 if side == "left" else np.floor(s)
+    idx = np.searchsorted(profile.cum, s - k, side=side)
+    return profile.angles[np.clip(idx, 0, profile.angles.size - 1)] + k
+
+
+def circle_shift_cost(mu, nu, alpha, p):
+    """``int_0^1 |Qmu(t) - Qnu(t + alpha)|^p dt``, exact at the midpoints of
+    the merged breakpoints."""
+    nu_breaks = nu.cum - alpha
+    nu_breaks = nu_breaks - np.ceil(nu_breaks) + 1.0  # into (0, 1]
+    qs = np.sort(np.concatenate([mu.cum, nu_breaks]), kind="stable")
+    delta = np.diff(qs, prepend=0.0)
+    mids = qs - 0.5 * delta
+    diff = np.abs(periodic_quantile(mu, mids) - periodic_quantile(nu, mids + alpha))
+    return float(np.sum(delta * diff**p))
+
+
+def circle_shift_slope(mu, nu, alpha, p):
+    """Right derivative of :func:`circle_shift_cost` in the shift."""
+    m = nu.angles.size
+    s = nu.cum - alpha
+    k = np.ceil(s) - 1.0
+    t = s - k  # in (0, 1]
+    lift = t + alpha - nu.cum
+    y_left = nu.angles + lift
+    y_right = np.empty(m)
+    y_right[:-1] = nu.angles[1:] + lift[:-1]
+    y_right[-1] = nu.angles[0] + lift[-1] + 1.0
+    x = periodic_quantile(mu, t, side="right")
+    return float(np.sum(np.abs(x - y_right) ** p - np.abs(x - y_left) ** p))
+
+
+def circle_wp_bisection(mu, nu, p, eps):
+    """Circle W_p^p of two profiles by scalar bisection of the shift on the
+    sign of :func:`circle_shift_slope`, down to bracket width ``eps``; the
+    least cost at the final ``lo``, midpoint and ``hi``."""
+    lo, hi = -1.0, 1.0
+    while hi - lo > eps:
+        mid = 0.5 * (lo + hi)
+        g = circle_shift_slope(mu, nu, mid, p)
+        if g > 0:
+            hi = mid
+        elif g < 0:
+            lo = mid
+        else:
+            lo = hi = mid
+    return min(circle_shift_cost(mu, nu, s, p) for s in (lo, 0.5 * (lo + hi), hi))
+
+
+def ssw_per_frame(x_frames, y_frames, a, b, p, eps):
+    """SSW_p^p from ``(L, n)`` great-circle angles, one profile pair per
+    frame: the level median for ``p = 1``, the bisection otherwise."""
+    total = 0.0
+    for x_angles, y_angles in zip(x_frames, y_frames):
+        mu = circle_profile(x_angles, a)
+        nu = circle_profile(y_angles, b)
+        if p == 1:
+            total += circle_w1_level_median_profile(mu, nu)
+        else:
+            total += circle_wp_bisection(mu, nu, p, eps)
+    return total / len(x_frames)
+
+
+def ssw2_vs_uniform_per_frame(x_frames, a):
+    """SSW_2^2 against the uniform measure, one closed form per frame."""
+    values = [circle_w2_vs_uniform_profile(circle_profile(f, a)) for f in x_frames]
+    return sum(values) / len(x_frames)
 
 
 def gw_inner_exhaustive(x, a, y, b):

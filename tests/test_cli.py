@@ -343,6 +343,46 @@ class TestInputBoundary:
         assert captured.out == ""
         assert "positive total mass" in captured.err
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_missing_file_exit_two_names_path(self, tmp_path, capsys, side):
+        ok, missing = tmp_path / "ok.csv", tmp_path / "missing.csv"
+        euclidean_csv(ok, np.eye(3))
+        paths = [str(ok), str(ok)]
+        paths[side] = str(missing)
+        assert main(["dist", "sw", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{missing}: cannot read file" in captured.err
+
+    def test_directory_exit_two(self, tmp_path, capsys):
+        assert main(["pca", str(tmp_path)]) == 2
+        assert f"{tmp_path}: cannot read file" in capsys.readouterr().err
+
+    def test_non_utf8_file_exit_two_names_path(self, tmp_path, capsys):
+        ok, binary = tmp_path / "ok.csv", tmp_path / "bin.csv"
+        euclidean_csv(ok, np.eye(3))
+        binary.write_bytes(b"x0,x1\n0.1,\xd0\xff\n")
+        assert main(["dist", "sw", str(binary), str(ok)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{binary}: not UTF-8 text" in captured.err
+
+    def test_csv_field_over_the_limit_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("x0,x1\n0.1," + "1" * 200_000 + "\n")
+        assert main(["dist", "sw", str(path), str(path)]) == 2
+        assert f"{path}: malformed CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    def test_pca_rejects_weight_column(self, tmp_path, capsys, weights):
+        path = tmp_path / "g.csv"
+        write_csv(path, ["mean", "sigma", "weight"],
+                  [[m, 1.0 + m, w] for m, w in zip([0.1, 0.2, 0.4], weights)])
+        assert main(["pca", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "column 'weight' is not accepted" in captured.err
+
     def test_nan_value_exit_three_with_empty_stdout(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -12,7 +12,10 @@ from msot.gw import gw1d_inner, nw_corner
 from msot.measures import (
     build_circle_profile,
     build_profile,
+    circle_w1_batched,
     circle_w1_level_median,
+    circle_w2_uniform_batched,
+    circle_wp_batched,
     dual_1d_batched,
     wasserstein_1d,
     wasserstein_1d_batched,
@@ -25,11 +28,18 @@ from msot.spd import (
 )
 from msot.unbalanced import UnbalancedParams, phi_conj, sliced_dual, suot
 from msot.sliced import EuclideanSlicer, sample_directions
+from msot.sphere import _project_frames, sample_stiefel, ssw, ssw2_vs_uniform
 from oracles import (
+    circle_profile,
+    circle_w1_level_median_profile,
+    circle_w2_vs_uniform_profile,
+    circle_wp_bisection,
     dual_sweep,
     is_geodesic_ray_1d_walk,
     piecewise_inner_walk,
     quantile_features_loop,
+    ssw2_vs_uniform_per_frame,
+    ssw_per_frame,
     wasserstein_1d_lp,
     wasserstein_1d_walk,
 )
@@ -302,6 +312,113 @@ class TestCircleProperties:
         d = circle_w1_level_median(mu, nu)
         assert 0 <= d <= 0.5 + 1e-12
         assert d == pytest.approx(circle_w1_level_median(nu, mu), abs=1e-12)
+
+
+# angles that put atoms, cumulative weights and shift events on each other:
+# the circle's ends (1 - ulp reduces to itself, 0 and 1 coincide), the
+# dyadic midpoints of the shift bisection and grids k/n
+EDGE_ANGLES = [0.0, 1.0 - 2.0**-53, 0.25, 0.5, 0.75, 1.0]
+
+
+@st.composite
+def circle_angle_rows(draw):
+    """``(L, n)`` and ``(L, m)`` angle rows with one weight vector per side:
+    tie-heavy grids, circle ends, exact duplicates, identical sides, ``n !=
+    m``, and uniform, integer (zero weights included) or float weights."""
+    L, n = draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    m = draw(st.one_of(st.just(n), st.integers(1, 8)))
+
+    def angles(k):
+        kind = draw(st.sampled_from(["grid", "edges", "float", "duplicates"]))
+        if kind == "grid":
+            cells = st.integers(0, 4 * k)
+            return draw(hnp.arrays(np.float64, (L, k), elements=cells)) / (4 * k)
+        if kind == "edges":
+            edges = st.sampled_from(EDGE_ANGLES)
+            return draw(hnp.arrays(np.float64, (L, k), elements=edges))
+        row = draw(hnp.arrays(np.float64, (L, k), elements=st.floats(0.0, 1.0)))
+        return row if kind == "float" else np.repeat(row[:, :1], k, axis=1)
+
+    def weights(k):
+        kind = draw(st.sampled_from(["uniform", "integer", "float"]))
+        if kind == "uniform":
+            return None
+        if kind == "integer":
+            w = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), float)
+            w[draw(st.integers(0, k - 1))] += 1.0
+        else:
+            w = draw(hnp.arrays(np.float64, k, elements=st.floats(0.01, 1.0)))
+        return w / w.sum()
+
+    x, a = angles(n), weights(n)
+    if m == n and draw(st.booleans()):
+        return x, a, x.copy(), a  # identical sides
+    return x, a, angles(m), weights(m)
+
+
+# values that are themselves rounding residue (a bisection that ends next
+# to a zero minimum) compare to 1e-15 absolute
+RTOL, ATOL = 1e-12, 1e-15
+
+
+class TestFrameBatchedCircleSolvers:
+    """The frame-batched circle solvers against one profile per frame."""
+
+    @given(circle_angle_rows(), st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           st.sampled_from([1e-6, 1e-9]))
+    @settings(max_examples=300, deadline=None)
+    def test_shift_bisection_equals_per_frame_oracle(self, rows, p, eps):
+        x, a, y, b = rows
+        got = circle_wp_batched(x, y, a, b, p=p, eps=eps)
+        for ell in range(x.shape[0]):
+            mu, nu = circle_profile(x[ell], a), circle_profile(y[ell], b)
+            want = circle_wp_bisection(mu, nu, p, eps)
+            assert got[ell] == pytest.approx(want, rel=RTOL, abs=ATOL)
+
+    @given(circle_angle_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_w1_and_uniform_closed_forms_equal_per_frame_oracles(self, rows):
+        x, a, y, b = rows
+        w1 = circle_w1_batched(x, y, a, b)
+        w2 = circle_w2_uniform_batched(x, a)
+        for ell in range(x.shape[0]):
+            mu, nu = circle_profile(x[ell], a), circle_profile(y[ell], b)
+            assert w1[ell] == pytest.approx(
+                circle_w1_level_median_profile(mu, nu), rel=RTOL, abs=ATOL)
+            assert w2[ell] == pytest.approx(
+                circle_w2_vs_uniform_profile(mu), rel=RTOL, abs=ATOL)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 5, 20]),
+        st.sampled_from([1, 2, 5, 20]),
+        st.sampled_from(["uniform", "weighted", "duplicates", "identical"]),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+        st.sampled_from([1e-6, 1e-9]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ssw_equals_per_frame_oracle(self, seed, n, m, kind, p, eps):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        y = x.copy() if kind == "identical" else rng.standard_normal((m, 3))
+        if kind == "duplicates":
+            x[n // 2:] = x[0]
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        a = b = None
+        if kind == "weighted":
+            a, b = rng.random(n), rng.integers(0, 3, len(y)).astype(float)
+            b[0] += 1.0
+            a, b = a / a.sum(), b / b.sum()
+        frames = sample_stiefel(3, 6, seed=seed % 1000)
+        u, v = _project_frames(x, frames), _project_frames(y, frames)
+        aa = np.full(n, 1.0 / n) if a is None else a
+        bb = np.full(len(y), 1.0 / len(y)) if b is None else b
+        want = ssw_per_frame(u, v, aa, bb, p, eps)
+        assert ssw(x, y, frames, p=p, x_weights=a, y_weights=b, eps=eps) == pytest.approx(
+            want, rel=RTOL, abs=ATOL)
+        assert ssw2_vs_uniform(x, frames, x_weights=a) == pytest.approx(
+            ssw2_vs_uniform_per_frame(u, aa), rel=RTOL, abs=ATOL)
 
 
 class TestSuotScaleInvariance:
