@@ -12,7 +12,9 @@ import json
 import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from itertools import chain, compress
 
 import numpy as np
@@ -167,23 +169,68 @@ def _slicer(mu, cfg, kind):
     return hyperbolic.HyperbolicSlicer(dirs, model=mu.geometry, kind=kind)
 
 
-def _line(kind):
-    def run(mu, nu, cfg):
-        slicer = _slicer(mu, cfg, kind)
-        return sliced.sliced_cost(
-            slicer, mu.atoms, nu.atoms, cfg.p, mu.weights, nu.weights
-        ), {}
+@dataclass(frozen=True)
+class Line:
+    """A line-valued sliced distance: ``setup(mu, cfg)`` builds the seeded
+    slicer that every pair shares, which reads ``points(atoms)`` of each
+    dataset (the atoms themselves when ``points`` is None).  A matrix
+    projects and sorts each dataset once."""
 
-    return run
+    setup: Callable
+    points: Callable | None = None
+
+    def _cloud(self, data):
+        return data.atoms if self.points is None else self.points(data.atoms)
+
+    def run(self, slicer, mu, nu, cfg):
+        cost = sliced.sliced_cost(
+            slicer, self._cloud(mu), self._cloud(nu), cfg.p, mu.weights, nu.weights
+        )
+        return cost, {}
+
+    def matrix(self, slicer, datasets, cfg):
+        clouds = [self._cloud(data) for data in datasets]
+        weights = [data.weights for data in datasets]
+        return sliced.sliced_cost_matrix(slicer, clouds, cfg.p, weights)
 
 
-def _logsw(mu, nu, cfg):
+@dataclass(frozen=True)
+class Pairwise:
+    """A distance with no line coordinates: ``setup(mu, cfg)`` builds what
+    every pair shares (slicer, frames, parameters) and ``run(shared, mu, nu,
+    cfg) -> (value, extras)`` solves one pair; a matrix solves every pair."""
+
+    setup: Callable
+    run: Callable
+
+    def matrix(self, shared, datasets, cfg):
+        k = len(datasets)
+        values = np.zeros((k, k))
+        for i, j in zip(*np.triu_indices(k, 1)):
+            value, _ = self.run(shared, datasets[i], datasets[j], cfg)
+            values[i, j] = values[j, i] = value
+        if k == 1:
+            # a lone dataset is in no pair: solve it against itself for the
+            # checks that run on a pair, and keep the zero diagonal
+            self.run(shared, datasets[0], datasets[0], cfg)
+        return values
+
+
+def _logsw_slicer(mu, cfg):
     dirs = spd.logsw_directions(mu.atoms.shape[1], cfg.projections, cfg.seed)
-    return spd.logsw(mu.atoms, nu.atoms, dirs, cfg.p, mu.weights, nu.weights), {}
+    return sliced.EuclideanSlicer(dirs)
 
 
-def _ssw(mu, nu, cfg):
-    frames = sphere.sample_stiefel(mu.atoms.shape[1], cfg.projections, cfg.seed)
+def _log_vectors(atoms):
+    """The flat-metric points of :func:`spd.logsw`: vectorized matrix logs."""
+    return spd.sym_to_vec(spd.spd_log(atoms))
+
+
+def _frames(mu, cfg):
+    return sphere.sample_stiefel(mu.atoms.shape[1], cfg.projections, cfg.seed)
+
+
+def _ssw(frames, mu, nu, cfg):
     value = sphere.ssw(
         mu.atoms, nu.atoms, frames, cfg.p, mu.weights, nu.weights, eps=cfg.eps
     )
@@ -215,10 +262,14 @@ def _dual_extras(marginals, pots, history):
     }
 
 
-def _suot(mu, nu, cfg):
+def _unbalanced_setup(mu, cfg):
+    return _slicer(mu, cfg, "geodesic"), _unbalanced_params(cfg)
+
+
+def _suot(shared, mu, nu, cfg):
+    slicer, params = shared
     value, pots, history = unbalanced.suot(
-        mu.atoms, nu.atoms, _slicer(mu, cfg, "geodesic"), _unbalanced_params(cfg),
-        x_weights=mu.weights, y_weights=nu.weights,
+        mu.atoms, nu.atoms, slicer, params, x_weights=mu.weights, y_weights=nu.weights
     )
     # marginals of the slice-averaged dual pair
     mean_pots = unbalanced.DualPotentials(
@@ -230,10 +281,10 @@ def _suot(mu, nu, cfg):
     return value, _dual_extras(marginals, pots, history)
 
 
-def _usw(mu, nu, cfg):
+def _usw(shared, mu, nu, cfg):
+    slicer, params = shared
     value, pots, marginals, history = unbalanced.usw(
-        mu.atoms, nu.atoms, _slicer(mu, cfg, "geodesic"), _unbalanced_params(cfg),
-        x_weights=mu.weights, y_weights=nu.weights,
+        mu.atoms, nu.atoms, slicer, params, x_weights=mu.weights, y_weights=nu.weights
     )
     return value, _dual_extras(marginals, pots, history)
 
@@ -264,47 +315,59 @@ def _hw_plan(mu, nu, cfg):
 GW_PLANS = {"gw1d": _gw1d_plan, "hw": _hw_plan}
 
 
-def _gw1d(mu, nu, cfg):
+def _gw1d(_, mu, nu, cfg):
     plan, value = _gw1d_plan(mu, nu, cfg)
     return value, {"plan_support_size": int(np.count_nonzero(plan))}
 
 
-def _hw(mu, nu, cfg):
+def _hw(_, mu, nu, cfg):
     plan, value = _hw_plan(mu, nu, cfg)
     return value, {"plan_support_size": int(np.count_nonzero(plan > 1e-14))}
 
 
+def _no_setup(mu, cfg):
+    return None
+
+
 _HYPERBOLIC = ("lorentz", "poincare")
 _SLICED = ("euclidean", *_HYPERBOLIC, "spd")
+_GEODESIC = Line(partial(_slicer, kind="geodesic"))
+_HOROSPHERICAL = Line(partial(_slicer, kind="horospherical"))
 
-# distance name -> (accepted geometries, run(mu, nu, cfg) -> (value, extras))
+# distance name -> (accepted geometries, Line or Pairwise)
 DISTANCES = {
-    "sw": (("euclidean",), _line("geodesic")),
-    "ghsw": (_HYPERBOLIC, _line("geodesic")),
-    "hhsw": (_HYPERBOLIC, _line("horospherical")),
-    "spdsw": (("spd",), _line("geodesic")),
-    "hspdsw": (("spd",), _line("horospherical")),
-    "logsw": (("spd",), _logsw),
-    "ssw": (("sphere",), _ssw),
-    "suot": (_SLICED, _suot),
-    "usw": (_SLICED, _usw),
-    "gw1d": (("euclidean",), _gw1d),
-    "hw": (("euclidean",), _hw),
+    "sw": (("euclidean",), _GEODESIC),
+    "ghsw": (_HYPERBOLIC, _GEODESIC),
+    "hhsw": (_HYPERBOLIC, _HOROSPHERICAL),
+    "spdsw": (("spd",), _GEODESIC),
+    "hspdsw": (("spd",), _HOROSPHERICAL),
+    "logsw": (("spd",), Line(_logsw_slicer, _log_vectors)),
+    "ssw": (("sphere",), Pairwise(_frames, _ssw)),
+    "suot": (_SLICED, Pairwise(_unbalanced_setup, _suot)),
+    "usw": (_SLICED, Pairwise(_unbalanced_setup, _usw)),
+    "gw1d": (("euclidean",), Pairwise(_no_setup, _gw1d)),
+    "hw": (("euclidean",), Pairwise(_no_setup, _hw)),
 }
+
+
+def _distance(cmd, geometry):
+    """The distance ``cmd``, checked to accept the geometry."""
+    if cmd not in DISTANCES:
+        raise InvalidInput(f"unknown distance {cmd!r}")
+    allowed, distance = DISTANCES[cmd]
+    if geometry not in allowed:
+        raise InvalidInput(
+            f"distance {cmd!r} supports geometries {allowed}, got {geometry!r}"
+        )
+    return distance
 
 
 def compute_distance(cmd, mu, nu, cfg):
     """Dispatch one distance computation; returns (value, extras dict)."""
-    if cmd not in DISTANCES:
-        raise InvalidInput(f"unknown distance {cmd!r}")
-    allowed, run = DISTANCES[cmd]
-    if mu.geometry not in allowed:
-        raise InvalidInput(
-            f"distance {cmd!r} supports geometries {allowed}, got {mu.geometry!r}"
-        )
+    distance = _distance(cmd, mu.geometry)
     if mu.geometry != nu.geometry:
         raise InvalidInput("both datasets must share the geometry tag")
-    value, extras = run(mu, nu, cfg)
+    value, extras = distance.run(distance.setup(mu, cfg), mu, nu, cfg)
     return float(value), extras
 
 
@@ -341,14 +404,10 @@ def run_dist(args, cfg):
 def run_matrix(args, cfg):
     datasets = [load_dataset(path, args.geometry) for path in args.inputs]
     start = time.perf_counter()
-    k = len(datasets)
-    values = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            # shared slices: the seeded samplers inside compute_distance are
-            # identical across pairs by construction
-            values[i, j], _ = compute_distance(args.name, datasets[i], datasets[j], cfg)
-            values[j, i] = values[i, j]
+    distance = _distance(args.name, args.geometry)
+    # the seeded slicer of the first dataset is every pair's; building it
+    # checks the config even when there is no pair
+    values = distance.matrix(distance.setup(datasets[0], cfg), datasets, cfg)
     payload = {
         "command": "matrix",
         "distance": args.name,

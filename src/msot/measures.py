@@ -104,6 +104,12 @@ def wasserstein_1d(mu, nu, p=2.0):
     return float(wasserstein_1d_batched(u, v, mu.weights, nu.weights, p)[0])
 
 
+def check_order(p):
+    """Reject a transport order below 1, where the costs are not convex."""
+    if p < 1:
+        raise InvalidInput(f"order p must be >= 1, got {p}")
+
+
 def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p=2.0):
     r"""Column-wise :math:`W_p^p` between 1D measures sharing fixed weights.
 
@@ -112,10 +118,12 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     Matched uniform clouds pair sorted values; otherwise the counts of a
     :func:`_merge` of the cumulative weights are the quantile indices
     ``(i_k, j_k)`` and the cost is :math:`\sum_k (q_k - q_{k-1})
-    c(u_{i_k}, v_{j_k})` over the merged levels, computed in place.
+    c(u_{i_k}, v_{j_k})` over the merged levels, computed in place.  Each
+    side is sorted on its own, so :func:`sort_slices` and
+    :func:`wasserstein_1d_sorted` split the work between the measures and
+    the pairs of many measures.
     """
-    if p < 1:
-        raise InvalidInput(f"order p must be >= 1, got {p}")
+    check_order(p)
     u_values = np.asarray(u_values, dtype=float)
     v_values = np.asarray(v_values, dtype=float)
     n, L = u_values.shape
@@ -124,9 +132,7 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
         raise InvalidInput("u_values and v_values must have the same column count")
     u_weights = validate_weights(u_weights, n=n)
     v_weights = validate_weights(v_weights, n=m)
-    mu_mass, nu_mass = float(np.sum(u_weights)), float(np.sum(v_weights))
-    if abs(mu_mass - nu_mass) > MASS_ATOL:
-        raise MassMismatch(f"total masses differ: {mu_mass} vs {nu_mass}")
+    _check_masses(float(np.sum(u_weights)), float(np.sum(v_weights)))
 
     # row-major layout (L, n): every subsequent operation runs along the
     # contiguous last axis, which dominates the runtime at large L.  Ties
@@ -136,20 +142,78 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     v_rows = np.ascontiguousarray(v_values.T)
     if _matched_uniform(u_weights, v_weights):
         # matched uniform clouds: sorted pairing, no quantile merge needed
-        diff = np.abs(np.sort(u_rows, axis=-1) - np.sort(v_rows, axis=-1))
-        return np.sum(diff if p == 1 else diff**p, axis=-1) * u_weights[0]
-
+        u_rows, v_rows = np.sort(u_rows, axis=-1), np.sort(v_rows, axis=-1)
+        return _paired_cost(u_rows, v_rows, u_weights[0], p)
     levels = np.empty((L, n + m))
     u_sorted = _sorted_with_cum(u_rows, u_weights, levels[:, :n])
     v_sorted = _sorted_with_cum(v_rows, v_weights, levels[:, n:])
     del u_rows, v_rows
+    return _merged_cost(u_sorted, v_sorted, levels, p)
+
+
+@dataclass(frozen=True)
+class SortedSlices:
+    """One measure's half of :func:`wasserstein_1d_batched`: its ``(L, n)``
+    slice coordinates sorted along rows, its weights, their cumulative sums
+    in row order (one ``(n,)`` row for all slices when the weights are
+    uniform) and its total mass."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+    cum: np.ndarray
+    mass: float
+
+
+def sort_slices(values, weights=None):
+    """The per-measure half of :func:`wasserstein_1d_batched` for ``(n, L)``
+    coordinates: sort each slice once, to compare with many measures."""
+    rows = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    w = validate_weights(weights, n=rows.shape[1])
+    cum = np.empty(w.shape if float(np.ptp(w)) == 0.0 else rows.shape)
+    return SortedSlices(_sorted_with_cum(rows, w, cum), w, cum, float(np.sum(w)))
+
+
+def wasserstein_1d_sorted(u, v, p=2.0):
+    """The per-pair half of :func:`wasserstein_1d_batched` on two
+    :class:`SortedSlices`, with the same values: the sorted-row difference
+    on matched uniform rows, one :func:`_merge` otherwise."""
+    check_order(p)
+    (L, n), (Lv, m) = u.rows.shape, v.rows.shape
+    if L != Lv:
+        raise InvalidInput("both measures need one row per slice")
+    _check_masses(u.mass, v.mass)
+    if _matched_uniform(u.weights, v.weights):
+        return _paired_cost(u.rows, v.rows, u.weights[0], p)
+    levels = np.empty((L, n + m))
+    levels[:, :n], levels[:, n:] = u.cum, v.cum
+    return _merged_cost(u.rows, v.rows, levels, p)
+
+
+def _check_masses(mu_mass, nu_mass):
+    if abs(mu_mass - nu_mass) > MASS_ATOL:
+        raise MassMismatch(f"total masses differ: {mu_mass} vs {nu_mass}")
+
+
+def _paired_cost(u_sorted, v_sorted, weight, p):
+    """Row sums of ``weight |u - v|^p`` over sorted rows of equal length."""
+    diff = np.abs(u_sorted - v_sorted)
+    return np.sum(diff if p == 1 else diff**p, axis=-1) * weight
+
+
+def _merged_cost(u_sorted, v_sorted, levels, p):
+    """Row-wise :math:`W_p^p` of sorted rows whose cumulative weights are
+    the two halves of ``levels``, which is overwritten."""
+    n, N = u_sorted.shape[1], levels.shape[1]
     order = _merge(levels)
     ahead = _ahead(order, n)
-    levels = _take_rows(levels, order)
+    merged = _take_rows(levels, order)
     del order
-    delta = np.diff(levels, axis=-1, prepend=0.0)
-    del levels
-    behind = np.arange(n + m) - ahead
+    # the rise of every merged level, written over the caller's levels
+    delta = levels
+    delta[:, 0] = merged[:, 0]
+    np.subtract(merged[:, 1:], merged[:, :-1], out=delta[:, 1:])
+    del merged
+    behind = np.arange(N) - ahead
     cost = _take_rows(u_sorted, ahead)
     del ahead
     cost -= _take_rows(v_sorted, behind)
@@ -194,8 +258,7 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     ``j``.  Feasibility of every step's cell ``(i+1, j)`` is asserted to 1e-9
     relative to the largest such cost (absolute below unit cost).
     """
-    if p < 1:
-        raise InvalidInput(f"order p must be >= 1, got {p}")
+    check_order(p)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     cum_a, cum_b = np.cumsum(a, axis=-1), np.cumsum(b, axis=-1)
@@ -317,7 +380,8 @@ def _take_rows(values, idx):
 
 
 def _sorted_with_cum(rows, weights, cum):
-    """Sorted copy of ``(L, n)`` rows; their cumulative weights go to ``cum``."""
+    """Sorted copy of ``(L, n)`` rows; their cumulative weights go to ``cum``,
+    which may be one ``(n,)`` row when the weights are uniform."""
     if float(np.ptp(weights)) == 0.0:
         cum[:] = np.cumsum(weights)
         return np.sort(rows, axis=-1)
@@ -476,8 +540,7 @@ def circle_wp_batched(x_angles, y_angles, x_weights=None, y_weights=None, p=2.0,
     evaluate the right derivative at every step, from row-wise exact
     searches of the lifted quantiles.
     """
-    if p < 1:
-        raise InvalidInput(f"order p must be >= 1, got {p}")
+    check_order(p)
     if eps <= 0:
         raise InvalidInput("eps must be positive")
     x, a, cum_a, y, b, cum_b = _circle_pair(x_angles, y_angles, x_weights, y_weights)

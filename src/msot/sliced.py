@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .measures import validate_weights, wasserstein_1d_batched
+from .measures import (
+    check_order,
+    sort_slices,
+    validate_weights,
+    wasserstein_1d_batched,
+    wasserstein_1d_sorted,
+)
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,31 @@ def sliced_cost(slicer, x, y, p=2.0, x_weights=None, y_weights=None):
         slicer.coordinates(x), slicer.coordinates(y), a, b, p=p
     )
     return float(np.mean(costs))
+
+
+def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
+    """:func:`sliced_cost` of every pair of ``k`` clouds, as a symmetric
+    ``(k, k)`` array with a zero diagonal and bit-identical entries.
+
+    Each cloud is validated, mapped to its coordinates and sorted once;
+    each pair then runs only :func:`measures.wasserstein_1d_sorted`.  The
+    order ``p`` is checked first, then the clouds in turn (each against the
+    atom shape of the first), then the pairs' total masses in row order.
+    """
+    check_order(p)
+    weights = [None] * len(clouds) if weights is None else weights
+    sides, shape = [], None
+    for x, w in zip(clouds, weights, strict=True):
+        x, w = validate_cloud(x, w)
+        shape = x.shape[1:] if shape is None else shape
+        if x.shape[1:] != shape:
+            raise InvalidInput(f"atom shape mismatch: {shape} vs {x.shape[1:]}")
+        sides.append(sort_slices(slicer.coordinates(x), w))
+    values = np.zeros((len(sides), len(sides)))
+    for i, j in zip(*np.triu_indices(len(sides), 1)):
+        costs = wasserstein_1d_sorted(sides[i], sides[j], p)
+        values[i, j] = values[j, i] = np.mean(costs)
+    return values
 
 
 @dataclass(frozen=True)

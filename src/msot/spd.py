@@ -117,6 +117,8 @@ def sample_unit_symmetric(d, n_projections, seed=0):
     """
     if d < 2:
         raise InvalidInput("symmetric slicing needs d >= 2")
+    if n_projections < 1:
+        raise InvalidInput("n_projections must be positive")
     rng = np.random.default_rng(seed)
     q = haar_orthonormal(rng.standard_normal((n_projections, d, d)))
     theta = rng.standard_normal((n_projections, d))

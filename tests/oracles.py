@@ -586,3 +586,18 @@ def load_dataset_rows(path, geometry, relative_symmetry=False):
         if np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0)) <= EIG_FLOOR:
             raise InvalidInput(f"{path}: row {k}: matrix not positive definite")
     return mats, w
+
+
+def matrix_per_pair(name, paths, geometry, cfg):
+    """``msot matrix`` as one ``compute_distance`` call per pair: every file
+    is loaded, then projected and sorted again for each pair it is in."""
+    from msot import cli
+
+    datasets = [cli.load_dataset(path, geometry) for path in paths]
+    k = len(datasets)
+    values = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            values[i, j], _ = cli.compute_distance(name, datasets[i], datasets[j], cfg)
+            values[j, i] = values[i, j]
+    return values

@@ -27,7 +27,13 @@ from msot.spd import (
     sample_unit_symmetric,
 )
 from msot.unbalanced import UnbalancedParams, phi_conj, sliced_dual, suot
-from msot.sliced import EuclideanSlicer, sample_directions
+from msot.sliced import (
+    DirectionSet,
+    EuclideanSlicer,
+    sample_directions,
+    sliced_cost,
+    sliced_cost_matrix,
+)
 from msot.sphere import _project_frames, sample_stiefel, ssw, ssw2_vs_uniform
 from oracles import (
     circle_profile,
@@ -419,6 +425,45 @@ class TestFrameBatchedCircleSolvers:
             want, rel=RTOL, abs=ATOL)
         assert ssw2_vs_uniform(x, frames, x_weights=a) == pytest.approx(
             ssw2_vs_uniform_per_frame(u, aa), rel=RTOL, abs=ATOL)
+
+
+@st.composite
+def tied_clouds(draw):
+    """One to four clouds of 1 to 8 points on the integer grid {-2..2}^2,
+    so atoms repeat within and across clouds, each uniform or with weights
+    in multiples of 1/8 (zeros included), so levels tie across clouds."""
+    clouds, weights = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 8))
+        cell = st.integers(-2, 2).map(float)
+        clouds.append(draw(hnp.arrays(np.float64, (n, 2), elements=cell)))
+        cuts = draw(st.lists(st.integers(0, 8), min_size=n - 1, max_size=n - 1))
+        eighths = np.diff([0, *sorted(cuts), 8]) / 8.0
+        weights.append(draw(st.sampled_from([None, eighths])))
+    return clouds, weights
+
+
+class TestSortedSlices:
+    """The per-measure / per-pair split of the 1D cost kernel against the
+    whole kernel, one pair at a time."""
+
+    @given(tied_clouds(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_equals_sliced_cost_per_pair(self, clouds_weights, p, n_random):
+        clouds, weights = clouds_weights
+        # the axes and diagonals tie grid points on every slice
+        axes = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+        dirs = np.vstack([axes / np.linalg.norm(axes, axis=1, keepdims=True),
+                          sample_directions(2, n_random + 1, seed=n_random).dirs])
+        slicer = EuclideanSlicer(DirectionSet(dirs=dirs, seed=0))
+        got = sliced_cost_matrix(slicer, clouds, p, weights)
+        k = len(clouds)
+        assert got.shape == (k, k)
+        assert np.array_equal(np.diag(got), np.zeros(k))
+        for i in range(k):
+            for j in range(i + 1, k):
+                want = sliced_cost(slicer, clouds[i], clouds[j], p, weights[i], weights[j])
+                assert got[i, j] == got[j, i] == want
 
 
 class TestSuotScaleInvariance:
