@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateData, InvalidInput, NotARay, check_atoms
 from .measures import SortedProfile, quantile_rows
-from .spd import sym_eig
+from .spd import inv_sqrt_eig, sym_eig
 
 UNIT_SPEED_ATOL = 1e-10
 RAY_EIG_SLACK = 1e-9
@@ -133,8 +133,8 @@ def busemann_gaussian1d(ray, m, s):
     return -(ray.m1 - ray.m0) * (m - ray.m0) - (ray.s1 - ray.s0) * (s - ray.s0)
 
 
-def _sqrtm(mat):
-    vals, vecs = sym_eig(mat)
+def _sqrt_eig(vals, vecs):
+    """``M^{1/2}`` from ``(vals, vecs) = sym_eig(M)``, clamped at 0."""
     return vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
 
 
@@ -145,7 +145,7 @@ def _trace_sqrt_psd(mat):
 
 def bw_distance_sq(mu, nu):
     """Squared Bures-Wasserstein distance between two Gaussians."""
-    s = _sqrtm(mu.cov)
+    s = _sqrt_eig(*sym_eig(mu.cov))
     cross = _trace_sqrt_psd(s @ nu.cov @ s)
     return float(
         np.sum((mu.mean - nu.mean) ** 2)
@@ -160,10 +160,10 @@ def bw_ray_map(mu0, mu1):
     ``S = Sigma_0``; raises unless ``A >= I`` (within eigenvalue slack) and
     the pair has unit speed.
     """
-    s_half = _sqrtm(mu0.cov)
     vals, vecs = sym_eig(mu0.cov)
-    s_inv_half = vecs @ np.diag(vals**-0.5) @ vecs.T
-    inner = _sqrtm(s_half @ mu1.cov @ s_half)
+    s_half = _sqrt_eig(vals, vecs)
+    s_inv_half = inv_sqrt_eig(vals, vecs)
+    inner = _sqrt_eig(*sym_eig(s_half @ mu1.cov @ s_half))
     a = s_inv_half @ inner @ s_inv_half
     a = (a + a.T) / 2.0
     a_vals, _ = sym_eig(a - np.eye(a.shape[0]))
@@ -185,7 +185,7 @@ def busemann_bw(mu0, mu1, nu):
           + \Sigma_1)\Sigma^{1/2})^{1/2}\big).
     """
     a = bw_ray_map(mu0, mu1)
-    sig_half = _sqrtm(nu.cov)
+    sig_half = _sqrt_eig(*sym_eig(nu.cov))
     middle = mu0.cov - mu0.cov @ a - a @ mu0.cov + mu1.cov
     tail = _trace_sqrt_psd(sig_half @ middle @ sig_half)
     return float(

@@ -221,11 +221,6 @@ def _logsw_slicer(mu, cfg):
     return sliced.EuclideanSlicer(dirs)
 
 
-def _log_vectors(atoms):
-    """The flat-metric points of :func:`spd.logsw`: vectorized matrix logs."""
-    return spd.sym_to_vec(spd.spd_log(atoms))
-
-
 def _frames(mu, cfg):
     return sphere.sample_stiefel(mu.atoms.shape[1], cfg.projections, cfg.seed)
 
@@ -235,12 +230,6 @@ def _ssw(frames, mu, nu, cfg):
         mu.atoms, nu.atoms, frames, cfg.p, mu.weights, nu.weights, eps=cfg.eps
     )
     return value, {}
-
-
-def _unbalanced_params(cfg):
-    return unbalanced.UnbalancedParams(
-        rho1=cfg.rho1, rho2=cfg.rho2, p=cfg.p, n_iters=cfg.fw_iters
-    )
 
 
 def _dual_extras(marginals, pots, history):
@@ -263,7 +252,10 @@ def _dual_extras(marginals, pots, history):
 
 
 def _unbalanced_setup(mu, cfg):
-    return _slicer(mu, cfg, "geodesic"), _unbalanced_params(cfg)
+    slicer = _slicer(mu, cfg, "geodesic")
+    return slicer, unbalanced.UnbalancedParams(
+        rho1=cfg.rho1, rho2=cfg.rho2, p=cfg.p, n_iters=cfg.fw_iters
+    )
 
 
 def _suot(shared, mu, nu, cfg):
@@ -290,20 +282,7 @@ def _usw(shared, mu, nu, cfg):
 
 
 def _gw1d_plan(mu, nu, cfg):
-    """gw1d on sorted atoms, with the plan put back in input order."""
-    if mu.atoms.shape[1] != 1 or nu.atoms.shape[1] != 1:
-        raise InvalidInput("gw1d needs one-dimensional atoms")
-    order_x = np.argsort(mu.atoms[:, 0], kind="stable")
-    order_y = np.argsort(nu.atoms[:, 0], kind="stable")
-    sorted_plan, value = gw.gw1d_inner(
-        mu.atoms[order_x, 0],
-        mu.weights[order_x],
-        nu.atoms[order_y, 0],
-        nu.weights[order_y],
-    )
-    plan = np.zeros_like(sorted_plan)
-    plan[np.ix_(order_x, order_y)] = sorted_plan
-    return plan, value
+    return gw.gw1d(mu.atoms, mu.weights, nu.atoms, nu.weights)
 
 
 def _hw_plan(mu, nu, cfg):
@@ -341,7 +320,7 @@ DISTANCES = {
     "hhsw": (_HYPERBOLIC, _HOROSPHERICAL),
     "spdsw": (("spd",), _GEODESIC),
     "hspdsw": (("spd",), _HOROSPHERICAL),
-    "logsw": (("spd",), Line(_logsw_slicer, _log_vectors)),
+    "logsw": (("spd",), Line(_logsw_slicer, spd.log_vectors)),
     "ssw": (("sphere",), Pairwise(_frames, _ssw)),
     "suot": (_SLICED, Pairwise(_unbalanced_setup, _suot)),
     "usw": (_SLICED, Pairwise(_unbalanced_setup, _usw)),
@@ -379,9 +358,13 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _emit(payload, out):
+def _emit(args, start, payload):
+    """Write a command's JSON payload, stamped with the command and the
+    wall-clock milliseconds since ``start``, to ``--out`` or stdout."""
+    payload["command"] = args.command
+    payload["wallclock_ms"] = (time.perf_counter() - start) * 1e3
     # a NaN is a numerical failure (exit 3), never a JSON token on stdout
-    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
+    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
 
 
 def run_dist(args, cfg):
@@ -390,15 +373,13 @@ def run_dist(args, cfg):
     start = time.perf_counter()
     value, extras = compute_distance(args.name, mu, nu, cfg)
     payload = {
-        "command": "dist",
         "distance": args.name,
         "value": value,
         "inputs": [args.source, args.target],
         "config": cfg.echo() | {"geometry": args.geometry},
         **extras,
-        "wallclock_ms": (time.perf_counter() - start) * 1e3,
     }
-    _emit(payload, args.out)
+    _emit(args, start, payload)
 
 
 def run_matrix(args, cfg):
@@ -409,14 +390,12 @@ def run_matrix(args, cfg):
     # checks the config even when there is no pair
     values = distance.matrix(distance.setup(datasets[0], cfg), datasets, cfg)
     payload = {
-        "command": "matrix",
         "distance": args.name,
         "values": values.tolist(),
         "inputs": list(args.inputs),
         "config": cfg.echo() | {"geometry": args.geometry},
-        "wallclock_ms": (time.perf_counter() - start) * 1e3,
     }
-    _emit(payload, args.out)
+    _emit(args, start, payload)
 
 
 def _parse_vector(text):
@@ -430,29 +409,20 @@ def _build_functional(args, data, cfg):
     kind = args.functional
     if kind == "interaction":
         return flows.InteractionFunctional(a=args.kernel_a, b=args.kernel_b)
-    if kind == "potential":
+    if kind in ("potential", "fokker-planck"):
         center = _parse_vector(args.potential_center)
-        return flows.quadratic_potential(center, strength=args.potential_strength)
-    if kind == "fokker-planck":
-        center = _parse_vector(args.potential_center)
-        return flows.SumFunctional(
-            [
-                flows.quadratic_potential(center, strength=args.potential_strength),
-                flows.EntropyFunctional(),
-            ]
-        )
+        potential = flows.quadratic_potential(center, strength=args.potential_strength)
+        if kind == "potential":
+            return potential
+        return flows.SumFunctional([potential, flows.EntropyFunctional()])
     if kind == "sw-target":
         if not args.target:
             raise InvalidInput("sw-target flows need --target")
         target = load_dataset(args.target, args.geometry)
+        dirs = _slicer(data, cfg, "geodesic").dirs
         if args.geometry == "lorentz":
-            d = data.atoms.shape[1] - 1
-            dirs = sliced.sample_directions(d, cfg.projections, cfg.seed)
             return flows.GhswToTargetFunctional(target.atoms, dirs)
-        dirs = sliced.sample_directions(data.atoms.shape[1], cfg.projections, cfg.seed)
-        return flows.SwToTargetFunctional(
-            target.atoms, dirs, target_weights=None
-        )
+        return flows.SwToTargetFunctional(target.atoms, dirs)
     raise InvalidInput(f"unknown functional {kind!r}")
 
 
@@ -517,7 +487,6 @@ def run_pca(args, cfg):
         origin = (float(vec[0]), float(vec[1]))
     ray1, ray2, scores = busemann.gaussian_pca_1d(data.atoms, origin=origin)
     payload = {
-        "command": "pca",
         "components": [
             {"m0": ray.m0, "s0": ray.s0, "m1": ray.m1, "s1": ray.s1}
             for ray in (ray1, ray2)
@@ -525,9 +494,8 @@ def run_pca(args, cfg):
         "scores": scores.tolist(),
         "inputs": [args.input],
         "config": cfg.echo(),
-        "wallclock_ms": (time.perf_counter() - start) * 1e3,
     }
-    _emit(payload, args.out)
+    _emit(args, start, payload)
 
 
 def run_gw(args, cfg):
@@ -536,15 +504,13 @@ def run_gw(args, cfg):
     start = time.perf_counter()
     plan, value = GW_PLANS[args.name](mu, nu, cfg)
     payload = {
-        "command": "gw",
         "problem": args.name,
         "value": float(value),
         "plan": plan.tolist(),
         "inputs": [args.source, args.target],
         "config": cfg.echo(),
-        "wallclock_ms": (time.perf_counter() - start) * 1e3,
     }
-    _emit(payload, args.out)
+    _emit(args, start, payload)
 
 
 def _add_common(parser):

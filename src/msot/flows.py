@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FlowDiverged, InvalidInput
-from .hyperbolic import geodesic_coordinate, riemannian_step_lorentz
+from .hyperbolic import (
+    geodesic_coordinate,
+    ghsw,
+    j_flip,
+    lift_directions,
+    riemannian_step_lorentz,
+)
 from .measures import (
     dual_1d_batched,
     slice_mean,
@@ -119,7 +125,8 @@ class FlowTrace:
 
 
 class Functional:
-    """Energy on measures; subclasses fill in the supported surfaces."""
+    """Energy on measures; subclasses fill in the supported surfaces.  A
+    grid's energy is that of its nodes weighted by ``rho`` unless overridden."""
 
     def value(self, points, weights=None):
         raise InvalidInput(f"{type(self).__name__} unsupported on particle states")
@@ -128,7 +135,7 @@ class Functional:
         raise InvalidInput(f"{type(self).__name__} has no particle gradient")
 
     def grid_value(self, grid):
-        raise InvalidInput(f"{type(self).__name__} unsupported on grid states")
+        return self.value(grid.nodes, grid.rho)
 
     def grid_gradient(self, grid):
         raise InvalidInput(f"{type(self).__name__} has no grid gradient")
@@ -164,9 +171,6 @@ class PotentialFunctional(Functional):
         points = np.asarray(points, dtype=float)
         w = validate_weights(weights, n=points.shape[0])
         return w[:, None] * self.gradients(points)
-
-    def grid_value(self, grid):
-        return float(np.sum(grid.rho * self.values(grid.nodes)))
 
     def grid_gradient(self, grid):
         return self.values(grid.nodes)
@@ -259,9 +263,6 @@ class InteractionFunctional(Functional):
         force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
         return w[:, None] * force
 
-    def grid_value(self, grid):
-        return self.value(grid.nodes, grid.rho)
-
     def grid_gradient(self, grid):
         sq = self._pairwise(np.asarray(grid.nodes, dtype=float))
         return self._kernel(sq) @ grid.rho
@@ -327,16 +328,6 @@ class SwToTargetFunctional(Functional):
             raise InvalidInput("the analytic subgradient needs equal atom counts")
         return 0.5 * sw2_subgradient(points, self.target, self.dirs)
 
-    def grid_value(self, grid):
-        return 0.5 * sw_p(
-            grid.nodes,
-            self.target,
-            self.dirs,
-            p=2.0,
-            x_weights=grid.rho,
-            y_weights=self.target_weights,
-        )
-
     def grid_gradient(self, grid):
         return 0.5 * _sw_weight_gradient(
             grid.nodes, grid.rho, self.target, self.target_weights, self.dirs
@@ -354,8 +345,6 @@ class GhswToTargetFunctional(Functional):
     def value(self, points, weights=None):
         if weights is not None:
             raise InvalidInput("hyperbolic flows run on uniform clouds")
-        from .hyperbolic import ghsw
-
         return 0.5 * ghsw(points, self.target, self.dirs, p=2.0)
 
     def particle_gradient(self, points, weights=None):
@@ -370,9 +359,7 @@ class GhswToTargetFunctional(Functional):
             geodesic_coordinate(self.target, ideal, model="lorentz"),
         )  # (n, L)
         # ambient gradient of P^v(x) = arctanh(-<x,v>_L / <x,x0>_L)
-        v = np.concatenate([np.zeros((n_proj, 1)), ideal], axis=-1)
-        jv = v.copy()
-        jv[:, 0] = -jv[:, 0]
+        jv = j_flip(lift_directions(ideal))
         u = x @ jv.T  # <x, v>_L, (n, L)
         w = -x[:, :1]  # <x, x0>_L, (n, 1)
         ratio = -u / w

@@ -14,8 +14,8 @@ import itertools
 import numpy as np
 from scipy.linalg import null_space
 
-from .errors import InstanceTooLarge, InvalidInput, MassMismatch
-from .measures import MASS_ATOL, nw_corner
+from .errors import InstanceTooLarge, InvalidInput
+from .measures import check_masses, nw_corner
 from .spd import sym_eig
 
 HW_EXHAUSTIVE_LIMIT = 8
@@ -44,8 +44,7 @@ def gw1d_inner(x, a, y, b):
         raise InvalidInput("gw1d_inner expects sorted inputs")
     if not (np.sum(a) > 0 and np.sum(b) > 0):
         raise InvalidInput("measures must carry positive total mass")
-    asc = nw_corner(a, b)
-    desc = nw_corner(a[::-1], b)[::-1, :]
+    asc, desc = _linear_oracle_1d(a, b, 1.0), _linear_oracle_1d(a, b, -1.0)
     cross_asc = float(x @ asc @ y)
     cross_desc = float(x @ desc @ y)
     val_asc = _inner_gw_value(x, a, y, b, cross_asc)
@@ -53,6 +52,28 @@ def gw1d_inner(x, a, y, b):
     if val_asc <= val_desc:
         return asc, val_asc
     return desc, val_desc
+
+
+def _in_input_order(sorted_plan, order_x, order_y):
+    """A plan between stably sorted atoms, put back in input order."""
+    plan = np.zeros_like(sorted_plan)
+    plan[np.ix_(order_x, order_y)] = sorted_plan
+    return plan
+
+
+def gw1d(x, a, y, b):
+    """:func:`gw1d_inner` of ``(n, 1)`` and ``(m, 1)`` atoms in any order,
+    with the plan in input order.  Returns ``(plan, value)``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[1:] != (1,) or y.shape[1:] != (1,):
+        raise InvalidInput("gw1d needs one-dimensional atoms")
+    order_x = np.argsort(x[:, 0], kind="stable")
+    order_y = np.argsort(y[:, 0], kind="stable")
+    sorted_plan, value = gw1d_inner(
+        x[order_x, 0], np.asarray(a)[order_x], y[order_y, 0], np.asarray(b)[order_y]
+    )
+    return _in_input_order(sorted_plan, order_x, order_y), value
 
 
 def hw_tensor(x_cloud, y_cloud, plan, axis_weights=None):
@@ -91,7 +112,7 @@ def _hw_objective(x, y, plan, axis_weights):
     return float(np.sum(hw_tensor(x, y, plan, axis_weights) * plan))
 
 
-def _linear_oracle_1d(x, y, a, b, grad_cross_sign):
+def _linear_oracle_1d(a, b, grad_cross_sign):
     """Exact oracle for d = 1: comonotone or anticomonotone NW plan."""
     if grad_cross_sign >= 0:
         return nw_corner(a, b)
@@ -135,8 +156,7 @@ def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50, in
     m = y.shape[0]
     a = np.full(n, 1.0 / n) if a is None else np.asarray(a, dtype=float)
     b = np.full(m, 1.0 / m) if b is None else np.asarray(b, dtype=float)
-    if abs(a.sum() - b.sum()) > MASS_ATOL:
-        raise MassMismatch(f"total masses differ: {a.sum()} vs {b.sum()}")
+    check_masses(float(a.sum()), float(b.sum()))
     if d == 1:
         order_x = np.argsort(x[:, 0], kind="stable")
         order_y = np.argsort(y[:, 0], kind="stable")
@@ -146,23 +166,16 @@ def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50, in
         # seed with the 1D closed-form optimum; conditional gradient then
         # stays in the global basin instead of the one the product
         # coupling's cross-moment sign happens to pick
-        sorted_plan, _ = gw1d_inner(
-            x[order_x, 0], a[order_x], y[order_y, 0], b[order_y]
-        )
-        plan = np.zeros((n, m))
-        plan[np.ix_(order_x, order_y)] = sorted_plan
+        plan, _ = gw1d(x, a, y, b)
     else:
         plan = np.outer(a, b) / b.sum()
     for _ in range(n_iters):
         grad = 2.0 * hw_tensor(x, y, plan, axis_weights)
         if d == 1:
-            xw = x[order_x, 0]
-            yw = y[order_y, 0]
             wts = np.ones(1) if axis_weights is None else axis_weights
             cross = float(wts[0] * (x[:, 0] @ plan @ y[:, 0]))
-            sorted_plan = _linear_oracle_1d(xw, yw, a[order_x], b[order_y], cross)
-            target = np.zeros_like(plan)
-            target[np.ix_(order_x, order_y)] = sorted_plan
+            sorted_plan = _linear_oracle_1d(a[order_x], b[order_y], cross)
+            target = _in_input_order(sorted_plan, order_x, order_y)
         else:
             target = _linear_oracle_exhaustive(grad, a, b)
         direction = target - plan

@@ -42,7 +42,10 @@ def validate_lorentz(x, atol=LORENTZ_ATOL):
         raise InvalidInput("Lorentz points need a time coordinate")
     # negated comparisons so that non-finite coordinates fail too
     timelike = x[:, 0] > 0
-    err = np.abs(minkowski_ip(x, x) + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(minkowski_ip(x, x) + 1.0)
+    # finite coordinates whose squares overflow (inf - inf) are off by inf
+    err[np.isnan(err) & np.all(np.isfinite(x), axis=1)] = np.inf
     check_atoms(timelike & (err <= atol), lambda i: (
         f"points off the hyperboloid by {err[i]:.2e}" if timelike[i]
         else "Lorentz points need a positive time coordinate"))
@@ -52,7 +55,9 @@ def validate_lorentz(x, atol=LORENTZ_ATOL):
 def validate_poincare(x):
     """Poincare ball points as ``(n, d)`` rows; names the first atom outside."""
     x = point_rows(x)
-    check_atoms(np.linalg.norm(x, axis=-1) < 1.0, "Poincare points must have norm < 1")
+    with np.errstate(over="ignore"):  # huge coordinates: an inf norm, rejected
+        norms = np.linalg.norm(x, axis=-1)
+    check_atoms(norms < 1.0, "Poincare points must have norm < 1")
     return x
 
 
@@ -83,7 +88,7 @@ def dist_lorentz(x, y):
     return np.arccosh(np.maximum(ip, 1.0))
 
 
-def _lift_directions(ideal):
+def lift_directions(ideal):
     """Ideal points (L, d) -> tangent directions (L, d+1) with v0 = 0."""
     ideal = np.atleast_2d(np.asarray(ideal, dtype=float))
     return np.concatenate([np.zeros((ideal.shape[0], 1)), ideal], axis=-1)
@@ -101,8 +106,8 @@ def geodesic_coordinate(x, ideal, model="lorentz"):
     """
     if model == "lorentz":
         x = validate_lorentz(x)
-        v = _lift_directions(ideal)
-        num = -(x @ _j_flip(v).T)  # -<x, v>_L as an (n, L) matrix
+        v = lift_directions(ideal)
+        num = -(x @ j_flip(v).T)  # -<x, v>_L as an (n, L) matrix
         den = -x[:, :1]  # <x, x0>_L
         ratio = np.clip(num / den, -_ARCTANH_CLIP, _ARCTANH_CLIP)
         return np.arctanh(ratio)
@@ -118,7 +123,8 @@ def geodesic_coordinate(x, ideal, model="lorentz"):
     raise InvalidInput(f"unknown model {model!r}")
 
 
-def _j_flip(v):
+def j_flip(v):
+    """``J v`` for ``J = diag(-1, 1, ..., 1)``: ``x @ (J v).T`` is ``<x, v>_L``."""
     out = v.copy()
     out[..., 0] = -out[..., 0]
     return out
@@ -254,6 +260,6 @@ def riemannian_step_lorentz(x, euclid_grad, lr):
     """
     x = validate_lorentz(x)
     g = np.atleast_2d(np.asarray(euclid_grad, dtype=float))
-    jg = _j_flip(g)
+    jg = j_flip(g)
     rgrad = jg + minkowski_ip(x, jg)[:, None] * x
     return exp_map(x, -lr * rgrad)

@@ -85,6 +85,11 @@ def spd_exp(s):
     return np.einsum("...ik,...k,...jk->...ij", vecs, ev, vecs)
 
 
+def inv_sqrt_eig(vals, vecs):
+    """``M^{-1/2}`` from ``(vals, vecs) = sym_eig(M)``."""
+    return vecs @ np.diag(vals**-0.5) @ vecs.T
+
+
 def dist_le(x, y):
     """Log-Euclidean distance ``||log X - log Y||_F``."""
     diff = spd_log(x) - spd_log(y)
@@ -100,7 +105,7 @@ def dist_ai(x, y):
     vals, vecs = sym_eig(x)
     if np.min(vals) <= EIG_FLOOR:
         raise NotPositiveDefinite("first argument not positive definite")
-    inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.T
+    inv_sqrt = inv_sqrt_eig(vals, vecs)
     middle = inv_sqrt @ np.asarray(y, dtype=float) @ inv_sqrt
     mid_vals, _ = sym_eig((middle + middle.T) / 2.0)
     if np.min(mid_vals) <= EIG_FLOOR:
@@ -262,6 +267,11 @@ def sym_to_vec(s):
     return out[0] if single else out
 
 
+def log_vectors(m):
+    """The flat-metric points of :func:`logsw`: the vectorized matrix logs."""
+    return sym_to_vec(spd_log(m))
+
+
 def logsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None):
     """Euclidean SW between log-pushforwards (the flat-metric ablation).
 
@@ -269,8 +279,7 @@ def logsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None):
     the flat metric equals the Frobenius norm, then sliced with uniform
     sphere directions on the d(d+1)/2 coordinates.
     """
-    x_vec = sym_to_vec(spd_log(x))
-    y_vec = sym_to_vec(spd_log(y))
+    x_vec, y_vec = log_vectors(x), log_vectors(y)
     return sliced_cost(EuclideanSlicer(dirs), x_vec, y_vec, p, x_weights, y_weights)
 
 
@@ -332,6 +341,7 @@ __all__ = [
     "gaussian_kernel",
     "hspdsw",
     "kernel_features",
+    "log_vectors",
     "logsw",
     "logsw_directions",
     "sample_spd_cloud",

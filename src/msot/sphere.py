@@ -30,7 +30,8 @@ def validate_sphere(points):
     """Unit-sphere points as ``(n, d)`` rows; names the first atom off it."""
     x = point_rows(points)
     # negated comparison so that non-finite coordinates fail too
-    off = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
+    with np.errstate(over="ignore"):  # huge coordinates: an inf norm, rejected
+        off = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
     check_atoms(off <= 1e-6, "not on the unit sphere")
     return x
 

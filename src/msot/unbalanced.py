@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DualOverflow, InvalidInput
-from .measures import dual_1d_batched, slice_mean, sorted_rows
+from .measures import check_order, dual_1d_batched, slice_mean, sorted_rows
 from .sliced import validate_pair
 
 
@@ -39,8 +39,7 @@ class UnbalancedParams:
             raise InvalidInput("rho1 and rho2 must be positive")
         if self.n_iters < 1:
             raise InvalidInput("at least one Frank-Wolfe round is required")
-        if self.p < 1:
-            raise InvalidInput("order p must be >= 1")
+        check_order(self.p)
 
 
 @dataclass(frozen=True)

@@ -553,22 +553,26 @@ def load_dataset_rows(path, geometry, relative_symmetry=False):
             weights.append(w)
     data = np.array(atoms, dtype=float)
     w = np.array(weights) if has_weight else np.full(len(data), 1.0 / len(data))
-    for k, row in enumerate(data, start=2):
-        reason = None
-        if geometry == "lorentz":
-            err = abs(minkowski_ip(row, row) + 1.0)
-            if not row[0] > 0:
-                reason = "Lorentz points need a positive time coordinate"
-            elif not err <= LORENTZ_ATOL:
-                reason = f"points off the hyperboloid by {err:.2e}"
-        elif geometry == "poincare" and not np.linalg.norm(row[None], axis=-1)[0] < 1.0:
-            reason = "Poincare points must have norm < 1"
-        elif geometry == "sphere" and abs(np.linalg.norm(row) - 1.0) > 1e-6:
-            reason = "not on the unit sphere"
-        elif geometry == "gaussian1d" and (row.size != 2 or row[1] <= 0):
-            reason = "gaussian1d rows are (mean, sigma>0)"
-        if reason:
-            raise InvalidInput(f"{path}: row {k}: {reason}")
+    # huge finite coordinates overflow to an inf norm or error, quietly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, row in enumerate(data, start=2):
+            reason = None
+            if geometry == "lorentz":
+                err = abs(minkowski_ip(row, row) + 1.0)
+                if np.isnan(err):  # finite squares that overflow: inf - inf
+                    err = np.inf
+                if not row[0] > 0:
+                    reason = "Lorentz points need a positive time coordinate"
+                elif not err <= LORENTZ_ATOL:
+                    reason = f"points off the hyperboloid by {err:.2e}"
+            elif geometry == "poincare" and not np.linalg.norm(row[None], axis=-1)[0] < 1.0:
+                reason = "Poincare points must have norm < 1"
+            elif geometry == "sphere" and abs(np.linalg.norm(row) - 1.0) > 1e-6:
+                reason = "not on the unit sphere"
+            elif geometry == "gaussian1d" and (row.size != 2 or row[1] <= 0):
+                reason = "gaussian1d rows are (mean, sigma>0)"
+            if reason:
+                raise InvalidInput(f"{path}: row {k}: {reason}")
     if geometry != "spd":
         return data, w
     if header[0].lower() != "dim":

@@ -174,6 +174,34 @@ class TestBatchedFunctionals:
         assert func.grid_value(grid) == pytest.approx(value, rel=1e-12)
         assert _max_rel(func.grid_gradient(grid), node_grad) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda x: PotentialFunctional(
+                v=lambda p: float(np.sin(p[0]) + p[1] ** 2),
+                grad_v=lambda p: np.array([np.cos(p[0]), 2.0 * p[1]]),
+            ),
+            lambda x: quadratic_potential(np.array([0.5, -0.2]), strength=1.7),
+            lambda x: InteractionFunctional(),
+            lambda x: SwToTargetFunctional(
+                x[::-1] + 0.3, sample_directions(2, 9, seed=1)
+            ),
+        ],
+        ids=["potential", "quadratic", "interaction", "sw-target"],
+    )
+    def test_grid_value_is_value_on_the_nodes(self, make):
+        x, w = _cloud(2, True, seed=6)
+        func = make(x)
+        grid = GridState(nodes=x, rho=w, cell_volume=1.0)
+        assert func.grid_value(grid) == func.value(grid.nodes, grid.rho)
+
+    def test_ghsw_to_target_has_no_grid_surface(self):
+        target = sample_wrapped_normal(origin(2), 0.3 * np.eye(2), 5, seed=0)
+        func = GhswToTargetFunctional(target, sample_directions(2, 4, seed=1))
+        grid = GridState(nodes=target, rho=np.full(5, 0.2), cell_volume=1.0)
+        with pytest.raises(InvalidInput):
+            func.grid_value(grid)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_ghsw_gradient_matches_dense_tensor(self, d):
         x = sample_wrapped_normal(origin(d), 0.3 * np.eye(d), 17, seed=d)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from msot.cli import main
 from msot.errors import InstanceTooLarge, InvalidInput, MassMismatch
 from msot.gw import (
+    gw1d,
     gw1d_inner,
     hw_solve,
     hw_tensor,
@@ -324,3 +328,38 @@ class TestDegenerateAxisWeights:
         # each single-axis optimum lower-bounds the joint objective
         assert v_first <= v_full + 1e-9
         assert v_second <= v_full + 1e-9
+
+
+class TestGw1dInInputOrder:
+    """``gw1d`` is the one sort-and-scatter of the 1D GW plan: ``msot gw
+    gw1d`` and the d = 1 seed of ``hw_solve`` both read it."""
+
+    @staticmethod
+    def _pair():
+        rng = np.random.default_rng(5)
+        x = rng.integers(-3, 4, size=(7, 1)).astype(float)  # ties
+        y = rng.normal(size=(5, 1))
+        a = rng.integers(1, 5, size=7) / 8.0
+        return x, a / a.sum(), y, np.full(5, 0.2)
+
+    def test_cli_plan_is_gw1d(self, tmp_path, capsys):
+        x, a, y, b = self._pair()
+        paths = [tmp_path / "x.csv", tmp_path / "y.csv"]
+        for path, atoms, w in zip(paths, (x, y), (a, b)):
+            rows = [f"{float(v)!r},{float(u)!r}" for v, u in zip(atoms[:, 0], w)]
+            path.write_text("\n".join(["x,weight", *rows]) + "\n")
+        assert main(["gw", "gw1d", *map(str, paths)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        plan, value = gw1d(x, a, y, b)
+        assert np.array_equal(np.array(payload["plan"]), plan)
+        assert payload["value"] == value
+
+    def test_hw_seed_is_gw1d(self):
+        x, a, y, b = self._pair()
+        seed, _ = hw_solve(x, y, a=a, b=b, n_iters=0)
+        assert np.array_equal(seed, gw1d(x, a, y, b)[0])
+
+    def test_needs_one_dimensional_atoms(self):
+        x, a, y, b = self._pair()
+        with pytest.raises(InvalidInput, match="one-dimensional"):
+            gw1d(np.hstack([x, x]), a, y, b)

@@ -11,6 +11,7 @@ of an ``IndexError``.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msot import spd
-from msot.cli import load_dataset
+from msot.cli import load_dataset, main
 from msot.errors import InvalidInput
 from msot.hyperbolic import project_to_hyperboloid
 from oracles import load_dataset_rows
@@ -200,6 +201,7 @@ def test_lorentz_file_without_coordinates_is_bad_input(tmp_path):
         ("poincare", [0.6, 0.8], "norm < 1"),
         ("sphere", [0.6, 0.7], "not on the unit sphere"),
         ("gaussian1d", [0.0, -1.0], "(mean, sigma>0)"),
+        ("lorentz", [1e200, 1e200], "off the hyperboloid by inf"),
     ],
 )
 def test_first_offending_atom_names_its_row(tmp_path, geometry, row, message):
@@ -210,3 +212,26 @@ def test_first_offending_atom_names_its_row(tmp_path, geometry, row, message):
         load_dataset(path, geometry)
     assert str(err.value).startswith(f"{path}: row 4: ")
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name, geometry, row, reason",
+    [
+        ("ghsw", "lorentz", [1e200, 1e200, 0.0], "points off the hyperboloid by inf"),
+        ("ghsw", "poincare", [1e200, 0.0, 0.0], "Poincare points must have norm < 1"),
+        ("ssw", "sphere", [1e200, 0.0, 0.0], "not on the unit sphere"),
+    ],
+)
+def test_overflowing_row_exits_two_without_warnings(
+    tmp_path, capsys, name, geometry, row, reason
+):
+    """Finite coordinates whose squares overflow are off the manifold (the
+    hyperboloid by inf); no numpy warning reaches stderr ahead of the error."""
+    path = _write(tmp_path, ["x0", "x1", "x2"], [row])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dist", name, path, path, "--geometry", geometry])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {path}: row 2: {reason}"]
