@@ -8,13 +8,14 @@ across reruns except for the wallclock field.
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress
 
 import numpy as np
@@ -47,16 +48,32 @@ class RunConfig:
         return asdict(self)
 
 
+# where ``str.splitlines`` and ``str.split(",")`` part from ``csv.reader``:
+# quotes, NUL (an error to ``csv`` before Python 3.11) and the line breaks
+# that only ``splitlines`` knows (the non-ASCII ones fail ``str.isascii``)
+_CSV_ONLY = '"\x00\v\f\x1c\x1d\x1e'
+
+
 def _read_rows(path):
     try:
         with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+            text = handle.read()
     except OSError as exc:
         raise InvalidInput(f"{path}: cannot read file: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    except csv.Error as exc:
-        raise InvalidInput(f"{path}: malformed CSV: {exc}") from exc
+    lines = text.splitlines()
+    if (
+        text.isascii()
+        and not any(char in text for char in _CSV_ONLY)
+        and max(map(len, lines), default=0) <= csv.field_size_limit()
+    ):
+        rows = [line.split(",") for line in lines]
+    else:
+        try:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:
+            raise InvalidInput(f"{path}: malformed CSV: {exc}") from exc
     # drop blank rows: those with no non-whitespace character in any cell
     rows = list(compress(rows, map(str.strip, map("".join, rows))))
     if len(rows) < 2:
@@ -93,6 +110,8 @@ def _spd_stack(data, header):
         raise InvalidInput("inconsistent 'dim' entries")
     if data.shape[1] - 1 != d * d:
         raise InvalidInput(f"expected {d * d} matrix entries per row for dim {d}")
+    if d < 1:
+        raise InvalidInput(f"'dim' must be a positive integer, got {d}")
     return data[:, 1:].reshape(-1, d, d)
 
 
@@ -358,13 +377,47 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
+def _json(value, pad=""):
+    """The text of ``json.dumps(value, sort_keys=True, indent=2,
+    allow_nan=False)`` nested at indent ``pad``.  An indent sends ``json`` to
+    its pure-Python encoder, so dicts and lists are laid out here and each
+    flat list of numbers goes through the C encoder in one call."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
+        body = f",\n{inner}".join(
+            f"{json.dumps(key)}: {_json(item, inner)}"
+            for key, item in sorted(value.items())
+        )
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(value, list) and value:
+        return f"[\n{inner}{_list_items(value, inner)}\n{pad}]"
+    # scalars, empty containers, tuples and dicts with non-string keys: a
+    # JSON text holds no raw newline but its own, so re-indenting is a replace
+    text = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", "\n" + pad)
+
+
+def _list_items(values, pad):
+    """The items of a non-empty list, one per line at indent ``pad``."""
+    if not isinstance(values[0], (dict, list)):
+        try:
+            flat = json.dumps(values, allow_nan=False)[1:-1]
+            if not any(c in flat for c in '"[{'):
+                return flat.replace(", ", ",\n" + pad)
+        except ValueError:
+            # the C encoder's message leaves the value out: the item by item
+            # encoding below raises the pure-Python encoder's, which has it
+            pass
+    return f",\n{pad}".join(_json(item, pad) for item in values)
+
+
 def _emit(args, start, payload):
     """Write a command's JSON payload, stamped with the command and the
     wall-clock milliseconds since ``start``, to ``--out`` or stdout."""
     payload["command"] = args.command
     payload["wallclock_ms"] = (time.perf_counter() - start) * 1e3
     # a NaN is a numerical failure (exit 3), never a JSON token on stdout
-    _write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", args.out)
+    _write(_json(payload) + "\n", args.out)
 
 
 def run_dist(args, cfg):
@@ -403,6 +456,16 @@ def _parse_vector(text):
         return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise InvalidInput(f"malformed vector {text!r}") from exc
+
+
+def _parse_origin(text):
+    """The ``--origin`` point ``mean,sigma`` of the Gaussian half-plane."""
+    origin = _parse_vector(text)
+    if origin.shape != (2,) or not (np.all(np.isfinite(origin)) and origin[1] > 0):
+        raise InvalidInput(
+            f"--origin must be finite 'mean,sigma' with sigma > 0, got {text!r}"
+        )
+    return float(origin[0]), float(origin[1])
 
 
 def _build_functional(args, data, cfg):
@@ -481,10 +544,7 @@ def run_flow(args, cfg):
 def run_pca(args, cfg):
     data = load_dataset(args.input, "gaussian1d", weighted=False)
     start = time.perf_counter()
-    origin = None
-    if args.origin:
-        vec = _parse_vector(args.origin)
-        origin = (float(vec[0]), float(vec[1]))
+    origin = _parse_origin(args.origin) if args.origin else None
     ray1, ray2, scores = busemann.gaussian_pca_1d(data.atoms, origin=origin)
     payload = {
         "components": [
@@ -579,9 +639,27 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The one parser of :func:`main`; parsing leaves no state on it."""
+    return build_parser()
+
+
+# count flags that a negative value would turn into a silent no-op run or a
+# numpy error
+_COUNTS = ("seed", "steps", "inner_steps")
+
+
+def _check_counts(args):
+    for name in _COUNTS:
+        value = getattr(args, name, 0)
+        if value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise InvalidInput(f"{flag} must be a non-negative integer, got {value}")
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     runner = {
         "dist": run_dist,
@@ -591,6 +669,7 @@ def main(argv=None):
         "gw": run_gw,
     }[args.command]
     try:
+        _check_counts(args)
         runner(args, cfg)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

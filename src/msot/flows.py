@@ -24,6 +24,7 @@ from .hyperbolic import (
     riemannian_step_lorentz,
 )
 from .measures import (
+    check_positive,
     dual_1d_batched,
     slice_mean,
     sorted_rows,
@@ -41,13 +42,6 @@ from .sliced import (
 ENTROPY_FLOOR = 1e-300
 
 
-def _check_positive(value, name):
-    """Reject a step size or volume that is not a positive finite number
-    (``value <= 0`` alone lets NaN through)."""
-    if not (np.isfinite(value) and value > 0):
-        raise InvalidInput(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class GridState:
     """Fixed nodes with simplex weights and a per-node volume element."""
@@ -61,7 +55,7 @@ class GridState:
             raise InvalidInput("grid weights must be finite")
         if abs(float(np.sum(self.rho)) - 1.0) > 1e-10 or np.any(self.rho < 0):
             raise InvalidInput("grid weights must lie on the probability simplex")
-        _check_positive(self.cell_volume, "cell volume")
+        check_positive(self.cell_volume, "cell volume")
 
 
 @dataclass(frozen=True)
@@ -432,7 +426,7 @@ class InnerOptimizer:
     n_steps: int = 50
 
     def __post_init__(self):
-        _check_positive(self.learning_rate, "inner learning rate")
+        check_positive(self.learning_rate, "inner learning rate")
 
 
 def swjko_particles(
@@ -456,7 +450,7 @@ def swjko_particles(
     count.  Records the functional value and the proximal objective of
     each accepted state.
     """
-    _check_positive(tau, "tau")
+    check_positive(tau, "tau")
     x = np.asarray(initial, dtype=float).copy()
     n, d = x.shape
     factor = float(d) if dilation else 1.0
@@ -510,7 +504,7 @@ def swjko_grid(
     The SW term between weighted grid profiles uses the general-weights 1D
     solver; its weight gradient is the slice-averaged dual potential.  A
     non-finite value raises :class:`FlowDiverged` naming the step."""
-    _check_positive(tau, "tau")
+    check_positive(tau, "tau")
     nodes = np.asarray(grid.nodes, dtype=float)
     n, d = nodes.shape
     rho = np.asarray(grid.rho, dtype=float).copy()
@@ -572,7 +566,7 @@ def euler_particles(
     Uniform particle clouds descend ``x_i <- x_i - tau n grad_i``; on the
     Lorentz geometry the ambient gradient goes through the Riemannian step.
     """
-    _check_positive(step_size, "step size")
+    check_positive(step_size, "step size")
     if geometry not in ("euclidean", "lorentz"):
         raise InvalidInput(f"unsupported geometry {geometry!r}")
     x = np.asarray(initial, dtype=float).copy()

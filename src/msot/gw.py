@@ -12,7 +12,6 @@ Monge-Independent closed forms.
 import itertools
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import InstanceTooLarge, InvalidInput
 from .measures import check_masses, nw_corner
@@ -228,10 +227,15 @@ def _split_blocks(cov, basis, basis_perp):
 
 
 def _complete_basis(basis):
+    """An orthonormal basis of the complement of ``basis``'s columns, the
+    rows of ``vh`` past the numerical rank (``scipy.linalg.null_space``'s
+    rule, so a rank-deficient basis gets the wider complement)."""
     p, k = basis.shape
     if k == p:
         return np.zeros((p, 0))
-    return null_space(basis.T)
+    _, s, vh = np.linalg.svd(basis.T, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(basis.shape)
+    return vh[np.count_nonzero(s > tol) :].T
 
 
 def mk_gaussian(sigma, lam, basis_e, basis_f):

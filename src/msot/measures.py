@@ -104,8 +104,17 @@ def wasserstein_1d(mu, nu, p=2.0):
     return float(wasserstein_1d_batched(u, v, mu.weights, nu.weights, p)[0])
 
 
+def check_positive(value, name):
+    """Reject a parameter that is not a positive finite number (``value <= 0``
+    alone lets NaN through)."""
+    if not (np.isfinite(value) and value > 0):
+        raise InvalidInput(f"{name} must be positive and finite, got {value}")
+
+
 def check_order(p):
-    """Reject a transport order below 1, where the costs are not convex."""
+    """Reject a transport order that is not finite or is below 1, where the
+    costs are not convex."""
+    check_positive(p, "order p")
     if p < 1:
         raise InvalidInput(f"order p must be >= 1, got {p}")
 
@@ -541,8 +550,7 @@ def circle_wp_batched(x_angles, y_angles, x_weights=None, y_weights=None, p=2.0,
     searches of the lifted quantiles.
     """
     check_order(p)
-    if eps <= 0:
-        raise InvalidInput("eps must be positive")
+    check_positive(eps, "eps")
     x, a, cum_a, y, b, cum_b = _circle_pair(x_angles, y_angles, x_weights, y_weights)
     lo, hi = np.full(x.shape[0], -1.0), np.full(x.shape[0], 1.0)
     width = 2.0

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DualOverflow, InvalidInput
-from .measures import check_order, dual_1d_batched, slice_mean, sorted_rows
+from .measures import (
+    check_order,
+    check_positive,
+    dual_1d_batched,
+    slice_mean,
+    sorted_rows,
+)
 from .sliced import validate_pair
 
 
@@ -35,8 +41,8 @@ class UnbalancedParams:
     eps: float = 1e-10
 
     def __post_init__(self):
-        if self.rho1 <= 0 or self.rho2 <= 0:
-            raise InvalidInput("rho1 and rho2 must be positive")
+        check_positive(self.rho1, "rho1")
+        check_positive(self.rho2, "rho2")
         if self.n_iters < 1:
             raise InvalidInput("at least one Frank-Wolfe round is required")
         check_order(self.p)

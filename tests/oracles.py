@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy import integrate, optimize
+from scipy.linalg import null_space
 
 
 def wasserstein_1d_lp(x, a, y, b, p):
@@ -323,6 +324,13 @@ def hw_tensor_naive(x_cloud, y_cloud, plan, axis_weights=None):
     return out
 
 
+def complete_basis_null_space(basis):
+    """The complement of ``basis``'s columns by ``scipy.linalg.null_space``,
+    the reference for ``msot.gw._complete_basis``."""
+    p, k = basis.shape
+    return np.zeros((p, 0)) if k == p else null_space(basis.T)
+
+
 def ring_radial_force(radius, a, b):
     """Radial mean-field gradient of ``W(z) = |z|^a/a - |z|^b/b`` on a uniform
     ring of radius ``radius`` in the plane, by quadrature.
@@ -582,6 +590,8 @@ def load_dataset_rows(path, geometry, relative_symmetry=False):
         raise InvalidInput(f"{path}: inconsistent 'dim' entries")
     if data.shape[1] - 1 != d * d:
         raise InvalidInput(f"{path}: expected {d * d} matrix entries per row for dim {d}")
+    if d < 1:
+        raise InvalidInput(f"{path}: 'dim' must be a positive integer, got {d}")
     mats = data[:, 1:].reshape(-1, d, d)
     sym_tol = SYM_ATOL * max(1.0, np.max(np.abs(mats))) if relative_symmetry else SYM_ATOL
     for k, mat in enumerate(mats, start=2):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import msot
 from msot import cli
@@ -367,6 +372,15 @@ class TestInputBoundary:
         assert captured.out == ""
         assert f"{binary}: not UTF-8 text" in captured.err
 
+    def test_non_utf8_byte_counts_from_the_start_of_the_file(self, tmp_path, capsys):
+        """The offset of a bad byte past the first 8 KiB is the file's, not
+        the one within the decoder's chunk."""
+        path = tmp_path / "bin.csv"
+        body = b"x0,x1\n" + b"0.1,0.2\n" * 2000 + b"0.1,\xff\n"
+        path.write_bytes(body)
+        assert main(["dist", "sw", str(path), str(path)]) == 2
+        assert f"not UTF-8 text (byte {len(body) - 2})" in capsys.readouterr().err
+
     def test_csv_field_over_the_limit_exit_two(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
         path.write_text("x0,x1\n0.1," + "1" * 200_000 + "\n")
@@ -382,6 +396,50 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "column 'weight' is not accepted" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, header, message",
+        [
+            (["dist", "sw", "FILE", "FILE", "--p", "nan"], ["x0", "x1"],
+             "order p must be positive and finite, got nan"),
+            (["dist", "sw", "FILE", "FILE", "--p", "inf"], ["x0", "x1"],
+             "order p must be positive and finite, got inf"),
+            (["dist", "ssw", "FILE", "FILE", "--geometry", "sphere", "--eps", "nan"],
+             ["x0", "x1", "x2"], "eps must be positive and finite, got nan"),
+            (["dist", "usw", "FILE", "FILE", "--rho1", "nan"], ["x0", "x1"],
+             "rho1 must be positive and finite, got nan"),
+            (["dist", "suot", "FILE", "FILE", "--rho2", "inf"], ["x0", "x1"],
+             "rho2 must be positive and finite, got inf"),
+            (["dist", "sw", "FILE", "FILE", "--seed", "-1"], ["x0", "x1"],
+             "--seed must be a non-negative integer, got -1"),
+            (["pca", "FILE", "--origin", "0"], ["mean", "sigma"], "--origin must be"),
+            (["pca", "FILE", "--origin", "nan,1"], ["mean", "sigma"], "--origin must be"),
+            (["pca", "FILE", "--origin", "0,-1"], ["mean", "sigma"], "--origin must be"),
+            (["pca", "FILE", "--origin", "0,1,2"], ["mean", "sigma"], "--origin must be"),
+            (["gw", "hw", "FILE", "FILE", "--steps", "-1"], ["x0"],
+             "--steps must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_bad_parameter_exits_two(self, tmp_path, capsys, argv, header, message):
+        """NaN, infinite and negative parameters are bad input named by the
+        flag, not a numerical failure (exit 3), a traceback or a no-op run."""
+        path = tmp_path / "a.csv"
+        rows = {"x0": ["0.6", "-0.2"], "x0,x1": ["0.6,0.8", "0.8,0.6"],
+                "x0,x1,x2": ["1,0,0", "0,0.6,0.8"]}.get(",".join(header), ["0.1,1.0", "0.4,1.5"])
+        path.write_text("\n".join([",".join(header), *rows]) + "\n")
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_spd_file_without_a_positive_dim_exits_two(self, tmp_path, capsys, dim):
+        path = tmp_path / "spd.csv"
+        path.write_text(f"dim\n{dim}\n{dim}\n" if dim == "0" else f"dim,m0\n{dim},1\n")
+        assert main(["dist", "spdsw", str(path), str(path), "--geometry", "spd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: 'dim' must be a positive integer, got {dim}" in captured.err
 
     def test_nan_value_exit_three_with_empty_stdout(
         self, tmp_path, capsys, monkeypatch
@@ -416,6 +474,9 @@ class TestFlowBoundary:
             (["--potential-strength", "inf"], "strength must be finite"),
             (["--tau", "nan"], "tau must be positive"),
             (["--tau", "inf"], "tau must be positive"),
+            (["--steps", "-1"], "--steps must be a non-negative integer, got -1"),
+            (["--inner-steps", "-1"], "--inner-steps must be a non-negative integer"),
+            (["--seed", "-1"], "--seed must be a non-negative integer, got -1"),
         ],
     )
     def test_bad_potential_flow_exits_two(
@@ -473,3 +534,131 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
     ).stdout.split()
     assert out[0] == "1"
     assert out[1] in ("None", "1")
+
+
+# --- the JSON emitter, the parser and the import ----------------------------
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e300, 5e-324])
+    | st.text(max_size=6) | st.sampled_from([", ", "a, b", '"', "[1, 2]", "{}", "\n"])
+)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-5, 5)
+JSON_VALUES = st.recursive(
+    SCALARS | st.lists(NUMBERS, max_size=6) | st.lists(st.lists(NUMBERS, max_size=4), max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+def _reference_json(payload):
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5))
+def test_emitter_text_is_json_dumps_with_indent(payload):
+    """``_emit`` writes ``json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False)`` byte for byte, stamped with the command and the
+    wall-clock field."""
+    args = SimpleNamespace(command="dist", out=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(args, 0.0, payload)
+    assert out.getvalue() == _reference_json(payload) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES, bad=NON_FINITE, where=st.integers(0, 3))
+def test_emitter_rejects_non_finite_with_the_reference_message(value, bad, where):
+    """A NaN or infinity anywhere raises the pure-Python encoder's
+    ``ValueError``, which names the value, and text is equal otherwise."""
+    payload = [
+        {"value": value, "bad": bad},
+        {"rows": [[1.0, 2.0], [3.0, bad]]},
+        {"row": [0.5, bad, 1.5], "first": value},
+        [value, [bad]],
+    ][where]
+    want = _reference_json(payload)
+    assert isinstance(want, ValueError)
+    with pytest.raises(ValueError) as err:
+        cli._json(payload)
+    assert str(err.value) == str(want)
+    assert str(err.value).endswith(repr(bad))
+
+
+def test_emitter_keeps_the_layout_of_a_dense_plan():
+    plan = np.zeros((30, 25))
+    plan[np.arange(25), np.arange(25)] = 1 / 25
+    payload = {"plan": plan.tolist(), "inputs": ["a, b.csv", "c.csv"], "value": -0.0,
+               "empty": [], "nested": {"rows": [[], [1, 2.5]], "none": None},
+               "other keys": {1: [0.5, 1.5], 2: {"a": (1, 2)}}, "tuples": [(1, 2), [(3,)]]}
+    assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_parser_is_built_once_and_holds_no_run_state(tmp_path):
+    """``main`` reuses one parser; a run's flags do not leak into the next,
+    and ``build_parser`` still returns a fresh parser."""
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    euclidean_csv(a, np.random.default_rng(1).normal(size=(5, 2)))
+    euclidean_csv(b, np.random.default_rng(2).normal(size=(6, 2)))
+    first = ["dist", "sw", str(a), str(b), "--seed", "5", "--p", "1",
+             "--projections", "7", "--out", str(tmp_path / "one.json")]
+    assert main(first) == 0
+    assert main(["matrix", "sw", str(a), str(b), "--out", str(tmp_path / "two.json")]) == 0
+    assert main([*first[:-1], str(tmp_path / "three.json")]) == 0
+    one, two, three = (json.loads((tmp_path / f"{k}.json").read_text())
+                       for k in ("one", "two", "three"))
+    assert two["command"] == "matrix"
+    assert two["config"] == RunConfig().echo() | {"geometry": "euclidean"}
+    assert one["config"]["seed"] == 5 and one["config"]["projections"] == 7
+    for payload in (one, three):
+        payload.pop("wallclock_ms")
+    assert one == three
+
+
+def _run_script(script):
+    env = dict(os.environ)
+    src = str(Path(msot.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_leaves_scipy_out():
+    proc = _run_script("import sys, msot.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """With ``scipy`` blocked, ``dist``, ``matrix``, ``pca``, ``gw`` and
+    ``flow`` all run through ``cli.main`` and exit 0."""
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from msot.cli import main
+d = {str(tmp_path)!r}
+open(d + "/a.csv", "w").write("x0,x1\\n0.1,0.2\\n-0.3,0.4\\n0.5,-0.1\\n")
+open(d + "/g.csv", "w").write("mean,sigma\\n0.1,1.0\\n0.4,1.5\\n-0.2,0.7\\n")
+open(d + "/l.csv", "w").write("x0\\n0.1\\n-0.4\\n0.9\\n")
+runs = [
+    ["dist", "sw", d + "/a.csv", d + "/a.csv", "--projections", "8"],
+    ["matrix", "sw", d + "/a.csv", d + "/a.csv", "--projections", "8"],
+    ["pca", d + "/g.csv"],
+    ["gw", "gw1d", d + "/l.csv", d + "/l.csv"],
+    ["flow", "euler", d + "/a.csv", "--steps", "2"],
+]
+codes = [main([*argv, "--out", d + "/out.json"]) for argv in runs]
+print(*codes)
+"""
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] * 5

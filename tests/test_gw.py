@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from msot import gw as gw_module
 from msot.cli import main
 from msot.errors import InstanceTooLarge, InvalidInput, MassMismatch
 from msot.gw import (
@@ -16,6 +17,7 @@ from msot.gw import (
 )
 
 from oracles import (
+    complete_basis_null_space,
     gw_inner_exhaustive,
     gw_inner_objective,
     hw_tensor_naive,
@@ -299,6 +301,40 @@ class TestMiGaussian:
             vf = random_orthobasis(3, 2, seed=900 + trial)
             gamma = mi_gaussian(sigma, lam, ve, vf)
             assert np.min(np.linalg.eigvalsh((gamma + gamma.T) / 2)) >= -1e-8
+
+
+class TestCompleteBasis:
+    """``_complete_basis`` is ``scipy.linalg.null_space`` without scipy:
+    the same bits, and the same wider complement of a rank-deficient
+    basis; the Gaussian detours built on it keep their bits too."""
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (4, 2), (5, 3), (6, 1), (3, 3)])
+    def test_bit_identical_to_null_space(self, p, k):
+        for trial in range(8):
+            basis = random_orthobasis(p, k, seed=10 * p + trial)
+            got = gw_module._complete_basis(basis)
+            assert np.array_equal(got, complete_basis_null_space(basis))
+
+    def test_rank_deficient_basis_keeps_null_space_rank_rule(self):
+        basis = random_orthobasis(5, 3, seed=1)
+        basis[:, 2] = basis[:, 0]
+        got = gw_module._complete_basis(basis)
+        assert got.shape == (5, 3)
+        assert np.array_equal(got, complete_basis_null_space(basis))
+
+    def test_detours_bit_identical_to_null_space_oracle(self, monkeypatch):
+        cases = []
+        for trial in range(40):
+            sigma = random_spd(5, seed=1000 + trial)
+            lam = random_spd(4, seed=2000 + trial)
+            ve = random_orthobasis(5, 2, seed=3000 + trial)
+            vf = random_orthobasis(4, 2, seed=4000 + trial)
+            cases.append((sigma, lam, ve, vf))
+        got = [(mk_gaussian(*c), mi_gaussian(*c)) for c in cases]
+        monkeypatch.setattr(gw_module, "_complete_basis", complete_basis_null_space)
+        for (mk, mi), case in zip(got, cases):
+            assert np.array_equal(mk, mk_gaussian(*case))
+            assert np.array_equal(mi, mi_gaussian(*case))
 
 
 class TestDegenerateAxisWeights:

@@ -1,7 +1,10 @@
 """Differential test of the CSV ingest boundary.
 
 ``msot.cli.load_dataset`` parses a whole file in one call and leaves
-manifold membership to the library's vectorized checks.  It must agree
+manifold membership to the library's vectorized checks.  Its reader splits
+plain ASCII text itself and hands every other file to ``csv``, so the
+generated files also hold quotes, CR and CRLF line ends, a missing final
+newline, the characters ``str.splitlines`` breaks on and non-ASCII digits.  It must agree
 with the row-by-row reference loader in ``tests/oracles.py`` on every
 file: the same atoms and weights, bit for bit, or the same error class
 and message, naming the same row.  Two deviations are documented, each
@@ -29,6 +32,12 @@ GEOMETRIES = ("euclidean", "lorentz", "poincare", "spd", "sphere", "gaussian1d")
 BAD_TOKENS = ["nan", "-inf", "inf", "1e400", "-1e400", "1_000", "NaN", "Infinity",
               "abc", "", " ", "1.2.3", "0x10", "--1", " 2.5 ", "+1", "-0.0"]
 BLANK_ROWS = ["", "   ", ",,", " , \t"]
+# characters a CSV cell may hold that ``csv`` and ``str.splitlines`` read
+# differently: form feed, vertical tab, the separators \x1c-\x1e, NUL and
+# the non-ASCII line breaks
+ODD_CHARS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x00", "\x85", "\u2028"]
+# cells in non-ASCII digits, which ``float`` reads
+UNICODE_NUMBERS = ["\u0661\u0662", "\u0663.\u0665", "\uff11\uff12", "-\u0660.\u0665"]
 
 
 def _atoms(geometry, rng, n, d, scale):
@@ -120,8 +129,27 @@ def csv_files(draw):
             rows.insert(k, [draw(st.sampled_from(BLANK_ROWS))])
     if geometry == "spd" and draw(st.integers(0, 9)) == 7:
         header[0] = "d"
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    return geometry, "\n".join(lines) + "\n"
+    table = [header] + rows
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(0, len(table) - 1))
+        if not table[k]:
+            continue
+        j = draw(st.integers(0, len(table[k]) - 1))
+        kind = draw(st.sampled_from(["odd", "quote", "unicode", "quote-comma"]))
+        cell = table[k][j]
+        if kind == "quote":  # a quoted cell or header, perhaps with a "" escape
+            inner = cell.replace('"', '""') + draw(st.sampled_from(["", '""']))
+            table[k][j] = f'"{inner}"'
+        elif kind == "quote-comma":  # one quoted cell spanning a comma
+            table[k][j] = f'"{cell},{cell}"'
+        elif kind == "odd":
+            at = draw(st.integers(0, len(cell)))
+            table[k][j] = cell[:at] + draw(st.sampled_from(ODD_CHARS)) + cell[at:]
+        else:
+            table[k][j] = draw(st.sampled_from(UNICODE_NUMBERS))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = newline if draw(st.booleans()) else ""  # a missing final newline
+    return geometry, newline.join(",".join(row) for row in table) + end
 
 
 def _load(loader, path, geometry):
@@ -131,13 +159,10 @@ def _load(loader, path, geometry):
         return exc
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=csv_files())
-def test_loader_agrees_with_row_by_row_reference(case):
-    geometry, text = case
+def _assert_agree(geometry, text):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "data.csv")
-        Path(path).write_text(text)
+        Path(path).write_bytes(text.encode())
         got = _load(load_dataset, path, geometry)
         want = _load(
             lambda p, g: load_dataset_rows(p, g, relative_symmetry=True), path, geometry
@@ -155,6 +180,24 @@ def test_loader_agrees_with_row_by_row_reference(case):
         assert got.atoms.shape == atoms.shape
         assert got.atoms.tobytes() == atoms.tobytes()
         assert got.weights.tobytes() == weights.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=csv_files())
+def test_loader_agrees_with_row_by_row_reference(case):
+    _assert_agree(*case)
+
+
+@pytest.mark.parametrize("char", ODD_CHARS)
+@pytest.mark.parametrize(
+    "template",
+    ["x0,x1\n1.5,2{c}\n3,4\n", "x0,x1\n1.{c}5,2\n3,4\n", "x0{c},x1\n1,2\n",
+     "x0,x1\r\n{c}1,2\r\n3,4", '"x0","x1"\r1,"2{c}"\r3,4\r'],
+)
+def test_loader_agrees_on_odd_characters(char, template):
+    """Each character on which ``csv`` and ``str.splitlines`` part, at the
+    start, inside and at the end of a cell, quoted or not."""
+    _assert_agree("euclidean", template.format(c=char))
 
 
 def _write(tmp_path, header, rows):
