@@ -29,5 +29,7 @@ msot matrix sw ok.csv ok.csv ball.csv --projections 8
 expect_two "n_projections must be positive" msot matrix sw ok.csv --projections 0
 msot gw gw1d line.csv line.csv
 msot pca gauss.csv
+msot pca gauss.csv --origin -0.5,1 > /dev/null
 expect_two "--origin must be" msot pca gauss.csv --origin 0
 msot flow euler ok.csv --steps 2 > /dev/null
+msot flow euler ok.csv --functional potential --potential-center -1,0 --steps 2 > /dev/null

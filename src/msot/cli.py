@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -587,8 +588,18 @@ def _add_common(parser):
     parser.add_argument("--out", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (subcommand parsers too) that reads a token starting ``-<digit>``
+    or ``-.<digit>`` as a value: ``--origin -0.5,1``, ``--potential-strength
+    -1e-3``; argparse's own pattern takes plain decimals such as ``-0.5`` only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="msot",
         description="Sliced optimal transport on Euclidean space and manifolds",
     )

@@ -464,7 +464,7 @@ def swjko_particles(
         prev = x.copy()
         # sw2_subgradient(x, prev, dirs), with the fixed previous iterate's
         # projections sorted once per outer step
-        prev_sorted = np.sort(prev @ theta.T, axis=0, kind="stable")
+        prev_sorted = sorted_rows(prev @ theta.T)[0].T
         scale = 2.0 / (n * n_projections)
         grad = np.zeros_like(x)
         for _ in range(inner.n_steps):

@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import InstanceTooLarge, InvalidInput
-from .measures import check_masses, nw_corner
+from .measures import check_masses, nw_corner, stable_order
 from .spd import sym_eig
 
 HW_EXHAUSTIVE_LIMIT = 8
@@ -67,11 +67,9 @@ def gw1d(x, a, y, b):
     y = np.asarray(y, dtype=float)
     if x.shape[1:] != (1,) or y.shape[1:] != (1,):
         raise InvalidInput("gw1d needs one-dimensional atoms")
-    order_x = np.argsort(x[:, 0], kind="stable")
-    order_y = np.argsort(y[:, 0], kind="stable")
-    sorted_plan, value = gw1d_inner(
-        x[order_x, 0], np.asarray(a)[order_x], y[order_y, 0], np.asarray(b)[order_y]
-    )
+    order_x, xs = stable_order(x[:, 0])
+    order_y, ys = stable_order(y[:, 0])
+    sorted_plan, value = gw1d_inner(xs, np.asarray(a)[order_x], ys, np.asarray(b)[order_y])
     return _in_input_order(sorted_plan, order_x, order_y), value
 
 
@@ -157,8 +155,7 @@ def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50, in
     b = np.full(m, 1.0 / m) if b is None else np.asarray(b, dtype=float)
     check_masses(float(a.sum()), float(b.sum()))
     if d == 1:
-        order_x = np.argsort(x[:, 0], kind="stable")
-        order_y = np.argsort(y[:, 0], kind="stable")
+        order_x, order_y = stable_order(x[:, 0])[0], stable_order(y[:, 0])[0]
     if init is not None:
         plan = np.asarray(init, dtype=float)
     elif d == 1:

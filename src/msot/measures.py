@@ -65,8 +65,8 @@ def build_profile(points, weights=None):
     if not np.all(np.isfinite(x)):
         raise InvalidInput("points must be finite")
     w = validate_weights(weights, n=x.size)
-    order = np.argsort(x, kind="stable")
-    x, w = x[order], w[order]
+    order, x = stable_order(x)
+    w = w[order]
     return SortedProfile(positions=x, weights=w, cum=np.cumsum(w))
 
 
@@ -237,11 +237,27 @@ def _merged_cost(u_sorted, v_sorted, levels, p):
     return np.sum(cost, axis=-1)
 
 
+def stable_order(rows):
+    """Stable ``argsort`` of ``(L, n)`` rows (or one row), with the sorted rows:
+    the vectorized default sort, whose order is the only one on a row that
+    rises strictly; the other rows (ties, ``0.0``/``-0.0``, NaN) sort again."""
+    rows = np.asarray(rows)
+    flat = np.atleast_2d(rows)
+    L, n = flat.shape
+    order = np.argsort(flat, axis=-1)
+    ordered = np.take(flat, order + np.arange(0, L * n, n)[:, None])
+    tied = ~np.all(ordered[:, 1:] > ordered[:, :-1], axis=-1)
+    if np.any(tied):
+        order[tied] = np.argsort(flat[tied], axis=-1, kind="stable")
+        ordered[tied] = np.take_along_axis(flat[tied], order[tied], axis=-1)
+    return order.reshape(rows.shape), ordered.reshape(rows.shape)
+
+
 def sorted_rows(columns):
-    """Stably sorted ``(L, n)`` rows of ``(n, L)`` coordinates, with the sort."""
-    rows = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
-    order = np.argsort(rows, axis=-1, kind="stable")
-    return np.take_along_axis(rows, order, axis=-1), order
+    """Stably sorted ``(L, n)`` rows of ``(n, L)`` coordinates, with the sort
+    (:func:`stable_order` of the columns laid out as contiguous rows)."""
+    order, rows = stable_order(np.ascontiguousarray(np.asarray(columns, dtype=float).T))
+    return rows, order
 
 
 def slice_mean(values, order):
@@ -442,8 +458,8 @@ def _circle_rows(angles, weights=None):
         w = np.broadcast_to(w, a.shape)
         a = np.sort(a, axis=-1)
     else:
-        order = np.argsort(a, axis=-1, kind="stable")
-        a, w = np.take_along_axis(a, order, axis=-1), w[order]
+        order, a = stable_order(a)
+        w = w[order]
     cum = np.cumsum(w, axis=-1)
     cum /= cum[:, -1:]
     return a, w, cum
@@ -510,6 +526,7 @@ def circle_w1_batched(x_angles, y_angles, x_weights=None, y_weights=None):
         turn = np.minimum(_event_argmin(costs, x.shape), n - 1)
         return np.min(costs(turn), axis=-1) / n
     events = np.concatenate([x, y], axis=-1)
+    # two sorted runs, which the stable sort (timsort) merges in linear time
     order = np.argsort(events, axis=-1, kind="stable")
     events = np.take_along_axis(events, order, axis=-1)
     signed = np.take_along_axis(np.concatenate([a, -b], axis=-1), order, axis=-1)
@@ -517,10 +534,10 @@ def circle_w1_batched(x_angles, y_angles, x_weights=None, y_weights=None):
     lengths = np.empty_like(events)
     lengths[:, :-1] = np.diff(events, axis=-1)
     lengths[:, -1] = 1.0 - events[:, -1] + events[:, 0]
-    order = np.argsort(values, axis=-1, kind="stable")
+    order, levels = stable_order(values)
     cum_len = np.cumsum(np.take_along_axis(lengths, order, axis=-1), axis=-1)
     median = np.sum(cum_len < 0.5, axis=-1, keepdims=True)
-    lev_med = np.take_along_axis(values, np.take_along_axis(order, median, axis=-1), axis=-1)
+    lev_med = np.take_along_axis(levels, median, axis=-1)
     return np.sum(lengths * np.abs(values - lev_med), axis=-1)
 
 

@@ -17,6 +17,7 @@ from .errors import InvalidInput
 from .measures import (
     check_order,
     sort_slices,
+    sorted_rows,
     validate_weights,
     wasserstein_1d_batched,
     wasserstein_1d_sorted,
@@ -168,20 +169,23 @@ def sw_p(x, y, dirs, p=2.0, x_weights=None, y_weights=None):
 def matched_residual(x_coords, y_coords):
     """Sorted-matching residual of equal-size coordinate columns.
 
-    Per column, sorted coordinates are matched (stable sort) and the
-    difference ``x_(i) - y_(i)`` is written back to the atom of ``x`` that
-    holds rank ``i``.  Returns an array of the shape of ``x_coords``.
+    Per column, sorted coordinates are matched (:func:`measures.stable_order`)
+    and the difference ``x_(i) - y_(i)`` is written back to the atom of ``x``
+    that holds rank ``i``.  Returns an array of the shape of ``x_coords``.
     """
-    return sorted_residual(x_coords, np.sort(y_coords, axis=0, kind="stable"))
+    return sorted_residual(x_coords, sorted_rows(y_coords)[0].T)
 
 
 def sorted_residual(x_coords, y_sorted):
     """:func:`matched_residual` against columns ``y_sorted`` sorted already,
-    e.g. a fixed target matched many times."""
-    sigma = np.argsort(x_coords, axis=0, kind="stable")
-    diff = np.take_along_axis(x_coords, sigma, axis=0) - y_sorted
-    resid = np.empty_like(diff)
-    np.put_along_axis(resid, sigma, diff, axis=0)
+    e.g. a fixed target matched many times.  The columns sort as contiguous
+    rows (:func:`measures.sorted_rows` on :func:`measures.stable_order`) and
+    the residual is scattered back into an ``(n, L)`` array."""
+    diff, sigma = sorted_rows(x_coords)
+    diff -= np.asarray(y_sorted).T
+    L, n = diff.shape
+    resid = np.empty((n, L))
+    resid.ravel()[sigma * L + np.arange(L)[:, None]] = diff
     return resid
 
 

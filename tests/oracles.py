@@ -465,14 +465,47 @@ def interaction_dense(points, weights, a, b):
     return value, weights[:, None] * force, kernel @ weights
 
 
-def swjko_particles_loop(initial, functional, tau, n_steps, inner, n_projections, seed):
-    """Backward-Euler particle flow written out with the public
-    ``sw2_subgradient`` on every inner step.
+def sorted_rows_stable(columns):
+    """Stably sorted ``(L, n)`` rows of ``(n, L)`` coordinates, with the sort,
+    by numpy's stable sort alone: the reference for ``measures.sorted_rows``."""
+    rows = np.ascontiguousarray(np.asarray(columns, dtype=float).T)
+    order = np.argsort(rows, axis=-1, kind="stable")
+    return np.take_along_axis(rows, order, axis=-1), order
+
+
+def sorted_residual_stable(x_coords, y_sorted):
+    """Sorted-matching residual down the columns by numpy's stable sort: the
+    reference for ``sliced.sorted_residual``."""
+    sigma = np.argsort(x_coords, axis=0, kind="stable")
+    diff = np.take_along_axis(x_coords, sigma, axis=0) - y_sorted
+    resid = np.empty_like(diff)
+    np.put_along_axis(resid, sigma, diff, axis=0)
+    return resid
+
+
+def matched_residual_stable(x_coords, y_coords):
+    """The reference for ``sliced.matched_residual``."""
+    return sorted_residual_stable(x_coords, np.sort(y_coords, axis=0, kind="stable"))
+
+
+def sw2_subgradient_stable(x, y, dirs):
+    """``sliced.sw2_subgradient`` written on :func:`matched_residual_stable`."""
+    theta = dirs.dirs
+    coeff = matched_residual_stable(x @ theta.T, y @ theta.T)
+    return (2.0 / (x.shape[0] * theta.shape[0])) * coeff @ theta
+
+
+def swjko_particles_loop(
+    initial, functional, tau, n_steps, inner, n_projections, seed, subgradient=None
+):
+    """Backward-Euler particle flow written out with ``subgradient`` (the
+    public ``sw2_subgradient`` by default) on every inner step.
 
     Returns the per-step ``(energy, objective, residual_grad, positions)``.
     """
     from msot.sliced import sample_directions, sw2_subgradient, sw_p
 
+    subgradient = sw2_subgradient if subgradient is None else subgradient
     x = np.asarray(initial, dtype=float).copy()
     n, d = x.shape
     records = [(functional.value(x), functional.value(x), None, x.copy())]
@@ -481,7 +514,7 @@ def swjko_particles_loop(initial, functional, tau, n_steps, inner, n_projections
         prev = x.copy()
         grad = np.zeros_like(x)
         for _ in range(inner.n_steps):
-            grad = 1.0 / (2.0 * tau) * sw2_subgradient(
+            grad = 1.0 / (2.0 * tau) * subgradient(
                 x, prev, dirs
             ) + functional.particle_gradient(x)
             x = x - inner.learning_rate * n * grad

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -622,6 +623,31 @@ def test_parser_is_built_once_and_holds_no_run_state(tmp_path):
     for payload in (one, three):
         payload.pop("wallclock_ms")
     assert one == three
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["pca", "g.csv"], "--origin", "-0.5,1"),
+        (["flow", "euler", "a.csv", "--functional", "potential"], "--potential-center", "-1,0"),
+        (["flow", "euler", "a.csv", "--functional", "potential"], "--potential-strength", "-1e-3"),
+        (["flow", "jko-particles", "a.csv", "--functional", "potential",
+          "--projections", "8", "--inner-steps", "3"], "--potential-center", "-.5,-2e-1"),
+    ],
+    ids=["origin", "center", "strength-exponent", "center-leading-dot"],
+)
+def test_negative_flag_value_reads_as_its_equals_form(tmp_path, capsys, command, flag, value):
+    """A value-taking flag followed by a value with a leading minus prints the
+    same stdout bytes as ``flag=value``, up to ``wallclock_ms``."""
+    write_csv(tmp_path / "g.csv", ["mean", "sigma"], [[0.1, 1.0], [0.4, 1.5], [-0.2, 0.7]])
+    euclidean_csv(tmp_path / "a.csv", [[0.1, 0.2], [-0.3, 0.4], [0.5, -0.1]])
+    argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in command]
+    outs = []
+    for tail in ([flag, value], [f"{flag}={value}"]):
+        assert main([*argv, "--steps", "2", *tail]) == 0
+        outs.append(re.sub(r'"wallclock_ms": [^,\n]*', "", capsys.readouterr().out))
+    assert outs[0] == outs[1]
+    assert outs[0]
 
 
 def _run_script(script):

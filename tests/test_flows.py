@@ -29,6 +29,7 @@ from oracles import (
     potential_per_atom,
     ring_equilibrium_radius,
     ring_radial_force,
+    sw2_subgradient_stable,
     swjko_particles_loop,
     wasserstein_pp_assignment,
 )
@@ -351,6 +352,30 @@ class TestFlowTrace:
 
 
 class TestSwjkoParticles:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicate_atoms_trace_matches_the_stable_sort_loop(self, seed):
+        """On a cloud whose atoms repeat (and stay repeated, so projections
+        tie on every inner step) a 2-step trace is bit-identical to the loop
+        on numpy's stable sort."""
+        rng = np.random.default_rng(seed)
+        x0 = rng.integers(-2, 3, size=(24, 2)).astype(float)
+        functional = quadratic_potential(np.array([0.3, -0.1]))
+        inner = InnerOptimizer(learning_rate=0.02, n_steps=6)
+        trace = swjko_particles(
+            x0, functional, tau=0.1, n_steps=2, inner=inner,
+            n_projections=12, seed=seed, record_positions=True,
+        )
+        want = swjko_particles_loop(
+            x0, functional, 0.1, 2, inner, 12, seed, subgradient=sw2_subgradient_stable
+        )
+        assert len(trace.records) == len(want) == 3
+        for record, (energy, objective, residual, positions) in zip(trace.records, want):
+            assert record.energy == energy
+            assert record.objective == objective
+            assert record.residual_grad == residual
+            assert np.array_equal(record.positions, positions)
+        assert len(np.unique(trace.records[-1].positions, axis=0)) < len(x0)
+
     def test_zero_functional_is_static(self):
         class Zero(
             PotentialFunctional

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from msot.errors import InvalidInput, MassMismatch
 from msot.measures import (
@@ -13,6 +14,7 @@ from msot.measures import (
     circle_w2_vs_uniform,
     circle_wp_binary_search,
     quantile,
+    stable_order,
     wasserstein_1d,
     wasserstein_1d_batched,
 )
@@ -46,6 +48,56 @@ class TestBuildProfile:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             build_profile([], [])
+
+
+def _stable_reference(rows):
+    order = np.argsort(rows, axis=-1, kind="stable")
+    return order, np.take_along_axis(rows, order, axis=-1)
+
+
+# ties of every kind: repeats, an integer grid, signed zeros, infinities, NaN
+_TIED = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestStableOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=12),
+            elements=_TIED,
+        )
+    )
+    def test_is_the_stable_argsort(self, rows):
+        order, ordered = stable_order(rows)
+        want_order, want = _stable_reference(rows)
+        assert np.array_equal(order, want_order)
+        assert ordered.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(7, 1), (1, 9), (9,), (1,)])
+    def test_one_column_and_one_row(self, shape):
+        rows = np.random.default_rng(0).integers(0, 3, size=shape).astype(float)
+        rows.flat[0] = -0.0
+        order, ordered = stable_order(rows)
+        want_order, want = _stable_reference(rows)
+        assert order.shape == ordered.shape == shape
+        assert np.array_equal(order, want_order)
+        assert ordered.tobytes() == want.tobytes()
+
+    def test_distinct_and_tied_rows_in_one_call(self):
+        rng = np.random.default_rng(1)
+        rows = rng.normal(size=(40, 30))
+        rows[::3] = np.round(rows[::3])
+        rows[5, 4] = np.nan
+        rows[7, :2] = [0.0, -0.0]
+        order, ordered = stable_order(rows)
+        want_order, want = _stable_reference(rows)
+        assert np.array_equal(order, want_order)
+        assert ordered.tobytes() == want.tobytes()
 
 
 class TestQuantile:

@@ -3,9 +3,21 @@ import pytest
 
 from msot.errors import InvalidInput, MassMismatch
 from msot.measures import build_profile, wasserstein_1d
-from msot.sliced import DirectionSet, sample_directions, sw2_subgradient, sw_p
+from msot.sliced import (
+    DirectionSet,
+    matched_residual,
+    sample_directions,
+    sorted_residual,
+    sw2_subgradient,
+    sw_p,
+)
 
-from oracles import wasserstein_pp_permutations
+from oracles import (
+    matched_residual_stable,
+    sorted_residual_stable,
+    sw2_subgradient_stable,
+    wasserstein_pp_permutations,
+)
 
 
 class TestSampleDirections:
@@ -165,3 +177,30 @@ class TestSw2Subgradient:
         assert isinstance(dirs, DirectionSet)
         with pytest.raises(AttributeError):
             dirs.dirs = np.zeros((3, 2))
+
+
+def _duplicate_atoms(n, d, seed):
+    """A cloud on an integer grid, so atoms repeat and projections tie."""
+    return np.random.default_rng(seed).integers(-2, 3, size=(n, d)).astype(float)
+
+
+class TestResidualsAgainstStableSort:
+    """The sorted-matching residuals are bit-identical to numpy's stable sort
+    down the columns, ties included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sorted_and_matched_residual(self, seed):
+        x, y = _duplicate_atoms(40, 3, seed), _duplicate_atoms(40, 3, seed + 10)
+        theta = sample_directions(3, 25, seed=seed).dirs
+        xc, yc = x @ theta.T, y @ theta.T
+        # whole-integer coordinate columns tie on every slice
+        xc[:, :5], yc[:, :5] = np.round(xc[:, :5]), np.round(yc[:, :5])
+        y_sorted = np.sort(yc, axis=0, kind="stable")
+        assert np.array_equal(sorted_residual(xc, y_sorted), sorted_residual_stable(xc, y_sorted))
+        assert np.array_equal(matched_residual(xc, yc), matched_residual_stable(xc, yc))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sw2_subgradient(self, seed):
+        x, y = _duplicate_atoms(30, 2, seed), _duplicate_atoms(30, 2, seed + 20)
+        dirs = sample_directions(2, 16, seed=seed)
+        assert np.array_equal(sw2_subgradient(x, y, dirs), sw2_subgradient_stable(x, y, dirs))

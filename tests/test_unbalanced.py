@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from msot import unbalanced
 from msot.errors import DualOverflow, InvalidInput, MassMismatch
 from msot.hyperbolic import (
     HyperbolicSlicer,
@@ -22,6 +23,8 @@ from msot.unbalanced import (
     suot,
     usw,
 )
+
+from oracles import sorted_rows_stable
 
 
 class TestPhiConj:
@@ -438,3 +441,27 @@ class TestSlicerPluggability:
         )
         assert v_l == pytest.approx(v_p, abs=1e-9)
         _ = poincare_to_lorentz
+
+
+class TestStableSortDifferential:
+    """``suot`` and ``usw`` on clouds with repeated atoms give the same bits
+    with ``sorted_rows`` swapped for numpy's stable sort."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_suot_and_usw(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(30, 2)).astype(float)
+        y = rng.integers(-1, 4, size=(25, 2)).astype(float)
+        a = rng.random(30) + 0.1
+        slicer = EuclideanSlicer(sample_directions(2, 15, seed=seed))
+        params = UnbalancedParams(rho1=0.5, rho2=2.0, n_iters=6)
+        runs = []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(unbalanced, "sorted_rows", sorted_rows_stable)
+            value, pot, history = suot(x, y, slicer, params, x_weights=a / a.sum())
+            u_value, u_pot, marginals, u_history = usw(x, y, slicer, params, x_weights=a)
+            runs.append([value, pot.f, pot.g, history, u_value, u_pot.f, u_pot.g,
+                         marginals.source, marginals.target, u_history])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
