@@ -243,13 +243,13 @@ def stable_order(rows):
     rises strictly; the other rows (ties, ``0.0``/``-0.0``, NaN) sort again."""
     rows = np.asarray(rows)
     flat = np.atleast_2d(rows)
-    L, n = flat.shape
+    n = flat.shape[1]
     order = np.argsort(flat, axis=-1)
-    ordered = np.take(flat, order + np.arange(0, L * n, n)[:, None])
+    ordered = np.take(flat, _flat_positions(order, n))
     tied = ~np.all(ordered[:, 1:] > ordered[:, :-1], axis=-1)
     if np.any(tied):
         order[tied] = np.argsort(flat[tied], axis=-1, kind="stable")
-        ordered[tied] = np.take_along_axis(flat[tied], order[tied], axis=-1)
+        ordered[tied] = np.take(flat[tied], _flat_positions(order[tied], n))
     return order.reshape(rows.shape), ordered.reshape(rows.shape)
 
 
@@ -292,7 +292,6 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     if np.any(gap > MASS_ATOL):
         raise MassMismatch(f"total masses differ, by up to {np.max(gap):.2e} relative")
     (L, n), m = x.shape, y.shape[1]
-    rows = np.arange(L)[:, None]
 
     def cost(u, v):
         d = u - v
@@ -303,23 +302,24 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     a_levels, b_levels = cum_a[:, :-1], cum_b[:, :-1]
     merged = _merge(np.concatenate([b_levels, a_levels], axis=-1))
     col = _ranks(merged >= m - 1, n - 1)
-    below = np.concatenate([np.full((L, 1), -np.inf), b_levels], axis=-1)
-    tie = below[rows, col] == a_levels
+    at = _flat_positions(col, m)
+    tie = (col > 0) & (np.take(cum_b, at - 1) == a_levels)
     if np.any(tie):
         # on a shared level, pair the r-th breakpoints of the two sides; the
         # unpaired rest of the source side steps at the level's last column
         on_level = np.zeros((L, m), dtype=np.intp)
         on_level[:, 1:] = _run_rank(b_levels) + 1
-        paired = np.where(tie, on_level[rows, col], 0)
+        paired = np.where(tie, np.take(on_level, at), 0)
         rank = _run_rank(a_levels)
         tie = rank < paired
-        col = col - np.maximum(paired - rank, 0)
+        col -= np.maximum(paired - rank, 0)
+        at = _flat_positions(col, m)
 
-    y_at = y[rows, col]
+    y_at = np.take(y, at)
     landing = cost(x[:, 1:], y_at)
     step = landing - cost(x[:, :-1], y_at)
     if np.any(tie):
-        y_next = y[rows, np.minimum(col + 1, m - 1)]
+        y_next = np.take(y, at + (col < m - 1))
         flat = cost(x[:, 1:], y_next) - cost(x[:, :-1], y_next)
         step = np.where(tie, np.minimum(np.maximum(flat, 0.0), step), step)
     f = np.zeros((L, n))
@@ -329,11 +329,12 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     # below j (a tied step is taken at the column it leaves)
     reached = np.zeros((L, m), dtype=np.intp)
     if m > 1:
-        counts = np.bincount((col + rows * m).ravel(), minlength=L * m)
+        counts = np.bincount(at.ravel(), minlength=L * m)
         np.cumsum(counts.reshape(L, m)[:, :-1], axis=-1, out=reached[:, 1:])
-    g = cost(x[rows, reached], y) - f[rows, reached]
+    reached = _flat_positions(reached, n, out=reached)
+    g = cost(np.take(x, reached), y) - np.take(f, reached)
 
-    slack = f[:, 1:] + g[rows, col] - landing
+    slack = f[:, 1:] + np.take(g, at) - landing
     if slack.size and np.max(slack) > 1e-9 * max(1.0, np.max(np.abs(landing))):
         raise InvalidInput(f"dual pair violates feasibility by {np.max(slack):.2e}")
     return f, g
@@ -384,9 +385,10 @@ def _merge(both):
 def _ahead(order, n):
     """First-half entries before every position of a :func:`_merge`: ``i``
     at the i-th first-half entry, ``k - j`` at the j-th second-half one."""
+    # both are min(n + k - order, order): at order = i < n, k >= i and so
+    # n + k - i >= n > i; at order = n + j, k - j <= n <= n + j
     ahead = np.arange(n, n + order.shape[-1]) - order
-    np.copyto(ahead, order, where=order < n)
-    return ahead
+    return np.minimum(ahead, order, out=ahead)
 
 
 def _ranks(mask, count):
@@ -396,12 +398,17 @@ def _ranks(mask, count):
     return pos - N * np.arange(L)[:, None] - np.arange(count)
 
 
+def _flat_positions(idx, n, out=None):
+    """Flat positions of row-wise indices ``idx`` into C-ordered rows of length
+    ``n``: ``np.take`` there is several times faster than ``values[rows, idx]``."""
+    return np.add(idx, np.arange(0, idx.shape[0] * n, n)[:, None], out=out)
+
+
 def _take_rows(values, idx):
     """``values[l, min(idx[l, k], n - 1)]`` as one flat take; reuses ``idx``."""
-    L, n = values.shape
+    n = values.shape[1]
     np.minimum(idx, n - 1, out=idx)
-    idx += np.arange(0, L * n, n)[:, None]
-    return np.take(values.ravel(), idx)
+    return np.take(values.ravel(), _flat_positions(idx, n, out=idx))
 
 
 def _sorted_with_cum(rows, weights, cum):
@@ -526,18 +533,18 @@ def circle_w1_batched(x_angles, y_angles, x_weights=None, y_weights=None):
         turn = np.minimum(_event_argmin(costs, x.shape), n - 1)
         return np.min(costs(turn), axis=-1) / n
     events = np.concatenate([x, y], axis=-1)
+    N = events.shape[1]
     # two sorted runs, which the stable sort (timsort) merges in linear time
-    order = np.argsort(events, axis=-1, kind="stable")
-    events = np.take_along_axis(events, order, axis=-1)
-    signed = np.take_along_axis(np.concatenate([a, -b], axis=-1), order, axis=-1)
-    values = np.cumsum(signed, axis=-1)
+    at = _flat_positions(np.argsort(events, axis=-1, kind="stable"), N)
+    events = np.take(events, at)
+    values = np.cumsum(np.take(np.concatenate([a, -b], axis=-1), at), axis=-1)
     lengths = np.empty_like(events)
     lengths[:, :-1] = np.diff(events, axis=-1)
     lengths[:, -1] = 1.0 - events[:, -1] + events[:, 0]
     order, levels = stable_order(values)
-    cum_len = np.cumsum(np.take_along_axis(lengths, order, axis=-1), axis=-1)
+    cum_len = np.cumsum(np.take(lengths, _flat_positions(order, N, out=order)), axis=-1)
     median = np.sum(cum_len < 0.5, axis=-1, keepdims=True)
-    lev_med = np.take_along_axis(levels, median, axis=-1)
+    lev_med = np.take(levels, _flat_positions(median, N))
     return np.sum(lengths * np.abs(values - lev_med), axis=-1)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DualOverflow, InvalidInput
 from .measures import (
+    _flat_positions,
     check_order,
     check_positive,
     dual_1d_batched,
@@ -186,14 +187,15 @@ def suot(x, y, slicer, params, x_weights=None, y_weights=None):
     x, a, y, b = validate_pair(x, y, x_weights, y_weights)
     xs, x_order = sorted_rows(slicer.coordinates(x))
     ys, y_order = sorted_rows(slicer.coordinates(y))
+    # the sorts hold for the whole solve: every round reuses their flat positions
+    x_at = _flat_positions(x_order, xs.shape[1])
+    y_at = _flat_positions(y_order, ys.shape[1])
 
     def oracle(t, src, tgt):
-        src = np.take_along_axis(src, x_order, axis=-1)
-        tgt = np.take_along_axis(tgt, y_order, axis=-1)
-        fs, gs = _mass_matched_dual(xs, src, ys, tgt, params.p)
+        fs, gs = _mass_matched_dual(xs, np.take(src, x_at), ys, np.take(tgt, y_at), params.p)
         r, s = np.empty_like(fs), np.empty_like(gs)
-        np.put_along_axis(r, x_order, fs, axis=-1)
-        np.put_along_axis(s, y_order, gs, axis=-1)
+        r.ravel()[x_at] = fs
+        s.ravel()[y_at] = gs
         return r, s
 
     (value, f, g), history = _frank_wolfe(

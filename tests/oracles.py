@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the quantile/merge machinery of the
 package: couplings are solved as explicit linear programs or permutation
-enumerations, integrals by quadrature or dense grids.
+enumerations, integrals by quadrature or dense grids.  The exceptions are
+the earlier bodies of rewritten kernels (``dual_1d_batched_gathers``,
+``ahead_masked``, ``circle_w1_along_axis``), kept as bit-for-bit
+references for their replacements.
 """
 
 import csv
@@ -14,6 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 from scipy import integrate, optimize
 from scipy.linalg import null_space
+
+from msot import measures
+from msot.errors import InvalidInput, MassMismatch
 
 
 def wasserstein_1d_lp(x, a, y, b, p):
@@ -648,3 +654,81 @@ def matrix_per_pair(name, paths, geometry, cfg):
             values[i, j], _ = cli.compute_distance(name, datasets[i], datasets[j], cfg)
             values[j, i] = values[i, j]
     return values
+
+
+def dual_1d_batched_gathers(x, a, y, b, p=2.0):
+    """``measures.dual_1d_batched`` read through 2-D ``arr[rows, idx]``
+    gathers: the reference its flat-position reads must match bit for bit."""
+    measures.check_order(p)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    cum_a, cum_b = np.cumsum(a, axis=-1), np.cumsum(b, axis=-1)
+    gap = np.abs(cum_a[:, -1] - cum_b[:, -1]) / np.maximum(cum_a[:, -1], 1.0)
+    if np.any(gap > measures.MASS_ATOL):
+        raise MassMismatch(f"total masses differ, by up to {np.max(gap):.2e} relative")
+    (L, n), m = x.shape, y.shape[1]
+    rows = np.arange(L)[:, None]
+
+    def cost(u, v):
+        d = u - v
+        return d * d if p == 2 else np.abs(d) ** p
+
+    a_levels, b_levels = cum_a[:, :-1], cum_b[:, :-1]
+    merged = measures._merge(np.concatenate([b_levels, a_levels], axis=-1))
+    col = measures._ranks(merged >= m - 1, n - 1)
+    below = np.concatenate([np.full((L, 1), -np.inf), b_levels], axis=-1)
+    tie = below[rows, col] == a_levels
+    if np.any(tie):
+        on_level = np.zeros((L, m), dtype=np.intp)
+        on_level[:, 1:] = measures._run_rank(b_levels) + 1
+        paired = np.where(tie, on_level[rows, col], 0)
+        rank = measures._run_rank(a_levels)
+        tie = rank < paired
+        col = col - np.maximum(paired - rank, 0)
+
+    y_at = y[rows, col]
+    landing = cost(x[:, 1:], y_at)
+    step = landing - cost(x[:, :-1], y_at)
+    if np.any(tie):
+        y_next = y[rows, np.minimum(col + 1, m - 1)]
+        flat = cost(x[:, 1:], y_next) - cost(x[:, :-1], y_next)
+        step = np.where(tie, np.minimum(np.maximum(flat, 0.0), step), step)
+    f = np.zeros((L, n))
+    np.cumsum(step, axis=-1, out=f[:, 1:])
+
+    reached = np.zeros((L, m), dtype=np.intp)
+    if m > 1:
+        counts = np.bincount((col + rows * m).ravel(), minlength=L * m)
+        np.cumsum(counts.reshape(L, m)[:, :-1], axis=-1, out=reached[:, 1:])
+    g = cost(x[rows, reached], y) - f[rows, reached]
+
+    slack = f[:, 1:] + g[rows, col] - landing
+    if slack.size and np.max(slack) > 1e-9 * max(1.0, np.max(np.abs(landing))):
+        raise InvalidInput(f"dual pair violates feasibility by {np.max(slack):.2e}")
+    return f, g
+
+
+def ahead_masked(order, n):
+    """``measures._ahead`` as a masked copy of the first-half entries."""
+    ahead = np.arange(n, n + order.shape[-1]) - order
+    np.copyto(ahead, order, where=order < n)
+    return ahead
+
+
+def circle_w1_along_axis(x_angles, y_angles, x_weights=None, y_weights=None):
+    """The general branch of ``measures.circle_w1_batched`` read through
+    ``np.take_along_axis``, for rows that are not matched uniform ones."""
+    x, a, _, y, b, _ = measures._circle_pair(x_angles, y_angles, x_weights, y_weights)
+    events = np.concatenate([x, y], axis=-1)
+    order = np.argsort(events, axis=-1, kind="stable")
+    events = np.take_along_axis(events, order, axis=-1)
+    signed = np.take_along_axis(np.concatenate([a, -b], axis=-1), order, axis=-1)
+    values = np.cumsum(signed, axis=-1)
+    lengths = np.empty_like(events)
+    lengths[:, :-1] = np.diff(events, axis=-1)
+    lengths[:, -1] = 1.0 - events[:, -1] + events[:, 0]
+    order, levels = measures.stable_order(values)
+    cum_len = np.cumsum(np.take_along_axis(lengths, order, axis=-1), axis=-1)
+    median = np.sum(cum_len < 0.5, axis=-1, keepdims=True)
+    lev_med = np.take_along_axis(levels, median, axis=-1)
+    return np.sum(lengths * np.abs(values - lev_med), axis=-1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from msot import flows
 from msot.errors import FlowDiverged, InvalidInput
 from msot.flows import (
     EntropyFunctional,
@@ -24,6 +25,7 @@ from msot.hyperbolic import dist_lorentz, exp_map, origin, sample_wrapped_normal
 from msot.sliced import sample_directions
 
 from oracles import (
+    dual_1d_batched_gathers,
     ghsw_gradient_dense,
     interaction_dense,
     potential_per_atom,
@@ -655,3 +657,26 @@ class TestSwTargetGridGradient:
             assert energies[-1] < energies[0] / 5.0, shift
             rises = np.diff(energies)[energies[:-1] >= 0.05 * energies[0]]
             assert np.max(rises) <= 1e-8, shift
+
+
+class TestGridDualDifferential:
+    def test_grid_flow_with_the_gather_kernel(self, monkeypatch):
+        # a 2-D grid flow toward a target cloud: the same bits with
+        # ``dual_1d_batched`` swapped for its 2-D gather body
+        axis = np.linspace(-1.0, 1.0, 6)
+        nodes = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        rho0 = np.exp(-np.sum((nodes + 0.3) ** 2, axis=-1))
+        grid = GridState(nodes=nodes, rho=rho0 / rho0.sum(), cell_volume=0.16)
+        target = np.random.default_rng(40).integers(-2, 3, size=(15, 2)) / 2.0
+        func = SumFunctional([SwToTargetFunctional(target, sample_directions(2, 8, seed=41)),
+                              EntropyFunctional()])
+        runs = []
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(flows, "dual_1d_batched", dual_1d_batched_gathers)
+            trace = swjko_grid(grid, func, tau=0.2, n_steps=3, record_rho=True,
+                               inner=InnerOptimizer(learning_rate=0.01, n_steps=10),
+                               n_projections=6, seed=42)
+            runs.append([r.rho for r in trace.records] + [trace.energies])
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from msot import measures
 from msot.errors import InvalidInput, MassMismatch
 from msot.measures import (
     build_circle_profile,
     build_profile,
     circle_w1_level_median,
     circle_w2_vs_uniform,
+    circle_w1_batched,
     circle_wp_binary_search,
+    dual_1d_batched,
     quantile,
     stable_order,
     wasserstein_1d,
@@ -20,8 +23,11 @@ from msot.measures import (
 )
 
 from oracles import (
+    ahead_masked,
+    circle_w1_along_axis,
     circle_w2_uniform_dirac,
     circle_wpp_grid,
+    dual_1d_batched_gathers,
     wasserstein_1d_lp,
     wasserstein_1d_walk,
 )
@@ -393,3 +399,72 @@ class TestCircleBinarySearch:
         )
         assert got <= want + 1e-9
         assert got == pytest.approx(want, abs=2e-3)
+
+
+def _integer_grid_rows(rng, L, n, m, zeros):
+    """Sorted integer-grid atoms with repeats, and integer weights of equal
+    row totals over a power of two, so cumulative weights tie exactly."""
+    x = np.sort(rng.integers(-3, 4, size=(L, n)), axis=-1).astype(float)
+    y = np.sort(rng.integers(-3, 4, size=(L, m)), axis=-1).astype(float)
+    a = rng.integers(0 if zeros else 1, 4, size=(L, n))
+    a[:, rng.integers(n)] += 1
+    b = np.stack([rng.multinomial(total, np.full(m, 1.0 / m)) for total in a.sum(axis=-1)])
+    return x, a / 8.0, y, b / 8.0
+
+
+def _dual_outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except (InvalidInput, MassMismatch) as err:
+        return type(err), str(err)
+
+
+class TestFlatGatherDifferential:
+    """The dual kernel, ``_ahead`` and the weighted circle ``W_1`` read
+    through flat positions give the bits of their 2-D gather bodies."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (6, 1), (5, 5), (7, 4), (3, 9)])
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_dual_on_integer_grids_with_ties(self, p, n, m, zeros):
+        rng = np.random.default_rng([n, m, int(2 * p), zeros])
+        for _ in range(20):
+            rows = _integer_grid_rows(rng, 6, n, m, zeros)
+            f, g = dual_1d_batched(*rows, p)
+            f_ref, g_ref = dual_1d_batched_gathers(*rows, p)
+            assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dual_errors_match(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        x, a, y, b = _integer_grid_rows(rng, 5, 6, 4, zeros=True)
+        got = _dual_outcome(dual_1d_batched, x, a, y, 1.5 * b, 2.0)
+        assert got[0] is MassMismatch
+        assert got == _dual_outcome(dual_1d_batched_gathers, x, a, y, 1.5 * b, 2.0)
+        # the staircase is feasible by construction; columns taken in
+        # reverse on unsorted atoms are not
+        ranks = measures._ranks
+        monkeypatch.setattr(measures, "_ranks", lambda *args: ranks(*args)[:, ::-1].copy())
+        x, y = rng.normal(size=x.shape), rng.normal(size=y.shape)
+        got = _dual_outcome(dual_1d_batched, x, a, y, b, 2.0)
+        assert got[0] is InvalidInput and "feasibility" in got[1]
+        assert got == _dual_outcome(dual_1d_batched_gathers, x, a, y, b, 2.0)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (40, 40), (33, 17)])
+    def test_ahead_on_merges_with_ties(self, n, m):
+        rng = np.random.default_rng([n, m])
+        halves = [np.sort(rng.integers(0, 6, size=(8, k)), axis=-1) for k in (n, m)]
+        order = measures._merge(np.concatenate(halves, axis=-1).astype(float))
+        assert np.array_equal(measures._ahead(order.copy(), n), ahead_masked(order, n))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (6, 6), (9, 4)])
+    def test_weighted_circle_w1(self, n, m):
+        rng = np.random.default_rng([n, m])
+        for _ in range(10):
+            x = rng.integers(0, 8, size=(5, n)) / 8.0
+            y = rng.integers(0, 8, size=(5, m)) / 8.0
+            a, b = rng.integers(0, 3, size=n) + 0.0, rng.integers(0, 3, size=m) + 0.0
+            a[0] += 1.0
+            b[-1] += 1.0
+            args = (x, y, a / a.sum(), b / b.sum())
+            assert np.array_equal(circle_w1_batched(*args), circle_w1_along_axis(*args))

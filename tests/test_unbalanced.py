@@ -24,7 +24,7 @@ from msot.unbalanced import (
     usw,
 )
 
-from oracles import sorted_rows_stable
+from oracles import dual_1d_batched_gathers, sorted_rows_stable
 
 
 class TestPhiConj:
@@ -443,6 +443,20 @@ class TestSlicerPluggability:
         _ = poincare_to_lorentz
 
 
+def _runs_swapped(monkeypatch, name, reference, x, y, a, slicer, params):
+    """``suot`` and ``usw`` outputs, then the same with ``unbalanced.<name>``
+    swapped for ``reference``."""
+    runs = []
+    for swapped in (False, True):
+        if swapped:
+            monkeypatch.setattr(unbalanced, name, reference)
+        value, pot, history = suot(x, y, slicer, params, x_weights=a / a.sum())
+        u_value, u_pot, marginals, u_history = usw(x, y, slicer, params, x_weights=a)
+        runs.append([value, pot.f, pot.g, history, u_value, u_pot.f, u_pot.g,
+                     marginals.source, marginals.target, u_history])
+    return runs
+
+
 class TestStableSortDifferential:
     """``suot`` and ``usw`` on clouds with repeated atoms give the same bits
     with ``sorted_rows`` swapped for numpy's stable sort."""
@@ -455,13 +469,27 @@ class TestStableSortDifferential:
         a = rng.random(30) + 0.1
         slicer = EuclideanSlicer(sample_directions(2, 15, seed=seed))
         params = UnbalancedParams(rho1=0.5, rho2=2.0, n_iters=6)
-        runs = []
-        for reference in (False, True):
-            if reference:
-                monkeypatch.setattr(unbalanced, "sorted_rows", sorted_rows_stable)
-            value, pot, history = suot(x, y, slicer, params, x_weights=a / a.sum())
-            u_value, u_pot, marginals, u_history = usw(x, y, slicer, params, x_weights=a)
-            runs.append([value, pot.f, pot.g, history, u_value, u_pot.f, u_pot.g,
-                         marginals.source, marginals.target, u_history])
+        runs = _runs_swapped(monkeypatch, "sorted_rows", sorted_rows_stable,
+                             x, y, a, slicer, params)
+        for got, want in zip(*runs):
+            assert np.array_equal(got, want)
+
+
+class TestDualKernelDifferential:
+    """``suot`` and ``usw`` on integer-grid clouds with tied weights give the
+    same bits with ``dual_1d_batched`` swapped for its 2-D gather body."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_suot_and_usw(self, monkeypatch, seed, p):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-2, 3, size=(24, 2)).astype(float)
+        y = rng.integers(-1, 4, size=(17, 2)).astype(float)
+        a = rng.integers(0, 3, size=24) + 1.0
+        a[:5] = 0.0
+        slicer = EuclideanSlicer(sample_directions(2, 12, seed=seed))
+        params = UnbalancedParams(rho1=0.5, rho2=2.0, p=p, n_iters=6)
+        runs = _runs_swapped(monkeypatch, "dual_1d_batched", dual_1d_batched_gathers,
+                             x, y, a, slicer, params)
         for got, want in zip(*runs):
             assert np.array_equal(got, want)
