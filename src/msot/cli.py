@@ -576,15 +576,9 @@ def run_gw(args, cfg):
 
 def _add_common(parser):
     parser.add_argument("--geometry", default="euclidean", choices=GEOMETRIES)
-    parser.add_argument("--p", type=float, default=2.0)
-    parser.add_argument("--projections", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rho1", type=float, default=1.0)
-    parser.add_argument("--rho2", type=float, default=1.0)
-    parser.add_argument("--tau", type=float, default=0.1)
-    parser.add_argument("--steps", type=int, default=100)
-    parser.add_argument("--eps", type=float, default=1e-6)
-    parser.add_argument("--fw-iters", type=int, default=20)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, type=type(f.default), default=f.default)
     parser.add_argument("--out", default=None)
 
 
@@ -629,8 +623,8 @@ def build_parser():
     p_flow.add_argument("--potential-strength", type=float, default=1.0)
     p_flow.add_argument("--kernel-a", type=float, default=4.0)
     p_flow.add_argument("--kernel-b", type=float, default=2.0)
-    p_flow.add_argument("--inner-lr", type=float, default=0.05)
-    p_flow.add_argument("--inner-steps", type=int, default=50)
+    p_flow.add_argument("--inner-lr", type=float, default=flows.InnerOptimizer.learning_rate)
+    p_flow.add_argument("--inner-steps", type=int, default=flows.InnerOptimizer.n_steps)
     p_flow.add_argument("--cell-volume", type=float, default=None)
     p_flow.add_argument("--dilation", action="store_true")
     p_flow.add_argument("--record-positions", action="store_true")

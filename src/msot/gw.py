@@ -1,8 +1,8 @@
 r"""1D Gromov-Wasserstein, Hadamard-Wasserstein and Gaussian subspace detours.
 
 The inner-GW objective between sorted 1D measures is minimized by one of
-two north-west corner plans (ascending or reversed source), evaluated
-through its moment decomposition.  The Hadamard-Wasserstein cost
+two north-west corner plans (ascending or reversed source), compared on
+their supports by cross moment.  The Hadamard-Wasserstein cost
 :math:`\|x \odot x' - y \odot y'\|_2^2` is handled by a conditional
 gradient whose tensor product has an :math:`O(d(n^2m + m^2n))` closed
 form.  Subspace detours between Gaussians use the Monge-Knothe and
@@ -14,17 +14,24 @@ import itertools
 import numpy as np
 
 from .errors import InstanceTooLarge, InvalidInput
-from .measures import check_masses, nw_corner, stable_order
+from .measures import check_masses, dense_plan, nw_corner, nw_support, stable_order
+from .sliced import validate_pair
 from .spd import sym_eig
 
 HW_EXHAUSTIVE_LIMIT = 8
 
 
-def _inner_gw_value(x, a, y, b, cross):
-    # moment decomposition: constant terms plus -2 (sum_ij x_i y_j g_ij)^2
+def _gw1d_sorted(x, a, y, b):
+    """The optimal one of the two NW supports between sorted 1D measures, and
+    its inner-GW value.  The value is constant terms minus twice the squared
+    cross moment ``sum_ij x_i y_j g_ij``, so the support of larger squared
+    cross moment wins; the ascending one wins exact ties."""
+    supports = [_linear_oracle_1d(a, b, 1.0), _linear_oracle_1d(a, b, -1.0)]
+    cross = [float(np.sum(mass * x[rows] * y[cols])) for rows, cols, mass in supports]
+    k = int(cross[1] ** 2 > cross[0] ** 2)
     mx = float(np.sum(a * x**2))
     my = float(np.sum(b * y**2))
-    return mx**2 + my**2 - 2.0 * cross**2
+    return supports[k], mx**2 + my**2 - 2.0 * cross[k] ** 2
 
 
 def gw1d_inner(x, a, y, b):
@@ -33,44 +40,31 @@ def gw1d_inner(x, a, y, b):
     Minimizes :math:`\sum_{ijkl} (x_i x_k - y_j y_l)^2
     \gamma_{ij}\gamma_{kl}` over couplings; an optimum lies in
     ``{NW(a, b), NW(a-, b)}`` and the ascending plan wins exact ties.
+    Inputs pass :func:`~msot.sliced.validate_pair` as ``(n, 1)`` atoms.
     Returns ``(plan, value)``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    if np.ndim(x) != 1 or np.ndim(y) != 1:
+        raise InvalidInput("gw1d_inner needs 1D arrays of atoms")
+    x, a, y, b = validate_pair(
+        np.asarray(x, dtype=float)[:, None], np.asarray(y, dtype=float)[:, None], a, b
+    )
+    x, y = x[:, 0], y[:, 0]
     if np.any(np.diff(x) < 0) or np.any(np.diff(y) < 0):
         raise InvalidInput("gw1d_inner expects sorted inputs")
-    if not (np.sum(a) > 0 and np.sum(b) > 0):
-        raise InvalidInput("measures must carry positive total mass")
-    asc, desc = _linear_oracle_1d(a, b, 1.0), _linear_oracle_1d(a, b, -1.0)
-    cross_asc = float(x @ asc @ y)
-    cross_desc = float(x @ desc @ y)
-    val_asc = _inner_gw_value(x, a, y, b, cross_asc)
-    val_desc = _inner_gw_value(x, a, y, b, cross_desc)
-    if val_asc <= val_desc:
-        return asc, val_asc
-    return desc, val_desc
-
-
-def _in_input_order(sorted_plan, order_x, order_y):
-    """A plan between stably sorted atoms, put back in input order."""
-    plan = np.zeros_like(sorted_plan)
-    plan[np.ix_(order_x, order_y)] = sorted_plan
-    return plan
+    support, value = _gw1d_sorted(x, a, y, b)
+    return dense_plan(*support, (x.size, y.size)), value
 
 
 def gw1d(x, a, y, b):
     """:func:`gw1d_inner` of ``(n, 1)`` and ``(m, 1)`` atoms in any order,
     with the plan in input order.  Returns ``(plan, value)``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[1:] != (1,) or y.shape[1:] != (1,):
+    if np.shape(x)[1:] != (1,) or np.shape(y)[1:] != (1,):
         raise InvalidInput("gw1d needs one-dimensional atoms")
+    x, a, y, b = validate_pair(x, y, a, b)
     order_x, xs = stable_order(x[:, 0])
     order_y, ys = stable_order(y[:, 0])
-    sorted_plan, value = gw1d_inner(xs, np.asarray(a)[order_x], ys, np.asarray(b)[order_y])
-    return _in_input_order(sorted_plan, order_x, order_y), value
+    (rows, cols, mass), value = _gw1d_sorted(xs, a[order_x], ys, b[order_y])
+    return dense_plan(order_x[rows], order_y[cols], mass, (x.shape[0], y.shape[0])), value
 
 
 def hw_tensor(x_cloud, y_cloud, plan, axis_weights=None):
@@ -110,10 +104,12 @@ def _hw_objective(x, y, plan, axis_weights):
 
 
 def _linear_oracle_1d(a, b, grad_cross_sign):
-    """Exact oracle for d = 1: comonotone or anticomonotone NW plan."""
+    """Exact oracle for d = 1: the support ``(rows, cols, mass)`` of the
+    comonotone or anticomonotone NW plan."""
     if grad_cross_sign >= 0:
-        return nw_corner(a, b)
-    return nw_corner(a[::-1], b)[::-1, :]
+        return nw_support(a, b)
+    rows, cols, mass = nw_support(a[::-1], b)
+    return a.size - 1 - rows, cols, mass
 
 
 def _linear_oracle_exhaustive(grad, a, b):
@@ -147,13 +143,9 @@ def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50, in
     the exact line search of the quadratic objective.  Returns
     ``(plan, value)``.
     """
-    x = np.asarray(x_cloud, dtype=float)
-    y = np.asarray(y_cloud, dtype=float)
-    n, d = x.shape
-    m = y.shape[0]
-    a = np.full(n, 1.0 / n) if a is None else np.asarray(a, dtype=float)
-    b = np.full(m, 1.0 / m) if b is None else np.asarray(b, dtype=float)
+    x, a, y, b = validate_pair(x_cloud, y_cloud, a, b)
     check_masses(float(a.sum()), float(b.sum()))
+    (n, d), m = x.shape, y.shape[0]
     if d == 1:
         order_x, order_y = stable_order(x[:, 0])[0], stable_order(y[:, 0])[0]
     if init is not None:
@@ -170,8 +162,8 @@ def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50, in
         if d == 1:
             wts = np.ones(1) if axis_weights is None else axis_weights
             cross = float(wts[0] * (x[:, 0] @ plan @ y[:, 0]))
-            sorted_plan = _linear_oracle_1d(a[order_x], b[order_y], cross)
-            target = _in_input_order(sorted_plan, order_x, order_y)
+            rows, cols, mass = _linear_oracle_1d(a[order_x], b[order_y], cross)
+            target = dense_plan(order_x[rows], order_y[cols], mass, (n, m))
         else:
             target = _linear_oracle_exhaustive(grad, a, b)
         direction = target - plan

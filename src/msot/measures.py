@@ -340,12 +340,13 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     return f, g
 
 
-def nw_corner(a, b):
-    """North-west corner (monotone) coupling of two weight vectors.
+def nw_support(a, b):
+    """Support of the north-west corner (monotone) coupling of two weight vectors.
 
-    Cell ``(i, j)`` holds the overlap of the i-th and j-th cumulative-weight
-    intervals: the rise of every merged level, at the counts of a
-    :func:`_merge`.
+    Returns ``(rows, cols, mass)``, ``n + m`` entries (some of zero mass): at
+    every position of a :func:`_merge` of the cumulative weights, the rise of
+    the merged level, in the cell of the counts of each side's breakpoints
+    below it.  A cell may appear more than once.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -353,12 +354,23 @@ def nw_corner(a, b):
     n, m = a.size, b.size
     levels = np.concatenate([np.cumsum(a), np.cumsum(b)])[None]
     order = _merge(levels)
-    ahead = _ahead(order, n)
-    rise = np.diff(_take_rows(levels, order), prepend=0.0)
-    plan = np.zeros((n, m))
+    ahead = _ahead(order, n)[0]
+    rise = np.diff(_take_rows(levels, order)[0], prepend=0.0)
     cols = np.minimum(np.arange(n + m) - ahead, m - 1)
-    np.add.at(plan, (np.minimum(ahead, n - 1), cols), rise)
-    return plan
+    return np.minimum(ahead, n - 1), cols, rise
+
+
+def dense_plan(rows, cols, mass, shape):
+    """The ``shape`` coupling holding ``mass`` at cells ``(rows, cols)``, summed
+    in order where a cell repeats: one ``bincount``, the only dense array."""
+    n, m = shape
+    return np.bincount(rows * m + cols, weights=mass, minlength=n * m).reshape(n, m)
+
+
+def nw_corner(a, b):
+    """North-west corner (monotone) coupling of two weight vectors: the dense
+    form of :func:`nw_support`."""
+    return dense_plan(*nw_support(a, b), (np.size(a), np.size(b)))
 
 
 def _run_rank(levels):

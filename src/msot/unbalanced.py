@@ -154,8 +154,9 @@ def _frank_wolfe(a, b, f, g, params, oracle):
     """
     history = []
     best = (-np.inf, None, None)
+    # every later round starts from the previous round's translated pair
+    f, g = _translated(a, b, f, g, params)
     for t in range(params.n_iters):
-        f, g = _translated(a, b, f, g, params)
         r, s = oracle(t, a * np.exp(-f / params.rho1), b * np.exp(-g / params.rho2))
         gamma = 2.0 / (3.0 + t)  # gamma_{t+1} = 2 / (2 + t + 1) for t = 0, 1, ...
         f, g = _translated(a, b, f + gamma * (r - f), g + gamma * (s - g), params)

@@ -4,8 +4,8 @@ Everything here deliberately avoids the quantile/merge machinery of the
 package: couplings are solved as explicit linear programs or permutation
 enumerations, integrals by quadrature or dense grids.  The exceptions are
 the earlier bodies of rewritten kernels (``dual_1d_batched_gathers``,
-``ahead_masked``, ``circle_w1_along_axis``), kept as bit-for-bit
-references for their replacements.
+``ahead_masked``, ``circle_w1_along_axis``, ``nw_corner_add_at``,
+``gw1d_inner_dense``), kept as references for their replacements.
 """
 
 import csv
@@ -311,6 +311,38 @@ def gw_inner_objective(x, y, plan):
     cost = (x[:, None, None, None] * x[None, None, :, None]
             - y[None, :, None, None] * y[None, None, None, :]) ** 2
     return float(np.einsum("ijkl,ij,kl->", cost, plan, plan))
+
+
+def nw_corner_add_at(a, b):
+    """``measures.nw_corner`` scattered into a dense plan with ``np.add.at``:
+    the reference its ``bincount`` densification must match bit for bit."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    measures.check_masses(float(a.sum()), float(b.sum()))
+    n, m = a.size, b.size
+    levels = np.concatenate([np.cumsum(a), np.cumsum(b)])[None]
+    order = measures._merge(levels)
+    ahead = measures._ahead(order, n)
+    rise = np.diff(measures._take_rows(levels, order), prepend=0.0)
+    plan = np.zeros((n, m))
+    cols = np.minimum(np.arange(n + m) - ahead, m - 1)
+    np.add.at(plan, (np.minimum(ahead, n - 1), cols), rise)
+    return plan
+
+
+def gw1d_inner_dense(x, a, y, b):
+    """``gw.gw1d_inner`` from its two dense candidate plans, the ascending NW
+    plan and the one of the reversed source, each valued through ``x @ plan @
+    y``.  Returns ``(plan, value, other)``, ``other`` the losing value."""
+    x, a, y, b = (np.asarray(v, dtype=float) for v in (x, a, y, b))
+    const = float(np.sum(a * x**2)) ** 2 + float(np.sum(b * y**2)) ** 2
+    asc = nw_corner_add_at(a, b)
+    desc = nw_corner_add_at(a[::-1], b)[::-1, :]
+    val_asc = const - 2.0 * float(x @ asc @ y) ** 2
+    val_desc = const - 2.0 * float(x @ desc @ y) ** 2
+    if val_asc <= val_desc:
+        return asc, val_asc, val_desc
+    return desc, val_desc, val_asc
 
 
 def hw_tensor_naive(x_cloud, y_cloud, plan, axis_weights=None):

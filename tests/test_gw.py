@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from msot import gw as gw_module
 from msot.cli import main
 from msot.errors import InstanceTooLarge, InvalidInput, MassMismatch
+from msot.measures import dense_plan, stable_order
 from msot.gw import (
     gw1d,
     gw1d_inner,
@@ -18,9 +20,11 @@ from msot.gw import (
 
 from oracles import (
     complete_basis_null_space,
+    gw1d_inner_dense,
     gw_inner_exhaustive,
     gw_inner_objective,
     hw_tensor_naive,
+    nw_corner_add_at,
     nw_corner_greedy,
 )
 
@@ -35,6 +39,18 @@ def random_spd(d, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(d, d))
     return z @ z.T * scale / d + 0.2 * np.eye(d)
+
+
+def random_weights(rng, n, kind):
+    """Probability weights on ``n`` atoms: positive (kind 0), eighths whose
+    cumulative sums tie and may hold zeros (kind 1), or with zeros (kind 2)."""
+    if kind == 1:
+        return np.diff([0, *np.sort(rng.integers(0, 9, n - 1)), 8]) / 8.0
+    w = rng.random(n) + 0.01
+    if kind == 2:
+        w[rng.random(n) < 0.4] = 0.0
+        w[rng.integers(n)] += 0.5
+    return w / w.sum()
 
 
 class TestNwCorner:
@@ -76,6 +92,18 @@ class TestNwCorner:
             plan = nw_corner(a, b)
             assert np.max(np.abs(plan - nw_corner_greedy(a, b))) <= 1e-15
             assert np.count_nonzero(plan) == np.count_nonzero(nw_corner_greedy(a, b))
+
+    def test_equals_add_at_scatter(self):
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n, m = rng.integers(1, 12, size=2)
+            if trial % 5 == 0:
+                n = 1
+            elif trial % 5 == 1:
+                m = 1
+            a = random_weights(rng, n, trial % 3)
+            b = random_weights(rng, m, trial // 3 % 3)
+            assert np.array_equal(nw_corner(a, b), nw_corner_add_at(a, b))
 
 
 class TestGw1dInner:
@@ -125,6 +153,26 @@ class TestGw1dInner:
         _, value = gw1d_inner(x, a, y, a)
         _, value_flip = gw1d_inner(np.sort(-x), a, y, a)
         assert value == pytest.approx(value_flip, abs=1e-12)
+
+    def test_matches_dense_candidates(self):
+        # the value to 1e-12 of the terms' scale; the plan wherever the two
+        # candidate values are further apart than that
+        rng = np.random.default_rng(9)
+        decided = 0
+        for trial in range(300):
+            n, m = rng.integers(1, 12, size=2)
+            a = random_weights(rng, n, trial % 3)
+            b = random_weights(rng, m, trial // 3 % 3)
+            x = rng.integers(-3, 4, n).astype(float) if trial % 2 else rng.normal(size=n)
+            x, y = np.sort(x), np.sort(rng.normal(size=m))
+            plan, value = gw1d_inner(x, a, y, b)
+            want, want_value, other = gw1d_inner_dense(x, a, y, b)
+            scale = float(np.sum(a * x**2)) ** 2 + float(np.sum(b * y**2)) ** 2
+            assert value == pytest.approx(want_value, rel=1e-12, abs=1e-12 * scale)
+            if abs(other - want_value) > 1e-12 * scale:
+                decided += 1
+                assert np.array_equal(plan, want)
+        assert decided > 200
 
     def test_unsorted_rejected(self):
         with pytest.raises(InvalidInput):
@@ -395,7 +443,85 @@ class TestGw1dInInputOrder:
         seed, _ = hw_solve(x, y, a=a, b=b, n_iters=0)
         assert np.array_equal(seed, gw1d(x, a, y, b)[0])
 
+    def test_plan_is_the_sorted_plan_scattered(self):
+        rng = np.random.default_rng(10)
+        for trial in range(20):
+            n, m = rng.integers(1, 9, size=2)
+            x = rng.integers(-3, 4, size=(n, 1)).astype(float)
+            y = rng.normal(size=(m, 1))
+            a, b = random_weights(rng, n, trial % 3), random_weights(rng, m, 1)
+            order_x, order_y = stable_order(x[:, 0])[0], stable_order(y[:, 0])[0]
+            sorted_plan, value, other = gw1d_inner_dense(
+                x[order_x, 0], a[order_x], y[order_y, 0], b[order_y]
+            )
+            want = np.zeros((n, m))
+            want[np.ix_(order_x, order_y)] = sorted_plan
+            plan, got = gw1d(x, a, y, b)
+            assert got == pytest.approx(value, rel=1e-12, abs=1e-12)
+            if abs(other - value) > 1e-12:
+                assert np.array_equal(plan, want)
+
+    def test_hw_target_is_the_sorted_plan_scattered(self):
+        x, a, y, b = self._pair()
+        order_x, order_y = stable_order(x[:, 0])[0], stable_order(y[:, 0])[0]
+        a_s, b_s = a[order_x], b[order_y]
+        sorted_plans = {
+            1.0: nw_corner_add_at(a_s, b_s),
+            -1.0: nw_corner_add_at(a_s[::-1], b_s)[::-1, :],
+        }
+        for sign, sorted_plan in sorted_plans.items():
+            want = np.zeros((a.size, b.size))
+            want[np.ix_(order_x, order_y)] = sorted_plan
+            rows, cols, mass = gw_module._linear_oracle_1d(a_s, b_s, sign)
+            got = dense_plan(order_x[rows], order_y[cols], mass, want.shape)
+            assert np.array_equal(got, want)
+
+    def test_one_dense_plan_per_call(self):
+        rng = np.random.default_rng(11)
+        n = 2000
+        x, y = rng.normal(size=(n, 1)), rng.normal(size=(n, 1))
+        a, b = random_weights(rng, n, 0), random_weights(rng, n, 0)
+        tracemalloc.start()
+        try:
+            plan, _ = gw1d(x, a, y, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.shape == (n, n)
+        assert peak < 1.25 * plan.nbytes
+
     def test_needs_one_dimensional_atoms(self):
         x, a, y, b = self._pair()
         with pytest.raises(InvalidInput, match="one-dimensional"):
             gw1d(np.hstack([x, x]), a, y, b)
+
+
+TWO_ATOMS = np.array([[0.0], [1.0]])
+HALVES = np.full(2, 0.5)
+MALFORMED = {
+    "nan-atom": (
+        "finite",
+        lambda: gw1d_inner([0.0, np.nan], HALVES, [0.0, 1.0], HALVES),
+    ),
+    "column-atoms": (
+        "1D arrays",
+        lambda: gw1d_inner(TWO_ATOMS, HALVES, TWO_ATOMS, HALVES),
+    ),
+    "inf-atom": ("finite", lambda: hw_solve(np.array([[0.0], [np.inf]]), TWO_ATOMS)),
+    "negative-weight": (
+        "nonnegative",
+        lambda: gw1d(TWO_ATOMS, [1.5, -0.5], TWO_ATOMS, HALVES),
+    ),
+    "weight-length": (
+        "expected 2 weights",
+        lambda: hw_solve(TWO_ATOMS, TWO_ATOMS, a=[0.2, 0.3, 0.5]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_invalid(case):
+    """The GW solvers share the input boundary of the sliced distances."""
+    match, call = MALFORMED[case]
+    with pytest.raises(InvalidInput, match=match):
+        call()
