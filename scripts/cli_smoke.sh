@@ -32,4 +32,5 @@ msot pca gauss.csv
 msot pca gauss.csv --origin -0.5,1 > /dev/null
 expect_two "--origin must be" msot pca gauss.csv --origin 0
 msot flow euler ok.csv --steps 2 > /dev/null
+expect_two "0 < b < a" msot flow euler ok.csv --kernel-b 0
 msot flow euler ok.csv --functional potential --potential-center -1,0 --steps 2 > /dev/null

@@ -128,6 +128,11 @@ class Functional:
     def particle_gradient(self, points, weights=None):
         raise InvalidInput(f"{type(self).__name__} has no particle gradient")
 
+    def value_and_gradient(self, points, weights=None):
+        """``(value, particle_gradient)`` at one state; a functional whose
+        two surfaces share work overrides it to do that work once."""
+        return self.value(points, weights), self.particle_gradient(points, weights)
+
     def grid_value(self, grid):
         return self.value(grid.nodes, grid.rho)
 
@@ -209,19 +214,27 @@ class InteractionFunctional(Functional):
     r"""Interaction energy :math:`\frac12 \iint W(x - y)\,d\mu\,d\mu` with the
     power-law kernel :math:`W(z) = \|z\|^a/a - \|z\|^b/b` (repulsive-
     attractive for the default ``a = 4, b = 2``, gradient
-    :math:`(\|z\|^2 - 1)z`)."""
+    :math:`(\|z\|^2 - 1)z`).
+
+    Energy and force are read off one ``(n, n)`` matrix of squared
+    distances, in powers of it: the default kernel then needs no square
+    root and no general power, only numpy's square, copy and ones."""
 
     def __init__(self, a=4.0, b=2.0):
         if not (np.isfinite(a) and np.isfinite(b)):
             raise InvalidInput("kernel exponents must be finite")
-        if a <= b:
-            raise InvalidInput("need a > b for a repulsive-attractive kernel")
-        self.a = a
-        self.b = b
+        if not 0 < b < a:
+            raise InvalidInput("need 0 < b < a for a repulsive-attractive kernel")
+        self.a = float(a)
+        self.b = float(b)
 
-    def _kernel(self, sq_norms):
-        norms = np.sqrt(sq_norms)
-        return norms**self.a / self.a - norms**self.b / self.b
+    def _kernel(self, sq):
+        """``W`` at squared distances ``sq``: ``sq**(a/2)/a - sq**(b/2)/b``,
+        in place on the first power."""
+        kernel = sq ** (self.a / 2)
+        kernel /= self.a
+        kernel -= sq ** (self.b / 2) / self.b
+        return kernel
 
     def _pairwise(self, points):
         """Squared distances between all rows, summed one coordinate at a
@@ -235,27 +248,40 @@ class InteractionFunctional(Functional):
             sq += np.square(diff, out=diff)
         return sq
 
-    def value(self, points, weights=None):
-        points = np.asarray(points, dtype=float)
-        w = validate_weights(weights, n=points.shape[0])
-        return 0.5 * float(w @ self._kernel(self._pairwise(points)) @ w)
+    def _energy(self, sq, w):
+        return 0.5 * float(w @ self._kernel(sq) @ w)
 
-    def particle_gradient(self, points, weights=None):
+    def _force(self, points, sq, w):
         r"""``w_i sum_j C_ij (x_i - x_j)`` with ``C_ij = w_j W'(r_ij) / r_ij``,
-        as :math:`x_i \sum_j C_{ij} - (C x)_i`.  The force does not change
-        under translation; centering the cloud first keeps the cancellation
-        between the two terms at the scale of the cloud's spread."""
-        points = np.asarray(points, dtype=float)
-        w = validate_weights(weights, n=points.shape[0])
-        norms = np.sqrt(self._pairwise(points))
+        ``0`` where ``r_ij = 0``, as :math:`x_i \sum_j C_{ij} - (C x)_i`.
+        The force does not change under translation; centering the cloud
+        first keeps the cancellation between the two terms at the scale of
+        the cloud's spread."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(
-                norms > 0, norms ** (self.a - 2) - norms ** (self.b - 2), 0.0
-            )
+            coef = sq ** (self.a / 2 - 1)
+            coef -= sq ** (self.b / 2 - 1)
+        coef[~(sq > 0)] = 0.0
         coef *= w[None, :]
         centered = points - np.mean(points, axis=0)
         force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
         return w[:, None] * force
+
+    def _state(self, points, weights):
+        points = np.asarray(points, dtype=float)
+        w = validate_weights(weights, n=points.shape[0])
+        return points, w, self._pairwise(points)
+
+    def value(self, points, weights=None):
+        _, w, sq = self._state(points, weights)
+        return self._energy(sq, w)
+
+    def particle_gradient(self, points, weights=None):
+        points, w, sq = self._state(points, weights)
+        return self._force(points, sq, w)
+
+    def value_and_gradient(self, points, weights=None):
+        points, w, sq = self._state(points, weights)
+        return self._energy(sq, w), self._force(points, sq, w)
 
     def grid_gradient(self, grid):
         sq = self._pairwise(np.asarray(grid.nodes, dtype=float))
@@ -288,6 +314,10 @@ class SumFunctional(Functional):
 
     def particle_gradient(self, points, weights=None):
         return sum(p.particle_gradient(points, weights) for p in self.parts)
+
+    def value_and_gradient(self, points, weights=None):
+        pairs = [p.value_and_gradient(points, weights) for p in self.parts]
+        return sum(v for v, _ in pairs), sum(g for _, g in pairs)
 
     def grid_value(self, grid):
         return sum(p.grid_value(grid) for p in self.parts)
@@ -396,6 +426,12 @@ def _check_finite(value, what, step, flow):
         raise FlowDiverged(f"{flow} flow diverged at step {step}: non-finite {what}")
 
 
+def _named_later():
+    """Overflow and invalid-value warnings off, for an evaluation whose
+    non-finite result the :func:`_check_finite` call after it names."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def simplex_project(v):
     """Euclidean projection onto the probability simplex (sort-threshold)
     of ``v - max(v)``, whose test ``css_k - k u_k < 1`` holds at ``k = 1``
@@ -454,7 +490,8 @@ def swjko_particles(
     x = np.asarray(initial, dtype=float).copy()
     n, d = x.shape
     factor = float(d) if dilation else 1.0
-    energy = functional.value(x)
+    with _named_later():
+        energy = functional.value(x)
     _check_finite(energy, "energy", 0, "particle JKO")
     x0 = x.copy() if record_positions else None
     trace = FlowTrace([FlowRecord(step=0, energy=energy, objective=energy, positions=x0)])
@@ -467,12 +504,13 @@ def swjko_particles(
         prev_sorted = sorted_rows(prev @ theta.T)[0].T
         scale = 2.0 / (n * n_projections)
         grad = np.zeros_like(x)
-        for _ in range(inner.n_steps):
-            sw_grad = scale * sorted_residual(x @ theta.T, prev_sorted) @ theta
-            grad = factor / (2.0 * tau) * sw_grad + functional.particle_gradient(x)
-            _check_finite(grad, "gradient", k, "particle JKO")
-            x = x - inner.learning_rate * n * grad
-        energy = functional.value(x)
+        with _named_later():
+            for _ in range(inner.n_steps):
+                sw_grad = scale * sorted_residual(x @ theta.T, prev_sorted) @ theta
+                grad = factor / (2.0 * tau) * sw_grad + functional.particle_gradient(x)
+                _check_finite(grad, "gradient", k, "particle JKO")
+                x = x - inner.learning_rate * n * grad
+            energy = functional.value(x)
         _check_finite(energy, "energy", k, "particle JKO")
         objective = factor / (2.0 * tau) * sw_p(x, prev, dirs) + energy
         _check_finite(objective, "objective", k, "particle JKO")
@@ -565,24 +603,34 @@ def euler_particles(
 
     Uniform particle clouds descend ``x_i <- x_i - tau n grad_i``; on the
     Lorentz geometry the ambient gradient goes through the Riemannian step.
+    Each state is evaluated once, by ``value_and_gradient``: its energy is
+    recorded and its gradient takes the next step.  The last state gets its
+    energy only.
     """
     check_positive(step_size, "step size")
     if geometry not in ("euclidean", "lorentz"):
         raise InvalidInput(f"unsupported geometry {geometry!r}")
     x = np.asarray(initial, dtype=float).copy()
     n = x.shape[0]
-    energy = functional.value(x)
+
+    def evaluate(x, with_gradient):
+        with _named_later():
+            if not with_gradient:
+                return functional.value(x), None
+            energy, grad = functional.value_and_gradient(x)
+            return energy, n * grad
+
+    energy, grad = evaluate(x, n_steps > 0)
     _check_finite(energy, "energy", 0, "Euler")
     x0 = x.copy() if record_positions else None
     trace = FlowTrace([FlowRecord(step=0, energy=energy, positions=x0)])
     for k in range(1, n_steps + 1):
-        grad = n * functional.particle_gradient(x)
         _check_finite(grad, "gradient", k, "Euler")
         if geometry == "euclidean":
             x = x - step_size * grad
         else:
             x = riemannian_step_lorentz(x, grad, step_size)
-        energy = functional.value(x)
+        energy, grad = evaluate(x, k < n_steps)
         _check_finite(energy, "energy", k, "Euler")
         trace.append(
             FlowRecord(

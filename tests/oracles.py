@@ -503,6 +503,41 @@ def interaction_dense(points, weights, a, b):
     return value, weights[:, None] * force, kernel @ weights
 
 
+def interaction_on_norms(points, weights, a, b):
+    """Power-law interaction energy and force through the distances: ``sqrt``
+    of the squared distances, then their powers ``r**a``, ``r**(a - 2)``, with
+    the force ``x * rowsum(C) - C @ x`` on the centered cloud.
+
+    Returns ``(value, particle_gradient)``: the reference for
+    ``InteractionFunctional``, which takes powers of the squared distances.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    norms = np.sqrt(np.sum(diff**2, axis=-1))
+    kernel = norms**a / a - norms**b / b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(norms > 0, norms ** (a - 2) - norms ** (b - 2), 0.0)
+    coef *= weights[None, :]
+    centered = points - np.mean(points, axis=0)
+    force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
+    return 0.5 * float(weights @ kernel @ weights), weights[:, None] * force
+
+
+def euler_particles_loop(initial, value, particle_gradient, step_size, n_steps):
+    """Euclidean forward-Euler particle flow that takes ``particle_gradient``
+    at ``x_k`` and, apart, ``value`` at ``x_{k+1}`` on every step.
+
+    Returns the per-step energies and positions.
+    """
+    x = np.asarray(initial, dtype=float).copy()
+    n = x.shape[0]
+    energies, positions = [value(x)], [x.copy()]
+    for _ in range(n_steps):
+        x = x - step_size * n * particle_gradient(x)
+        energies.append(value(x))
+        positions.append(x.copy())
+    return np.array(energies), np.array(positions)
+
+
 def sorted_rows_stable(columns):
     """Stably sorted ``(L, n)`` rows of ``(n, L)`` coordinates, with the sort,
     by numpy's stable sort alone: the reference for ``measures.sorted_rows``."""

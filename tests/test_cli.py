@@ -492,6 +492,40 @@ class TestFlowBoundary:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("scheme", ["euler", "jko-particles"])
+    @pytest.mark.parametrize("b", ["0", "-1"])
+    def test_kernel_exponent_b_must_be_positive(self, tmp_path, capsys, scheme, b):
+        # |0|^b / b on the diagonal is infinite or 0/0 for b <= 0
+        code, err = self.run(tmp_path, capsys, scheme, [f"--kernel-b={b}"])
+        assert code == 2
+        assert "0 < b < a" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scheme, extra, message",
+        [
+            ("euler", ["--kernel-a", "1e308", "--kernel-b", "1"],
+             "Euler flow diverged at step 1: non-finite energy"),
+            ("euler", ["--functional", "potential", "--potential-strength", "1e308"],
+             "Euler flow diverged at step 1: non-finite energy"),
+            ("jko-particles", ["--functional", "potential", "--potential-strength", "1e308"],
+             "particle JKO flow diverged at step 1: non-finite gradient"),
+            ("jko-particles", ["--kernel-a", "1e308", "--kernel-b", "1"],
+             "particle JKO flow diverged at step 1: non-finite gradient"),
+        ],
+        ids=["euler-kernel", "euler-potential", "jko-potential", "jko-kernel"],
+    )
+    def test_diverging_particle_flow_warns_nothing(self, tmp_path, capsys, scheme, extra,
+                                                   message):
+        """An overflowing particle flow exits 3 naming the step, and numpy
+        prints no warning ahead of that message."""
+        path = tmp_path / "ok.csv"
+        euclidean_csv(path, [[0.1, 0.2], [-0.3, 0.4], [0.5, -0.1]])
+        assert main(["flow", scheme, str(path), "--steps", "1", *extra]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message}\n"
+
     def test_unbalanced_overflow_exits_three(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,6 +7,7 @@ from msot.flows import (
     EntropyFunctional,
     FlowRecord,
     FlowTrace,
+    Functional,
     GhswToTargetFunctional,
     GridState,
     InnerOptimizer,
@@ -26,8 +27,10 @@ from msot.sliced import sample_directions
 
 from oracles import (
     dual_1d_batched_gathers,
+    euler_particles_loop,
     ghsw_gradient_dense,
     interaction_dense,
+    interaction_on_norms,
     potential_per_atom,
     ring_equilibrium_radius,
     ring_radial_force,
@@ -173,9 +176,23 @@ class TestBatchedFunctionals:
         weights = w if weighted else None
         assert func.value(x, weights) == pytest.approx(value, rel=1e-12)
         assert _max_rel(func.particle_gradient(x, weights), grad) <= 1e-12
+        both = func.value_and_gradient(x, weights)
+        assert both[0] == pytest.approx(value, rel=1e-12)
+        assert _max_rel(both[1], grad) <= 1e-12
+        on_norms = interaction_on_norms(x, w, *kernel)
+        assert both[0] == pytest.approx(on_norms[0], rel=1e-12)
+        assert _max_rel(both[1], on_norms[1]) <= 1e-12
         grid = GridState(nodes=x, rho=w, cell_volume=1.0)
         assert func.grid_value(grid) == pytest.approx(value, rel=1e-12)
         assert _max_rel(func.grid_gradient(grid), node_grad) <= 1e-12
+
+    def test_value_and_gradient_is_value_and_particle_gradient(self):
+        x, w = _cloud(2, True, seed=7)
+        parts = [quadratic_potential(np.array([0.5, -0.2])), InteractionFunctional(3.0, 1.5)]
+        for func in (*parts, SumFunctional(parts)):
+            value, grad = func.value_and_gradient(x, w)
+            assert value == func.value(x, w)
+            assert np.array_equal(grad, func.particle_gradient(x, w))
 
     @pytest.mark.parametrize(
         "make",
@@ -286,6 +303,12 @@ class TestFlowInputBoundary:
     @pytest.mark.parametrize("a, b", [(np.nan, 2.0), (4.0, np.nan), (np.inf, 2.0)])
     def test_interaction_exponents_must_be_finite(self, a, b):
         with pytest.raises(InvalidInput):
+            InteractionFunctional(a=a, b=b)
+
+    @pytest.mark.parametrize("a, b", [(4.0, 0.0), (4.0, -1.0), (2.0, 2.0), (1.0, 2.0)])
+    def test_interaction_exponents_need_zero_below_b_below_a(self, a, b):
+        # b <= 0 puts |0|^b / b, infinite or 0/0, on the diagonal
+        with pytest.raises(InvalidInput, match="0 < b < a"):
             InteractionFunctional(a=a, b=b)
 
 
@@ -527,6 +550,51 @@ class TestSwjkoGrid:
 
 
 class TestEulerParticles:
+    @pytest.mark.parametrize("kernel", [(4.0, 2.0), (3.0, 1.5)])
+    def test_matches_the_loop_on_distances(self, kernel):
+        # one evaluation per state on squared distances against a separate
+        # force and energy per step on the distances themselves
+        x0 = np.random.default_rng(21).standard_normal((300, 2)) * 0.3
+        w = np.full(300, 1.0 / 300)
+        trace = euler_particles(
+            x0, InteractionFunctional(*kernel), step_size=0.05, n_steps=10,
+            record_positions=True,
+        )
+        energies, positions = euler_particles_loop(
+            x0,
+            lambda x: interaction_on_norms(x, w, *kernel)[0],
+            lambda x: interaction_on_norms(x, w, *kernel)[1],
+            step_size=0.05,
+            n_steps=10,
+        )
+        assert np.all(np.abs(trace.energies - energies) <= 1e-12 * np.abs(energies))
+        got = np.array([r.positions for r in trace.records])
+        assert _max_rel(got, positions) <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [0, 1, 5])
+    def test_one_pairwise_matrix_per_state(self, monkeypatch, n_steps):
+        calls = {"_pairwise": 0, "_force": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _method=getattr(InteractionFunctional, name)):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(InteractionFunctional, name, counted)
+        x0 = np.random.default_rng(22).normal(size=(12, 2))
+        trace = euler_particles(x0, InteractionFunctional(), step_size=0.05, n_steps=n_steps)
+        assert len(trace.records) == n_steps + 1
+        assert calls == {"_pairwise": n_steps + 1, "_force": n_steps}
+
+    def test_functional_without_particle_gradient(self):
+        class ValueOnly(Functional):
+            def value(self, points, weights=None):
+                return 0.0
+
+        x0 = np.zeros((3, 2))
+        assert euler_particles(x0, ValueOnly(), step_size=0.1, n_steps=0).energies == [0.0]
+        with pytest.raises(InvalidInput, match="has no particle gradient"):
+            euler_particles(x0, ValueOnly(), step_size=0.1, n_steps=1)
+
     def test_zero_functional_static(self):
         func = PotentialFunctional(v=lambda x: 0.0, grad_v=lambda x: np.zeros_like(x))
         x0 = np.random.default_rng(14).normal(size=(5, 2))

@@ -189,8 +189,7 @@ def test_diverging_particle_step_is_named(tmp_path, capsys, scheme):
     path.write_text("x0,x1\n0.1,0.2\n0.5,-0.3\n-0.4,0.1\n")
     argv = ["flow", scheme, str(path), "--functional", "potential",
             "--potential-strength=1e300", *SMALL]
-    with np.errstate(all="ignore"):
-        code = main(argv)
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
