@@ -33,13 +33,12 @@ from .flows import (
     PotentialFunctional,
     SumFunctional,
     SwToTargetFunctional,
-    eval_functional,
     euler_particles,
     simplex_project,
     swjko_grid,
     swjko_particles,
 )
-from .gw import gw1d_inner, hw_solve, hw_tensor, mi_gaussian, mk_gaussian, nw_corner
+from .gw import gw1d_inner, hw_solve, hw_tensor, mi_gaussian, mk_gaussian
 from .hyperbolic import (
     HyperbolicSlicer,
     busemann_coordinate,
@@ -62,6 +61,7 @@ from .measures import (
     circle_w2_vs_uniform,
     circle_wp_batched,
     circle_wp_binary_search,
+    nw_corner,
     quantile,
     wasserstein_1d,
     wasserstein_1d_batched,

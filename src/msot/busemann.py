@@ -30,12 +30,12 @@ class GaussianRay:
     s1: float
 
     def __post_init__(self):
-        if self.s0 <= 0:
+        if not self.s0 > 0:
             raise InvalidInput("s0 must be positive")
-        if self.s1 < self.s0:
+        if not self.s1 >= self.s0:
             raise NotARay("geodesic rays need s1 >= s0")
         speed = (self.m1 - self.m0) ** 2 + (self.s1 - self.s0) ** 2
-        if abs(speed - 1.0) > UNIT_SPEED_ATOL:
+        if not abs(speed - 1.0) <= UNIT_SPEED_ATOL:
             raise NotARay(f"ray must have unit speed, got W2^2 = {speed}")
 
     def at(self, t):
@@ -58,6 +58,8 @@ class BWGaussian:
         cov = np.asarray(self.cov, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        if not np.all(np.isfinite(mean)):
+            raise InvalidInput("mean must be finite")
         vals, _ = sym_eig(cov)
         if np.min(vals) <= 0:
             raise InvalidInput("covariance must be positive definite")
@@ -128,8 +130,7 @@ def busemann_w1d(ray, nu):
 
 def busemann_gaussian1d(ray, m, s):
     """1D-Gaussian closed form ``-(m1-m0)(m-m0) - (s1-s0)(s-s0)``."""
-    if s <= 0:
-        raise InvalidInput("s must be positive")
+    validate_gaussians([[m, s]])
     return -(ray.m1 - ray.m0) * (m - ray.m0) - (ray.s1 - ray.s0) * (s - ray.s0)
 
 
@@ -192,16 +193,6 @@ def busemann_bw(mu0, mu1, nu):
         -np.dot(mu1.mean - mu0.mean, nu.mean - mu0.mean)
         + np.trace(mu0.cov @ (a - np.eye(a.shape[0])))
         - tail
-    )
-
-
-def bw_geodesic_point(mu0, mu1, t):
-    """Point of the BW geodesic at time ``t`` (also beyond [0, 1])."""
-    a = bw_ray_map(mu0, mu1)
-    d = a.shape[0]
-    mix = (1.0 - t) * np.eye(d) + t * a
-    return BWGaussian(
-        mean=(1.0 - t) * mu0.mean + t * mu1.mean, cov=mix @ mu0.cov @ mix
     )
 
 

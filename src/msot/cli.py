@@ -30,7 +30,6 @@ class Dataset:
     geometry: str
     atoms: np.ndarray
     weights: np.ndarray
-    path: str
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def load_dataset(path, geometry, weighted=True):
         raise InvalidInput(f"{path}: row {exc.index + 2}: {exc.reason}") from exc
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
-    return Dataset(geometry=geometry, atoms=atoms, weights=weights, path=path)
+    return Dataset(geometry=geometry, atoms=atoms, weights=weights)
 
 
 def _slicer(mu, cfg, kind):

@@ -240,10 +240,12 @@ class InteractionFunctional(Functional):
         """Squared distances between all rows, summed one coordinate at a
         time into a single ``(n, n)`` array, in the order of
         ``np.sum(diff**2, axis=-1)`` over the ``(n, n, d)`` differences."""
-        n = points.shape[0]
-        sq = np.zeros((n, n))
-        diff = np.empty((n, n))
-        for col in points.T:
+        cols = iter(points.T)
+        first = next(cols, np.zeros(len(points)))  # no coordinates: one point
+        sq = np.subtract.outer(first, first)
+        np.square(sq, out=sq)
+        diff = np.empty_like(sq)
+        for col in cols:
             np.subtract.outer(col, col, out=diff)
             sq += np.square(diff, out=diff)
         return sq
@@ -407,13 +409,6 @@ def _sw_weight_gradient(nodes, rho, target, target_weights, dirs):
     wt = validate_weights(target_weights, n=ys.shape[1])
     f, _ = dual_1d_batched(xs, rho[x_order], ys, wt[y_order], p=2.0)
     return slice_mean(f, x_order)
-
-
-def eval_functional(functional, state):
-    """Evaluate a functional on a particle cloud or a :class:`GridState`."""
-    if isinstance(state, GridState):
-        return functional.grid_value(state)
-    return functional.value(np.asarray(state, dtype=float))
 
 
 # ---------------------------------------------------------------------------

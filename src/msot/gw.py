@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 
 from .errors import InstanceTooLarge, InvalidInput
-from .measures import check_masses, dense_plan, nw_corner, nw_support, stable_order
+from .measures import check_masses, dense_plan, nw_support, stable_order
 from .sliced import validate_pair
 from .spd import sym_eig
 

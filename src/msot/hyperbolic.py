@@ -7,9 +7,10 @@ Points live either on the Lorentz hyperboloid
 directions are ideal points :math:`\tilde v \in S^{d-1}`, lifted on the
 hyperboloid to :math:`v = (0, \tilde v) \in T_{x^0}\mathbb{L}^d`.
 
-The Lorentz model is the canonical internal representation (its distance is
-the numerically stabler of the two); Poincaré inputs are accepted everywhere
-and converted at the boundary.
+Both models are accepted everywhere.  The geodesic and Busemann
+coordinates evaluate a closed form of their own in each model; Poincaré
+points are not lifted to the hyperboloid first.  Near the ball's boundary
+the Poincaré geodesic coordinate is the more accurate of the two routes.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, check_atoms
-from .sliced import DirectionSet, point_rows, sample_directions, sliced_cost
+from .sliced import DirectionSet, point_rows, sliced_cost
 
 LORENTZ_ATOL = 1e-9
 _ARCTANH_CLIP = 1.0 - 1e-15
@@ -35,7 +36,7 @@ def origin(d):
     return x0
 
 
-def validate_lorentz(x, atol=LORENTZ_ATOL):
+def validate_lorentz(x):
     """Hyperboloid points as ``(n, d + 1)`` rows; names the first atom off it."""
     x = point_rows(x)
     if x.shape[1] < 1:
@@ -46,7 +47,7 @@ def validate_lorentz(x, atol=LORENTZ_ATOL):
         err = np.abs(minkowski_ip(x, x) + 1.0)
     # finite coordinates whose squares overflow (inf - inf) are off by inf
     err[np.isnan(err) & np.all(np.isfinite(x), axis=1)] = np.inf
-    check_atoms(timelike & (err <= atol), lambda i: (
+    check_atoms(timelike & (err <= LORENTZ_ATOL), lambda i: (
         f"points off the hyperboloid by {err[i]:.2e}" if timelike[i]
         else "Lorentz points need a positive time coordinate"))
     return x
@@ -80,12 +81,6 @@ def project_to_hyperboloid(x):
     out = x.copy()
     out[:, 0] = np.sqrt(1.0 + np.sum(x[:, 1:] ** 2, axis=-1))
     return out
-
-
-def dist_lorentz(x, y):
-    """Geodesic distance ``arccosh(-<x, y>_L)``, clamped for roundoff."""
-    ip = -minkowski_ip(np.atleast_2d(x), np.atleast_2d(y))
-    return np.arccosh(np.maximum(ip, 1.0))
 
 
 def lift_directions(ideal):
@@ -153,11 +148,6 @@ def busemann_coordinate(x, ideal, model="lorentz"):
         )
         return np.log(sq_dist / (1.0 - np.sum(x**2, axis=-1))[:, None])
     raise InvalidInput(f"unknown model {model!r}")
-
-
-def sample_ideal_directions(d, n_projections, seed=0):
-    """Ideal points drawn uniformly on S^{d-1} (shared slice object)."""
-    return sample_directions(d, n_projections, seed=seed)
 
 
 @dataclass(frozen=True)

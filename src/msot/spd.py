@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite, check_atoms
-from .measures import quantile_rows, sorted_rows, validate_weights
+from .measures import check_positive, quantile_rows, sorted_rows, validate_weights
 from .sliced import (
     EuclideanSlicer,
     haar_orthonormal,
@@ -317,18 +317,9 @@ def kernel_features(cloud, slices, n_quantiles, grid=None, weights=None):
 
 def gaussian_kernel(f, g, sigma):
     r"""Gaussian kernel :math:`\exp(-\|F - G\|^2 / (2\sigma^2))` on features."""
-    if sigma <= 0:
-        raise InvalidInput("sigma must be positive")
+    check_positive(sigma, "sigma")
     sq = float(np.sum((f.values - g.values) ** 2))
     return float(np.exp(-sq / (2.0 * sigma**2)))
-
-
-def sample_spd_cloud(d, n, seed=0, spread=1.0):
-    """Wishart-like SPD test clouds: exp of random symmetric matrices."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, d, d)) * spread / np.sqrt(d)
-    sym = (z + np.swapaxes(z, -1, -2)) / 2.0
-    return spd_exp(sym)
 
 
 __all__ = [
@@ -344,7 +335,6 @@ __all__ = [
     "log_vectors",
     "logsw",
     "logsw_directions",
-    "sample_spd_cloud",
     "sample_unit_symmetric",
     "spd_exp",
     "spd_log",

@@ -5,7 +5,11 @@ package: couplings are solved as explicit linear programs or permutation
 enumerations, integrals by quadrature or dense grids.  The exceptions are
 the earlier bodies of rewritten kernels (``dual_1d_batched_gathers``,
 ``ahead_masked``, ``circle_w1_along_axis``, ``nw_corner_add_at``,
-``gw1d_inner_dense``), kept as references for their replacements.
+``gw1d_inner_dense``, ``pairwise_from_zeros``), kept as references for
+their replacements, and two ground truths that only the tests need:
+``dist_lorentz``, the hyperboloid distance behind the geodesic cost
+matrices, and ``bw_geodesic_point``, which puts Gaussians on a
+Bures-Wasserstein ray.
 """
 
 import csv
@@ -18,7 +22,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.linalg import null_space
 
-from msot import measures
+from msot import busemann, measures
 from msot.errors import InvalidInput, MassMismatch
 
 
@@ -520,6 +524,38 @@ def interaction_on_norms(points, weights, a, b):
     centered = points - np.mean(points, axis=0)
     force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
     return 0.5 * float(weights @ kernel @ weights), weights[:, None] * force
+
+
+def pairwise_from_zeros(points):
+    """Squared distances between all rows, summed one coordinate at a time
+    into an ``(n, n)`` array that starts from zeros: the earlier body of
+    ``InteractionFunctional._pairwise``."""
+    n = points.shape[0]
+    sq = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for col in points.T:
+        np.subtract.outer(col, col, out=diff)
+        sq += np.square(diff, out=diff)
+    return sq
+
+
+def dist_lorentz(x, y):
+    """Hyperboloid geodesic distance ``arccosh(-<x, y>_L)`` between paired
+    rows, clamped at 0 for roundoff."""
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
+    ip = x[..., 0] * y[..., 0] - np.sum(x[..., 1:] * y[..., 1:], axis=-1)
+    return np.arccosh(np.maximum(ip, 1.0))
+
+
+def bw_geodesic_point(mu0, mu1, t):
+    """Point at time ``t`` (also beyond [0, 1]) of the Bures-Wasserstein
+    geodesic through ``mu0`` and ``mu1``: mean ``(1 - t) m_0 + t m_1``,
+    covariance ``M Sigma_0 M`` with ``M = (1 - t) I + t A``."""
+    a = busemann.bw_ray_map(mu0, mu1)
+    mix = (1.0 - t) * np.eye(a.shape[0]) + t * a
+    return busemann.BWGaussian(
+        mean=(1.0 - t) * mu0.mean + t * mu1.mean, cov=mix @ mu0.cov @ mix
+    )
 
 
 def euler_particles_loop(initial, value, particle_gradient, step_size, n_steps):

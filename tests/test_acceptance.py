@@ -18,7 +18,6 @@ from msot.busemann import (
     busemann_bw,
     busemann_gaussian1d,
     busemann_w1d,
-    bw_geodesic_point,
     gaussian_pca_1d,
 )
 from msot.cli import main as cli_main
@@ -36,7 +35,6 @@ from msot.flows import (
 )
 from msot.gw import gw1d_inner, hw_tensor, mk_gaussian
 from msot.hyperbolic import (
-    dist_lorentz,
     exp_map,
     ghsw,
     hhsw,
@@ -59,7 +57,6 @@ from msot.spd import (
     dist_le,
     gaussian_kernel,
     kernel_features,
-    sample_spd_cloud,
     sample_unit_symmetric,
     spd_log,
     spdsw,
@@ -73,11 +70,14 @@ from msot.unbalanced import (
 )
 
 from oracles import (
+    bw_geodesic_point,
+    dist_lorentz,
     gw_inner_exhaustive,
     hw_tensor_naive,
     ring_equilibrium_radius,
     wasserstein_pp_permutations,
 )
+from samples import sample_spd_cloud
 
 
 @contextlib.contextmanager
@@ -411,7 +411,7 @@ def test_criterion_10_gromov():
             x = rng.normal(size=(3, 2))
             y = rng.normal(size=(3, 2))
             a = np.full(3, 1 / 3)
-            from msot.gw import nw_corner
+            from msot.measures import nw_corner
 
             plan = nw_corner(a, a)
             got = hw_tensor(x, y, plan)

@@ -15,12 +15,12 @@ from msot.spd import (
     hspdsw,
     logsw,
     logsw_directions,
-    sample_spd_cloud,
     sample_unit_symmetric,
     spdsw,
 )
 from msot.sphere import sample_stiefel, ssw
 from msot.unbalanced import UnbalancedParams, suot, usw
+from samples import sample_spd_cloud
 
 
 def _sphere(n, d, seed):

@@ -7,7 +7,6 @@ from msot.busemann import (
     GaussianRay,
     QuantileRay,
     bw_distance_sq,
-    bw_geodesic_point,
     busemann_bw,
     busemann_gaussian1d,
     busemann_w1d,
@@ -18,6 +17,8 @@ from msot.busemann import (
 )
 from msot.errors import DegenerateData, InvalidInput, NotARay
 from msot.measures import build_profile
+
+from oracles import bw_geodesic_point
 
 
 def discretized_gaussian(m, s, n=10_000):
@@ -219,6 +220,30 @@ class TestBusemannBW:
         assert bw_distance_sq(mu0, mu1) == pytest.approx(1.0, abs=1e-8)
         with pytest.raises(NotARay):
             busemann_bw(mu0, mu1, mu0)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["m0", "s0", "m1", "s1"])
+    def test_gaussian_ray(self, field, bad):
+        params = {"m0": 0.0, "s0": 1.0, "m1": 0.0, "s1": 2.0, field: bad}
+        with pytest.raises(InvalidInput):
+            GaussianRay(**params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["m", "s"])
+    def test_busemann_gaussian1d(self, arg, bad):
+        ray = GaussianRay(m0=0.0, s0=1.0, m1=0.0, s1=2.0)
+        with pytest.raises(InvalidInput):
+            busemann_gaussian1d(ray, **{"m": 0.5, "s": 1.5, arg: bad})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean", "cov"])
+    def test_bw_gaussian(self, field, bad):
+        params = {"mean": np.zeros(2), "cov": np.eye(2)}
+        params[field].flat[0] = bad
+        with pytest.raises(InvalidInput):
+            BWGaussian(**params)
 
 
 class TestRayDomainAndProjection:

@@ -244,10 +244,10 @@ class TestComputeDistanceSurface:
                 if weights is None
                 else np.asarray(weights)
             )
-            return Dataset(geometry=geometry, atoms=atoms, weights=w, path="mem")
+            return Dataset(geometry=geometry, atoms=atoms, weights=w)
 
         from msot.hyperbolic import sample_wrapped_normal, origin
-        from msot.spd import sample_spd_cloud
+        from samples import sample_spd_cloud
 
         euc = ds("euclidean", rng.normal(size=(5, 2)))
         euc2 = ds("euclidean", rng.normal(size=(6, 2)))

@@ -15,22 +15,23 @@ from msot.flows import (
     PotentialFunctional,
     SumFunctional,
     SwToTargetFunctional,
-    eval_functional,
     euler_particles,
     quadratic_potential,
     simplex_project,
     swjko_grid,
     swjko_particles,
 )
-from msot.hyperbolic import dist_lorentz, exp_map, origin, sample_wrapped_normal
+from msot.hyperbolic import exp_map, origin, sample_wrapped_normal
 from msot.sliced import sample_directions
 
 from oracles import (
+    dist_lorentz,
     dual_1d_batched_gathers,
     euler_particles_loop,
     ghsw_gradient_dense,
     interaction_dense,
     interaction_on_norms,
+    pairwise_from_zeros,
     potential_per_atom,
     ring_equilibrium_radius,
     ring_radial_force,
@@ -67,12 +68,12 @@ class TestFunctionalValues:
         )
         assert EntropyFunctional().grid_value(grid) == pytest.approx(0.0)
 
-    def test_eval_functional_dispatch(self):
+    def test_interaction_grid_value_on_two_nodes(self):
         func = InteractionFunctional()
         grid = GridState(
             nodes=np.array([[0.0], [1.0]]), rho=np.array([0.5, 0.5]), cell_volume=1.0
         )
-        assert eval_functional(func, grid) == pytest.approx(
+        assert func.grid_value(grid) == pytest.approx(
             func.value(grid.nodes, grid.rho)
         )
 
@@ -185,6 +186,12 @@ class TestBatchedFunctionals:
         grid = GridState(nodes=x, rho=w, cell_volume=1.0)
         assert func.grid_value(grid) == pytest.approx(value, rel=1e-12)
         assert _max_rel(func.grid_gradient(grid), node_grad) <= 1e-12
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    def test_pairwise_is_the_sum_from_zeros_bit_for_bit(self, d):
+        x, _ = _cloud(d, False, seed=30 + d)
+        got = InteractionFunctional()._pairwise(x)
+        assert np.array_equal(got, pairwise_from_zeros(x))
 
     def test_value_and_gradient_is_value_and_particle_gradient(self):
         x, w = _cloud(2, True, seed=7)

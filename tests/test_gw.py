@@ -7,7 +7,7 @@ import pytest
 from msot import gw as gw_module
 from msot.cli import main
 from msot.errors import InstanceTooLarge, InvalidInput, MassMismatch
-from msot.measures import dense_plan, stable_order
+from msot.measures import dense_plan, nw_corner, stable_order
 from msot.gw import (
     gw1d,
     gw1d_inner,
@@ -15,7 +15,6 @@ from msot.gw import (
     hw_tensor,
     mi_gaussian,
     mk_gaussian,
-    nw_corner,
 )
 
 from oracles import (

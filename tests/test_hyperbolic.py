@@ -4,7 +4,6 @@ import pytest
 from msot.errors import InvalidInput
 from msot.hyperbolic import (
     busemann_coordinate,
-    dist_lorentz,
     exp_map,
     geodesic_coordinate,
     ghsw,
@@ -14,12 +13,12 @@ from msot.hyperbolic import (
     origin,
     poincare_to_lorentz,
     riemannian_step_lorentz,
-    sample_ideal_directions,
     sample_wrapped_normal,
     validate_lorentz,
 )
+from msot.sliced import sample_directions
 
-from oracles import wasserstein_pp_permutations
+from oracles import dist_lorentz, wasserstein_pp_permutations
 
 
 def wrapped_cloud(d, n, scale=0.5, seed=0, mean_pull=1.0):
@@ -51,7 +50,7 @@ class TestModelConversions:
 
 class TestGeodesicCoordinate:
     def test_origin_is_zero(self):
-        ideal = sample_ideal_directions(3, 5, seed=0).dirs
+        ideal = sample_directions(3, 5, seed=0).dirs
         coords = geodesic_coordinate(origin(3), ideal, model="lorentz")
         assert np.max(np.abs(coords)) <= 1e-12
 
@@ -66,7 +65,7 @@ class TestGeodesicCoordinate:
 
     def test_models_agree(self):
         x = wrapped_cloud(4, 50, seed=2)
-        ideal = sample_ideal_directions(4, 7, seed=3).dirs
+        ideal = sample_directions(4, 7, seed=3).dirs
         lor = geodesic_coordinate(x, ideal, model="lorentz")
         poi = geodesic_coordinate(lorentz_to_poincare(x), ideal, model="poincare")
         assert np.max(np.abs(lor - poi)) <= 1e-9
@@ -74,7 +73,7 @@ class TestGeodesicCoordinate:
     def test_lipschitz_vs_geodesic_distance(self):
         x = wrapped_cloud(3, 40, seed=4)
         y = wrapped_cloud(3, 40, seed=5)
-        ideal = sample_ideal_directions(3, 11, seed=6).dirs
+        ideal = sample_directions(3, 11, seed=6).dirs
         px = geodesic_coordinate(x, ideal, model="lorentz")
         py = geodesic_coordinate(y, ideal, model="lorentz")
         dist = dist_lorentz(x, y)
@@ -83,7 +82,7 @@ class TestGeodesicCoordinate:
 
 class TestBusemannCoordinate:
     def test_origin_is_zero(self):
-        ideal = sample_ideal_directions(3, 5, seed=0).dirs
+        ideal = sample_directions(3, 5, seed=0).dirs
         assert np.max(np.abs(busemann_coordinate(origin(3), ideal))) <= 1e-12
 
     def test_on_ray_value(self):
@@ -98,7 +97,7 @@ class TestBusemannCoordinate:
 
     def test_models_agree(self):
         x = wrapped_cloud(4, 50, seed=7)
-        ideal = sample_ideal_directions(4, 9, seed=8).dirs
+        ideal = sample_directions(4, 9, seed=8).dirs
         lor = busemann_coordinate(x, ideal, model="lorentz")
         poi = busemann_coordinate(lorentz_to_poincare(x), ideal, model="poincare")
         assert np.max(np.abs(lor - poi)) <= 1e-9
@@ -106,7 +105,7 @@ class TestBusemannCoordinate:
     def test_lipschitz(self):
         x = wrapped_cloud(3, 40, seed=9)
         y = wrapped_cloud(3, 40, seed=10)
-        ideal = sample_ideal_directions(3, 11, seed=11).dirs
+        ideal = sample_directions(3, 11, seed=11).dirs
         bx = busemann_coordinate(x, ideal)
         by = busemann_coordinate(y, ideal)
         dist = dist_lorentz(x, y)
@@ -116,21 +115,21 @@ class TestBusemannCoordinate:
 class TestSlicedDistances:
     def test_identity(self):
         x = wrapped_cloud(3, 20, seed=0)
-        dirs = sample_ideal_directions(3, 30, seed=1)
+        dirs = sample_directions(3, 30, seed=1)
         assert ghsw(x, x, dirs) == 0.0
         assert hhsw(x, x, dirs) == 0.0
 
     def test_symmetry(self):
         x = wrapped_cloud(3, 12, seed=2)
         y = wrapped_cloud(3, 15, seed=3)
-        dirs = sample_ideal_directions(3, 25, seed=4)
+        dirs = sample_directions(3, 25, seed=4)
         assert ghsw(x, y, dirs) == pytest.approx(ghsw(y, x, dirs), abs=1e-12)
         assert hhsw(x, y, dirs) == pytest.approx(hhsw(y, x, dirs), abs=1e-12)
 
     def test_model_equivalence(self):
         x = wrapped_cloud(3, 10, seed=5)
         y = wrapped_cloud(3, 11, seed=6)
-        dirs = sample_ideal_directions(3, 40, seed=7)
+        dirs = sample_directions(3, 40, seed=7)
         xb, yb = lorentz_to_poincare(x), lorentz_to_poincare(y)
         assert ghsw(x, y, dirs) == pytest.approx(
             ghsw(xb, yb, dirs, model="poincare"), abs=1e-9
@@ -142,7 +141,7 @@ class TestSlicedDistances:
     def test_triangle_inequality(self):
         rng = np.random.default_rng(8)
         p = 2.0
-        dirs = sample_ideal_directions(3, 20, seed=9)
+        dirs = sample_directions(3, 20, seed=9)
         for trial in range(100):
             a = wrapped_cloud(3, 5, seed=100 + trial)
             b = wrapped_cloud(3, 5, seed=200 + trial)
@@ -155,7 +154,7 @@ class TestSlicedDistances:
 
     def test_upper_bounded_by_geodesic_wasserstein(self):
         rng = np.random.default_rng(10)
-        dirs = sample_ideal_directions(3, 500, seed=11)
+        dirs = sample_directions(3, 500, seed=11)
         for trial in range(20):
             n = int(rng.integers(2, 8))
             x = wrapped_cloud(3, n, seed=400 + trial)

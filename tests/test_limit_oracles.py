@@ -9,11 +9,10 @@ cost (which is convex piecewise affine in the shift).
 import numpy as np
 import pytest
 
-from msot.busemann import BWGaussian, bw_distance_sq, bw_geodesic_point, busemann_bw
+from msot.busemann import BWGaussian, bw_distance_sq, busemann_bw
 from msot.hyperbolic import (
     HyperbolicSlicer,
     busemann_coordinate,
-    dist_lorentz,
     origin,
     sample_wrapped_normal,
 )
@@ -24,12 +23,12 @@ from msot.spd import (
     coordinate_le,
     dist_ai,
     dist_le,
-    sample_spd_cloud,
     sample_unit_symmetric,
     spd_exp,
 )
 from msot.unbalanced import UnbalancedParams, suot
-from oracles import circle_shift_cost
+from oracles import bw_geodesic_point, circle_shift_cost, dist_lorentz
+from samples import sample_spd_cloud
 
 
 class TestHyperbolicBusemannLimit:

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from msot.busemann import _piecewise_inner, is_geodesic_ray_1d
 from msot.flows import simplex_project
-from msot.gw import gw1d_inner, nw_corner
+from msot.gw import gw1d_inner
 from msot.measures import (
     build_circle_profile,
     build_profile,
@@ -17,13 +17,13 @@ from msot.measures import (
     circle_w2_uniform_batched,
     circle_wp_batched,
     dual_1d_batched,
+    nw_corner,
     wasserstein_1d,
     wasserstein_1d_batched,
 )
 from msot.spd import (
     coordinate_le,
     kernel_features,
-    sample_spd_cloud,
     sample_unit_symmetric,
 )
 from msot.unbalanced import UnbalancedParams, phi_conj, sliced_dual, suot
@@ -49,6 +49,7 @@ from oracles import (
     wasserstein_1d_lp,
     wasserstein_1d_walk,
 )
+from samples import sample_spd_cloud
 
 finite_floats = st.floats(-100.0, 100.0, allow_nan=False)
 

@@ -14,7 +14,6 @@ from msot.spd import (
     kernel_features,
     logsw,
     logsw_directions,
-    sample_spd_cloud,
     sample_unit_symmetric,
     spd_exp,
     spd_log,
@@ -25,6 +24,7 @@ from msot.spd import (
 from msot.measures import build_profile, wasserstein_1d
 
 from oracles import busemann_ai_loop, wasserstein_pp_permutations
+from samples import sample_spd_cloud
 
 
 class TestSymEig:
@@ -318,8 +318,9 @@ class TestKernel:
         cloud = sample_spd_cloud(2, 3, seed=6)
         slices = sample_unit_symmetric(2, 4, seed=7)
         f = kernel_features(cloud, slices, n_quantiles=3)
-        with pytest.raises(InvalidInput):
-            gaussian_kernel(f, f, 0.0)
+        for sigma in (0.0, np.nan, np.inf):
+            with pytest.raises(InvalidInput):
+                gaussian_kernel(f, f, sigma)
 
     def test_bad_grid(self):
         cloud = sample_spd_cloud(2, 3, seed=8)

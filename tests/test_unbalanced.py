@@ -418,7 +418,8 @@ class TestSlicerPluggability:
         _ = rng
 
     def test_spd_slicer_runs(self):
-        from msot.spd import SpdSlicer, sample_spd_cloud, sample_unit_symmetric
+        from msot.spd import SpdSlicer, sample_unit_symmetric
+        from samples import sample_spd_cloud
 
         x = sample_spd_cloud(3, 6, seed=0)
         y = sample_spd_cloud(3, 7, seed=1)
