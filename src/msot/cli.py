@@ -169,6 +169,8 @@ def load_dataset(path, geometry, weighted=True):
         raise InvalidInput(f"{path}: row {exc.index + 2}: {exc.reason}") from exc
     except InvalidInput as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
+    if atoms.size == 0:
+        raise InvalidInput(f"{path}: no coordinate column, only {header[-1]!r}")
     return Dataset(geometry=geometry, atoms=atoms, weights=weights)
 
 

@@ -240,12 +240,13 @@ class InteractionFunctional(Functional):
         """Squared distances between all rows, summed one coordinate at a
         time into a single ``(n, n)`` array, in the order of
         ``np.sum(diff**2, axis=-1)`` over the ``(n, n, d)`` differences."""
-        cols = iter(points.T)
-        first = next(cols, np.zeros(len(points)))  # no coordinates: one point
+        if points.ndim != 2 or points.shape[1] == 0:
+            raise InvalidInput(f"interaction needs (n, d) points, d >= 1, got {points.shape}")
+        first, *rest = points.T
         sq = np.subtract.outer(first, first)
         np.square(sq, out=sq)
         diff = np.empty_like(sq)
-        for col in cols:
+        for col in rest:
             np.subtract.outer(col, col, out=diff)
             sq += np.square(diff, out=diff)
         return sq

@@ -102,19 +102,31 @@ def geodesic_coordinate(x, ideal, model="lorentz"):
     if model == "lorentz":
         x = validate_lorentz(x)
         v = lift_directions(ideal)
-        num = -(x @ j_flip(v).T)  # -<x, v>_L as an (n, L) matrix
-        den = -x[:, :1]  # <x, x0>_L
-        ratio = np.clip(num / den, -_ARCTANH_CLIP, _ARCTANH_CLIP)
-        return np.arctanh(ratio)
+        # -<x, v>_L / <x, x0>_L = <x, v>_L / x0, as an (n, L) matrix
+        out = x @ j_flip(v).T
+        out /= x[:, :1]
+        np.clip(out, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=out)
+        return np.arctanh(out, out=out)
     if model == "poincare":
         x = validate_poincare(x)
         ideal = np.atleast_2d(ideal)
         ip = x @ ideal.T  # (n, L)
         sq = np.sum(x**2, axis=-1, keepdims=True)
-        disc = np.sqrt(np.maximum((1.0 + sq) ** 2 - 4.0 * ip**2, 0.0))
+        # s = (1 + |x|^2 - disc) / (2 <x, v>) written into one array
+        s = np.square(ip)
+        s *= 4.0
+        np.subtract((1.0 + sq) ** 2, s, out=s)
+        np.maximum(s, 0.0, out=s)
+        np.sqrt(s, out=s)
+        np.subtract(1.0 + sq, s, out=s)
+        ip *= 2.0  # zero exactly where <x, v> is
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(ip != 0.0, (1.0 + sq - disc) / (2.0 * ip), 0.0)
-        return 2.0 * np.arctanh(np.clip(s, -_ARCTANH_CLIP, _ARCTANH_CLIP))
+            s /= ip
+        s[ip == 0.0] = 0.0
+        np.clip(s, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=s)
+        np.arctanh(s, out=s)
+        s *= 2.0
+        return s
     raise InvalidInput(f"unknown model {model!r}")
 
 
@@ -135,18 +147,20 @@ def busemann_coordinate(x, ideal, model="lorentz"):
     if model == "lorentz":
         x = validate_lorentz(x)
         ideal = np.atleast_2d(ideal)
-        # <x, x0 + v>_L = -x0 + <x_{1:}, v>
-        ip = -x[:, :1] + x[:, 1:] @ ideal.T
-        return np.log(-ip)
+        # -<x, x0 + v>_L = x0 - <x_{1:}, v>
+        out = x[:, 1:] @ ideal.T
+        np.subtract(x[:, :1], out, out=out)
+        return np.log(out, out=out)
     if model == "poincare":
         x = validate_poincare(x)
         ideal = np.atleast_2d(ideal)
-        sq_dist = (
-            np.sum(ideal**2, axis=-1)[None, :]
-            - 2.0 * x @ ideal.T
-            + np.sum(x**2, axis=-1)[:, None]
-        )
-        return np.log(sq_dist / (1.0 - np.sum(x**2, axis=-1))[:, None])
+        x_sq = np.sum(x**2, axis=-1)[:, None]
+        # |v - x|^2 / (1 - |x|^2)
+        out = 2.0 * x @ ideal.T
+        np.subtract(np.sum(ideal**2, axis=-1)[None, :], out, out=out)
+        out += x_sq
+        out /= 1.0 - x_sq
+        return np.log(out, out=out)
     raise InvalidInput(f"unknown model {model!r}")
 
 
@@ -171,7 +185,8 @@ class HyperbolicSlicer:
         if self.kind == "geodesic":
             return geodesic_coordinate(points, self.dirs.dirs, model=self.model)
         if self.kind == "horospherical":
-            return -busemann_coordinate(points, self.dirs.dirs, model=self.model)
+            out = busemann_coordinate(points, self.dirs.dirs, model=self.model)
+            return np.negative(out, out=out)
         raise InvalidInput(f"unknown hyperbolic slicer kind {self.kind!r}")
 
 

@@ -133,8 +133,7 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     the pairs of many measures.
     """
     check_order(p)
-    u_values = np.asarray(u_values, dtype=float)
-    v_values = np.asarray(v_values, dtype=float)
+    u_values, v_values = _columns(u_values), _columns(v_values)
     n, L = u_values.shape
     m, Lv = v_values.shape
     if L != Lv:
@@ -147,16 +146,14 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     # contiguous last axis, which dominates the runtime at large L.  Ties
     # between equal values do not change the cost, so the value path may
     # use the (faster) default sort; only the subgradient needs stability.
-    u_rows = np.ascontiguousarray(u_values.T)
-    v_rows = np.ascontiguousarray(v_values.T)
     if _matched_uniform(u_weights, v_weights):
         # matched uniform clouds: sorted pairing, no quantile merge needed
-        u_rows, v_rows = np.sort(u_rows, axis=-1), np.sort(v_rows, axis=-1)
-        return _paired_cost(u_rows, v_rows, u_weights[0], p)
+        diff = _sorted_copy(u_values)
+        diff -= _sorted_copy(v_values)
+        return _paired_cost(diff, u_weights[0], p)
     levels = np.empty((L, n + m))
-    u_sorted = _sorted_with_cum(u_rows, u_weights, levels[:, :n])
-    v_sorted = _sorted_with_cum(v_rows, v_weights, levels[:, n:])
-    del u_rows, v_rows
+    u_sorted = _sorted_with_cum(u_values, u_weights, levels[:, :n])
+    v_sorted = _sorted_with_cum(v_values, v_weights, levels[:, n:])
     return _merged_cost(u_sorted, v_sorted, levels, p)
 
 
@@ -176,10 +173,10 @@ class SortedSlices:
 def sort_slices(values, weights=None):
     """The per-measure half of :func:`wasserstein_1d_batched` for ``(n, L)``
     coordinates: sort each slice once, to compare with many measures."""
-    rows = np.ascontiguousarray(np.asarray(values, dtype=float).T)
-    w = validate_weights(weights, n=rows.shape[1])
-    cum = np.empty(w.shape if float(np.ptp(w)) == 0.0 else rows.shape)
-    return SortedSlices(_sorted_with_cum(rows, w, cum), w, cum, float(np.sum(w)))
+    values = _columns(values)
+    w = validate_weights(weights, n=values.shape[0])
+    cum = np.empty(w.shape if float(np.ptp(w)) == 0.0 else values.shape[::-1])
+    return SortedSlices(_sorted_with_cum(values, w, cum), w, cum, float(np.sum(w)))
 
 
 def wasserstein_1d_sorted(u, v, p=2.0):
@@ -192,7 +189,7 @@ def wasserstein_1d_sorted(u, v, p=2.0):
         raise InvalidInput("both measures need one row per slice")
     check_masses(u.mass, v.mass)
     if _matched_uniform(u.weights, v.weights):
-        return _paired_cost(u.rows, v.rows, u.weights[0], p)
+        return _paired_cost(u.rows - v.rows, u.weights[0], p)
     levels = np.empty((L, n + m))
     levels[:, :n], levels[:, n:] = u.cum, v.cum
     return _merged_cost(u.rows, v.rows, levels, p)
@@ -204,10 +201,15 @@ def check_masses(mu_mass, nu_mass):
         raise MassMismatch(f"total masses differ: {mu_mass} vs {nu_mass}")
 
 
-def _paired_cost(u_sorted, v_sorted, weight, p):
-    """Row sums of ``weight |u - v|^p`` over sorted rows of equal length."""
-    diff = np.abs(u_sorted - v_sorted)
-    return np.sum(diff if p == 1 else diff**p, axis=-1) * weight
+def _paired_cost(diff, weight, p):
+    """Row sums of ``weight |diff|^p`` for the difference of sorted rows of
+    equal length, computed in ``diff``, which is overwritten."""
+    np.abs(diff, out=diff)
+    if p == 2:
+        np.square(diff, out=diff)
+    elif p != 1:
+        np.power(diff, p, out=diff)
+    return np.sum(diff, axis=-1) * weight
 
 
 def _merged_cost(u_sorted, v_sorted, levels, p):
@@ -423,12 +425,31 @@ def _take_rows(values, idx):
     return np.take(values.ravel(), _flat_positions(idx, n, out=idx))
 
 
-def _sorted_with_cum(rows, weights, cum):
-    """Sorted copy of ``(L, n)`` rows; their cumulative weights go to ``cum``,
-    which may be one ``(n,)`` row when the weights are uniform."""
+def _columns(values):
+    """``(n, L)`` coordinates as a float array, one column per slice."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise InvalidInput(f"values must be an (n, L) array, got shape {values.shape}")
+    return values
+
+
+def _sorted_copy(values):
+    """Sorted ``(L, n)`` rows of ``(n, L)`` values, sorted in place in a copy:
+    ``np.ascontiguousarray(values.T)`` is a view of Fortran-ordered values,
+    which an in-place sort would overwrite."""
+    rows = np.array(values.T, order="C")
+    rows.sort(axis=-1)
+    return rows
+
+
+def _sorted_with_cum(values, weights, cum):
+    """Sorted ``(L, n)`` rows of ``(n, L)`` values, never a view of them;
+    their cumulative weights go to ``cum``, which may be one ``(n,)`` row
+    when the weights are uniform."""
     if float(np.ptp(weights)) == 0.0:
         cum[:] = np.cumsum(weights)
-        return np.sort(rows, axis=-1)
+        return _sorted_copy(values)
+    rows = np.ascontiguousarray(values.T)
     sorter = np.argsort(rows, axis=-1)
     np.cumsum(weights[sorter], axis=-1, out=cum)
     return _take_rows(rows, sorter)

@@ -23,13 +23,32 @@ from .measures import (
     wasserstein_1d_sorted,
 )
 
+# largest distance of a direction's norm from 1
+UNIT_ATOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """Unit directions (one per row) together with the seed that drew them."""
+    """Unit directions (one per row) together with the seed that drew them.
+    Rows that are not finite, or whose norm is more than ``UNIT_ATOL`` from
+    1, are rejected."""
 
     dirs: np.ndarray
     seed: int
+
+    def __post_init__(self):
+        dirs = self.dirs
+        if not (isinstance(dirs, np.ndarray) and dirs.ndim == 2 and dirs.size > 0):
+            raise InvalidInput("directions must be a non-empty (L, d) array")
+        if not np.all(np.isfinite(dirs)):
+            raise InvalidInput("directions must be finite")
+        with np.errstate(over="ignore"):  # huge entries: an inf norm, rejected
+            err = np.abs(np.linalg.norm(dirs, axis=1) - 1.0)
+        if not np.all(err <= UNIT_ATOL):
+            raise InvalidInput(
+                f"directions must have unit norm: row {int(np.argmax(err))} "
+                f"is off by {np.max(err):.2e}"
+            )
 
     @property
     def n_projections(self):

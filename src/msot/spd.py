@@ -230,7 +230,8 @@ class SpdSlicer:
         if self.kind == "geodesic":
             return coordinate_le(points, self.slices)
         if self.kind == "horospherical":
-            return -_busemann_ai_batch(points, self.slices)
+            out = _busemann_ai_batch(points, self.slices)
+            return np.negative(out, out=out)
         raise InvalidInput(f"unknown SPD slicer kind {self.kind!r}")
 
 

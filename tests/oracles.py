@@ -5,7 +5,8 @@ package: couplings are solved as explicit linear programs or permutation
 enumerations, integrals by quadrature or dense grids.  The exceptions are
 the earlier bodies of rewritten kernels (``dual_1d_batched_gathers``,
 ``ahead_masked``, ``circle_w1_along_axis``, ``nw_corner_add_at``,
-``gw1d_inner_dense``, ``pairwise_from_zeros``), kept as references for
+``gw1d_inner_dense``, ``pairwise_from_zeros``, and the ``*_out_of_place``
+slicer coordinates and matched-uniform line kernel), kept as references for
 their replacements, and two ground truths that only the tests need:
 ``dist_lorentz``, the hyperboloid distance behind the geodesic cost
 matrices, and ``bw_geodesic_point``, which puts Gaussians on a
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.linalg import null_space
 
-from msot import busemann, measures
+from msot import busemann, hyperbolic, measures
 from msot.errors import InvalidInput, MassMismatch
 
 
@@ -835,3 +836,61 @@ def circle_w1_along_axis(x_angles, y_angles, x_weights=None, y_weights=None):
     median = np.sum(cum_len < 0.5, axis=-1, keepdims=True)
     lev_med = np.take_along_axis(levels, median, axis=-1)
     return np.sum(lengths * np.abs(values - lev_med), axis=-1)
+
+
+def geodesic_coordinate_out_of_place(x, ideal, model="lorentz"):
+    """``hyperbolic.geodesic_coordinate`` with a fresh ``(n, L)`` array per
+    step: the reference its in-place writes must match bit for bit."""
+    if model == "lorentz":
+        x = hyperbolic.validate_lorentz(x)
+        v = hyperbolic.lift_directions(ideal)
+        num = -(x @ hyperbolic.j_flip(v).T)
+        den = -x[:, :1]
+        ratio = np.clip(num / den, -hyperbolic._ARCTANH_CLIP, hyperbolic._ARCTANH_CLIP)
+        return np.arctanh(ratio)
+    x = hyperbolic.validate_poincare(x)
+    ideal = np.atleast_2d(ideal)
+    ip = x @ ideal.T
+    sq = np.sum(x**2, axis=-1, keepdims=True)
+    disc = np.sqrt(np.maximum((1.0 + sq) ** 2 - 4.0 * ip**2, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(ip != 0.0, (1.0 + sq - disc) / (2.0 * ip), 0.0)
+    return 2.0 * np.arctanh(np.clip(s, -hyperbolic._ARCTANH_CLIP, hyperbolic._ARCTANH_CLIP))
+
+
+def busemann_coordinate_out_of_place(x, ideal, model="lorentz"):
+    """``hyperbolic.busemann_coordinate`` with a fresh ``(n, L)`` array per
+    step."""
+    ideal = np.atleast_2d(ideal)
+    if model == "lorentz":
+        x = hyperbolic.validate_lorentz(x)
+        ip = -x[:, :1] + x[:, 1:] @ ideal.T
+        return np.log(-ip)
+    x = hyperbolic.validate_poincare(x)
+    sq_dist = (
+        np.sum(ideal**2, axis=-1)[None, :]
+        - 2.0 * x @ ideal.T
+        + np.sum(x**2, axis=-1)[:, None]
+    )
+    return np.log(sq_dist / (1.0 - np.sum(x**2, axis=-1))[:, None])
+
+
+def sorted_rows_out_of_place(values):
+    """The uniform sort of ``measures.sort_slices``: a contiguous ``(L, n)``
+    copy of the columns, then a sorted copy of that."""
+    return np.sort(np.ascontiguousarray(np.asarray(values, dtype=float).T), axis=-1)
+
+
+def paired_cost_out_of_place(u_rows, v_rows, weight, p):
+    """Row sums of ``weight |u - v|^p`` over sorted rows, one fresh array per
+    step: the earlier ``measures._paired_cost``."""
+    diff = np.abs(u_rows - v_rows)
+    return np.sum(diff if p == 1 else diff**p, axis=-1) * weight
+
+
+def uniform_w1d_out_of_place(u_values, v_values, p=2.0):
+    """The matched-uniform branch of ``measures.wasserstein_1d_batched`` on
+    sorted copies of contiguous copies of both sides."""
+    u_rows = sorted_rows_out_of_place(u_values)
+    v_rows = sorted_rows_out_of_place(v_values)
+    return paired_cost_out_of_place(u_rows, v_rows, 1.0 / u_rows.shape[1], p)

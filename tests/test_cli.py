@@ -433,6 +433,21 @@ class TestInputBoundary:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "euler", "FILE", "--steps", "1"],
+        ["dist", "sw", "FILE", "FILE"],
+        ["matrix", "sw", "FILE", "FILE"],
+        ["dist", "usw", "FILE", "FILE"],
+        ["flow", "jko-particles", "FILE", "--steps", "1"],
+    ])
+    def test_file_without_a_coordinate_column_exits_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "w.csv"
+        path.write_text("weight\n0.5\n0.5\n")
+        assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: no coordinate column, only 'weight'" in captured.err
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_spd_file_without_a_positive_dim_exits_two(self, tmp_path, capsys, dim):
         path = tmp_path / "spd.csv"

@@ -187,11 +187,20 @@ class TestBatchedFunctionals:
         assert func.grid_value(grid) == pytest.approx(value, rel=1e-12)
         assert _max_rel(func.grid_gradient(grid), node_grad) <= 1e-12
 
-    @pytest.mark.parametrize("d", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_pairwise_is_the_sum_from_zeros_bit_for_bit(self, d):
         x, _ = _cloud(d, False, seed=30 + d)
         got = InteractionFunctional()._pairwise(x)
         assert np.array_equal(got, pairwise_from_zeros(x))
+
+    def test_points_without_coordinates_rejected(self):
+        x, w = _cloud(0, False, seed=30)
+        func = InteractionFunctional()
+        grid = GridState(nodes=x, rho=w, cell_volume=1.0)
+        for call in (lambda: func.value(x), lambda: func.particle_gradient(x),
+                     lambda: func.value_and_gradient(x), lambda: func.grid_gradient(grid)):
+            with pytest.raises(InvalidInput, match=r"needs \(n, d\) points, d >= 1"):
+                call()
 
     def test_value_and_gradient_is_value_and_particle_gradient(self):
         x, w = _cloud(2, True, seed=7)

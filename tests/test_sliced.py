@@ -4,6 +4,7 @@ import pytest
 from msot.errors import InvalidInput, MassMismatch
 from msot.measures import build_profile, wasserstein_1d
 from msot.sliced import (
+    UNIT_ATOL,
     DirectionSet,
     matched_residual,
     sample_directions,
@@ -45,6 +46,40 @@ class TestSampleDirections:
             sample_directions(0, 3)
         with pytest.raises(InvalidInput):
             sample_directions(3, 0)
+
+
+class TestDirectionSet:
+    """Directions are unit rows to within ``UNIT_ATOL``: doubled rows would
+    saturate the geodesic arctanh clip, zero rows make every slice a tie."""
+
+    @pytest.mark.parametrize("scale, ok", [(1.0 + 0.5 * UNIT_ATOL, True),
+                                           (1.0 - 0.5 * UNIT_ATOL, True),
+                                           (1.0 + 2.0 * UNIT_ATOL, False),
+                                           (1.0 - 2.0 * UNIT_ATOL, False)])
+    def test_unit_norm_tolerance(self, scale, ok):
+        dirs = sample_directions(3, 4, seed=1).dirs.copy()
+        dirs[2] *= scale
+        if ok:
+            assert DirectionSet(dirs, 1).n_projections == 4
+        else:
+            with pytest.raises(InvalidInput, match="row 2 is off by"):
+                DirectionSet(dirs, 1)
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda d: 2.0 * d, "unit norm"),
+        (np.zeros_like, "unit norm"),
+        (lambda d: np.full_like(d, np.nan), "finite"),
+        (lambda d: np.where(d > 0, np.inf, d), "finite"),
+        (lambda d: np.full_like(d, 1e200), "unit norm"),
+        (lambda d: d[0], r"\(L, d\) array"),
+        (lambda d: d[:0], r"\(L, d\) array"),
+        (lambda d: d[None], r"\(L, d\) array"),
+        (lambda d: d.tolist(), r"\(L, d\) array"),
+    ])
+    def test_rejected(self, bad, message):
+        dirs = sample_directions(3, 4, seed=1).dirs
+        with pytest.raises(InvalidInput, match=message):
+            DirectionSet(bad(dirs), 1)
 
 
 class TestSwP:
