@@ -28,6 +28,8 @@ msot dist ssw sphere.csv sphere2.csv --geometry sphere --projections 16
 msot matrix sw ok.csv ok.csv ball.csv --projections 8
 expect_two "n_projections must be positive" msot matrix sw ok.csv --projections 0
 msot gw gw1d line.csv line.csv
+msot gw hw line.csv line.csv
+msot gw hw ok.csv ok.csv
 msot pca gauss.csv
 msot pca gauss.csv --origin -0.5,1 > /dev/null
 expect_two "--origin must be" msot pca gauss.csv --origin 0

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FlowDiverged, InvalidInput
-from .hyperbolic import (
-    geodesic_coordinate,
-    ghsw,
-    j_flip,
-    lift_directions,
-    riemannian_step_lorentz,
-)
+from .hyperbolic import geodesic_coordinate, ghsw, riemannian_step_lorentz
 from .measures import (
     check_positive,
     dual_1d_batched,
@@ -101,15 +95,8 @@ class FlowTrace:
         trace = cls()
         for line in text.strip().splitlines():
             payload = json.loads(line)
-            arrays = {k: np.array(payload[k]) for k in ("positions", "rho") if k in payload}
-            record = FlowRecord(
-                step=payload["step"],
-                energy=payload["energy"],
-                objective=payload.get("objective"),
-                residual_grad=payload.get("residual_grad"),
-                **arrays,
-            )
-            trace.append(record)
+            arrays = {k: np.array(payload.pop(k)) for k in ("positions", "rho") if k in payload}
+            trace.append(FlowRecord(**payload, **arrays))
         return trace
 
 
@@ -385,17 +372,17 @@ class GhswToTargetFunctional(Functional):
             geodesic_coordinate(x, ideal, model="lorentz"),
             geodesic_coordinate(self.target, ideal, model="lorentz"),
         )  # (n, L)
-        # ambient gradient of P^v(x) = arctanh(-<x,v>_L / <x,x0>_L)
-        jv = j_flip(lift_directions(ideal))
-        u = x @ jv.T  # <x, v>_L, (n, L)
+        # ambient gradient of P^v(x) = arctanh(-<x,v>_L / <x,x0>_L), v = (0, ideal)
+        u = x[:, 1:] @ ideal.T  # <x, v>_L, (n, L)
         w = -x[:, :1]  # <x, x0>_L, (n, 1)
         ratio = -u / w
         denom = (1.0 - ratio**2) * w**2
-        # dP/dx = (-(Jv) w + u Jx0) / ((1 - r^2) w^2) with Jx0 = -e_0, summed
-        # over slices against the residual without an (n, L, d) temporary
+        # dP/dx = (-(Jv) w + u Jx0) / ((1 - r^2) w^2) with Jv = v and Jx0 = -e_0,
+        # summed over slices against the residual without an (n, L, d) temporary
         r = resid / denom
-        grad = -w * (r @ jv)
-        grad[:, 0] -= np.sum(r * u, axis=1)
+        grad = np.empty_like(x)
+        grad[:, 0] = -np.sum(r * u, axis=1)
+        grad[:, 1:] = -w * (r @ ideal)
         return grad / (n * n_proj)
 
 

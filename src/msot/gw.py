@@ -3,10 +3,10 @@ r"""1D Gromov-Wasserstein, Hadamard-Wasserstein and Gaussian subspace detours.
 The inner-GW objective between sorted 1D measures is minimized by one of
 two north-west corner plans (ascending or reversed source), compared on
 their supports by cross moment.  The Hadamard-Wasserstein cost
-:math:`\|x \odot x' - y \odot y'\|_2^2` is handled by a conditional
-gradient whose tensor product has an :math:`O(d(n^2m + m^2n))` closed
-form.  Subspace detours between Gaussians use the Monge-Knothe and
-Monge-Independent closed forms.
+:math:`\|x \odot x' - y \odot y'\|_2^2` is the inner-GW cost in 1D and is
+handled otherwise by a conditional gradient whose tensor product has an
+:math:`O(d(n^2m + m^2n))` closed form.  Subspace detours between
+Gaussians use the Monge-Knothe and Monge-Independent closed forms.
 """
 
 import itertools
@@ -104,8 +104,9 @@ def _hw_objective(x, y, plan, axis_weights):
 
 
 def _linear_oracle_1d(a, b, grad_cross_sign):
-    """Exact oracle for d = 1: the support ``(rows, cols, mass)`` of the
-    comonotone or anticomonotone NW plan."""
+    """The support ``(rows, cols, mass)`` of the comonotone or anticomonotone
+    NW plan: the exact linear oracle in 1D, whose two answers
+    :func:`_gw1d_sorted` compares."""
     if grad_cross_sign >= 0:
         return nw_support(a, b)
     rows, cols, mass = nw_support(a[::-1], b)
@@ -134,39 +135,25 @@ def _linear_oracle_exhaustive(grad, a, b):
     return plan
 
 
-def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50, init=None):
+def hw_solve(x_cloud, y_cloud, a=None, b=None, axis_weights=None, n_iters=50):
     r"""Conditional gradient for the discrete Hadamard-Wasserstein problem.
 
-    Each round solves the linear subproblem with cost
-    :math:`2(\mathcal{L}\otimes\gamma)` exactly (sorted rule in 1D,
-    permutation enumeration for ``d >= 2`` at desk scale) and steps with
-    the exact line search of the quadratic objective.  Returns
-    ``(plan, value)``.
+    In 1D the HW cost is the axis weight times the inner-GW cost, so the
+    plan is :func:`gw1d`'s closed-form optimum.  For ``d >= 2`` each round,
+    from the product coupling, solves the linear subproblem with cost
+    :math:`2(\mathcal{L}\otimes\gamma)` exactly by permutation enumeration
+    (desk scale) and steps with the exact line search of the quadratic
+    objective.  Returns ``(plan, value)``.
     """
     x, a, y, b = validate_pair(x_cloud, y_cloud, a, b)
     check_masses(float(a.sum()), float(b.sum()))
-    (n, d), m = x.shape, y.shape[0]
-    if d == 1:
-        order_x, order_y = stable_order(x[:, 0])[0], stable_order(y[:, 0])[0]
-    if init is not None:
-        plan = np.asarray(init, dtype=float)
-    elif d == 1:
-        # seed with the 1D closed-form optimum; conditional gradient then
-        # stays in the global basin instead of the one the product
-        # coupling's cross-moment sign happens to pick
+    if x.shape[1] == 1:
         plan, _ = gw1d(x, a, y, b)
-    else:
-        plan = np.outer(a, b) / b.sum()
+        return plan, _hw_objective(x, y, plan, axis_weights)
+    plan = np.outer(a, b) / b.sum()
     for _ in range(n_iters):
         grad = 2.0 * hw_tensor(x, y, plan, axis_weights)
-        if d == 1:
-            wts = np.ones(1) if axis_weights is None else axis_weights
-            cross = float(wts[0] * (x[:, 0] @ plan @ y[:, 0]))
-            rows, cols, mass = _linear_oracle_1d(a[order_x], b[order_y], cross)
-            target = dense_plan(order_x[rows], order_y[cols], mass, (n, m))
-        else:
-            target = _linear_oracle_exhaustive(grad, a, b)
-        direction = target - plan
+        direction = _linear_oracle_exhaustive(grad, a, b) - plan
         # exact line search on the quadratic objective along the segment
         slope = float(np.sum(grad * direction))
         curvature = float(np.sum(hw_tensor(x, y, direction, axis_weights) * direction))

@@ -83,12 +83,6 @@ def project_to_hyperboloid(x):
     return out
 
 
-def lift_directions(ideal):
-    """Ideal points (L, d) -> tangent directions (L, d+1) with v0 = 0."""
-    ideal = np.atleast_2d(np.asarray(ideal, dtype=float))
-    return np.concatenate([np.zeros((ideal.shape[0], 1)), ideal], axis=-1)
-
-
 def geodesic_coordinate(x, ideal, model="lorentz"):
     r"""Signed coordinate of the geodesic projection onto ``span(x^0, v)``.
 
@@ -99,17 +93,16 @@ def geodesic_coordinate(x, ideal, model="lorentz"):
 
     Returns an ``(n, L)`` array for ``n`` points and ``L`` directions.
     """
+    ideal = np.atleast_2d(ideal)
     if model == "lorentz":
         x = validate_lorentz(x)
-        v = lift_directions(ideal)
-        # -<x, v>_L / <x, x0>_L = <x, v>_L / x0, as an (n, L) matrix
-        out = x @ j_flip(v).T
+        # -<x, v>_L / <x, x0>_L = <x_{1:}, ideal> / x0, as an (n, L) matrix
+        out = x[:, 1:] @ ideal.T
         out /= x[:, :1]
         np.clip(out, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=out)
         return np.arctanh(out, out=out)
     if model == "poincare":
         x = validate_poincare(x)
-        ideal = np.atleast_2d(ideal)
         ip = x @ ideal.T  # (n, L)
         sq = np.sum(x**2, axis=-1, keepdims=True)
         # s = (1 + |x|^2 - disc) / (2 <x, v>) written into one array
@@ -144,21 +137,24 @@ def busemann_coordinate(x, ideal, model="lorentz"):
     Poincaré: :math:`B^{\tilde v}(x) = \log(\|\tilde v - x\|_2^2 /
     (1 - \|x\|_2^2))`.  Shape ``(n, L)``.
     """
+    ideal = np.atleast_2d(ideal)
     if model == "lorentz":
         x = validate_lorentz(x)
-        ideal = np.atleast_2d(ideal)
         # -<x, x0 + v>_L = x0 - <x_{1:}, v>
         out = x[:, 1:] @ ideal.T
         np.subtract(x[:, :1], out, out=out)
         return np.log(out, out=out)
     if model == "poincare":
         x = validate_poincare(x)
-        ideal = np.atleast_2d(ideal)
         x_sq = np.sum(x**2, axis=-1)[:, None]
-        # |v - x|^2 / (1 - |x|^2)
+        # |v - x|^2 / (1 - |x|^2); the expansion of |v - x|^2 cancels near the
+        # ideal point, so the few pairs nearer than 1e-2 take the difference
         out = 2.0 * x @ ideal.T
         np.subtract(np.sum(ideal**2, axis=-1)[None, :], out, out=out)
         out += x_sq
+        if np.min(out) < 1e-4:
+            rows, cols = np.nonzero(out < 1e-4)
+            out[rows, cols] = np.sum((ideal[cols] - x[rows]) ** 2, axis=-1)
         out /= 1.0 - x_sq
         return np.log(out, out=out)
     raise InvalidInput(f"unknown model {model!r}")

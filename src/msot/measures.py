@@ -201,15 +201,18 @@ def check_masses(mu_mass, nu_mass):
         raise MassMismatch(f"total masses differ: {mu_mass} vs {nu_mass}")
 
 
+def _powered(d, p):
+    """The ground cost ``|d|^p`` of every 1D solver, written over ``d``."""
+    if p == 2:
+        return np.square(d, out=d)
+    np.abs(d, out=d)
+    return d if p == 1 else np.power(d, p, out=d)
+
+
 def _paired_cost(diff, weight, p):
     """Row sums of ``weight |diff|^p`` for the difference of sorted rows of
     equal length, computed in ``diff``, which is overwritten."""
-    np.abs(diff, out=diff)
-    if p == 2:
-        np.square(diff, out=diff)
-    elif p != 1:
-        np.power(diff, p, out=diff)
-    return np.sum(diff, axis=-1) * weight
+    return np.sum(_powered(diff, p), axis=-1) * weight
 
 
 def _merged_cost(u_sorted, v_sorted, levels, p):
@@ -230,11 +233,7 @@ def _merged_cost(u_sorted, v_sorted, levels, p):
     del ahead
     cost -= _take_rows(v_sorted, behind)
     del behind
-    np.abs(cost, out=cost)
-    if p == 2:
-        cost *= cost
-    elif p != 1:
-        np.power(cost, p, out=cost)
+    cost = _powered(cost, p)
     cost *= delta
     return np.sum(cost, axis=-1)
 
@@ -296,8 +295,7 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     (L, n), m = x.shape, y.shape[1]
 
     def cost(u, v):
-        d = u - v
-        return d * d if p == 2 else np.abs(d) ** p
+        return _powered(u - v, p)
 
     # the last breakpoints never move the staircase; a target breakpoint
     # merges ahead of an equal source one, so ``col`` counts those at or below
@@ -680,10 +678,7 @@ def _power_sums(d, p):
     """Row sums of ``|d|^p``, overwriting ``d``."""
     if p == 2:
         return np.einsum("ij,ij->i", d, d)
-    np.abs(d, out=d)
-    if p != 1:
-        np.power(d, p, out=d)
-    return np.sum(d, axis=-1)
+    return np.sum(_powered(d, p), axis=-1)
 
 
 def _event_argmin(costs, shape):
@@ -737,7 +732,7 @@ def _shift_cost(x, cum_a, y, cum_b, alpha, p):
     mids = qs - 0.5 * delta
     diff = _periodic_rows(x, cum_a, mids, "left")
     diff -= _periodic_rows(y, cum_b, mids + alpha, "left")
-    return np.sum(delta * np.abs(diff) ** p, axis=-1)
+    return np.sum(delta * _powered(diff, p), axis=-1)
 
 
 def _shift_slope(x, cum_a, y, y_next, cum_b, alpha, p):
@@ -746,4 +741,4 @@ def _shift_slope(x, cum_a, y, y_next, cum_b, alpha, p):
     to ``y_next[j]`` (the next atom, lifted), ``Qmu`` from the right pays
     the difference of the two costs."""
     xr = _periodic_rows(x, cum_a, cum_b - alpha[:, None], "right")
-    return np.sum(np.abs(xr - y_next) ** p - np.abs(xr - y) ** p, axis=-1)
+    return np.sum(_powered(xr - y_next, p) - _powered(xr - y, p), axis=-1)

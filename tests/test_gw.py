@@ -223,10 +223,9 @@ class TestHwSolve:
     def test_identical_clouds_identity_plan(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 2))
-        init = np.eye(4) / 4
-        plan, value = hw_solve(x, x, init=init)
+        plan, value = hw_solve(x, x)
         assert value == pytest.approx(0.0, abs=1e-14)
-        assert np.allclose(plan, init)
+        assert np.allclose(plan, np.eye(4) / 4)
 
     def test_objective_nonincreasing(self):
         rng = np.random.default_rng(1)
@@ -252,6 +251,27 @@ class TestHwSolve:
             _, want = gw1d_inner(x, a, y, a)
             _, got = hw_solve(x[:, None], y[:, None], n_iters=100)
             assert got == pytest.approx(want, abs=1e-8)
+
+    def test_d1_is_the_gw1d_plan(self):
+        """In 1D the plan is ``gw1d``'s, bit for bit, whatever ``n_iters``,
+        and the value is the HW objective of that plan."""
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            n, m = rng.integers(1, 9, size=2)
+            if trial % 4 == 0:
+                m = n
+            x = rng.integers(-3, 4, size=(n, 1)).astype(float)  # ties
+            y = rng.normal(size=(m, 1))
+            uniform = trial % 3 == 0
+            a = None if uniform else random_weights(rng, n, trial % 3)
+            b = None if uniform else random_weights(rng, m, trial // 3 % 3)
+            axis_weights = None if trial % 2 else rng.uniform(0.0, 2.0, size=1)
+            plan, value = hw_solve(x, y, a=a, b=b, axis_weights=axis_weights,
+                                   n_iters=int(rng.integers(0, 60)))
+            want, _ = gw1d(x, np.full(n, 1.0 / n) if a is None else a,
+                           y, np.full(m, 1.0 / m) if b is None else b)
+            assert np.array_equal(plan, want)
+            assert value == gw_module._hw_objective(x, y, want, axis_weights)
 
     def test_axis_flip_pairs_reach_zero(self):
         rng = np.random.default_rng(3)
@@ -415,7 +435,7 @@ class TestDegenerateAxisWeights:
 
 class TestGw1dInInputOrder:
     """``gw1d`` is the one sort-and-scatter of the 1D GW plan: ``msot gw
-    gw1d`` and the d = 1 seed of ``hw_solve`` both read it."""
+    gw1d`` and ``hw_solve`` in 1D both read it."""
 
     @staticmethod
     def _pair():

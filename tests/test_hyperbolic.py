@@ -16,7 +16,7 @@ from msot.hyperbolic import (
     sample_wrapped_normal,
     validate_lorentz,
 )
-from msot.sliced import sample_directions
+from msot.sliced import DirectionSet, sample_directions
 
 from oracles import dist_lorentz, wasserstein_pp_permutations
 
@@ -101,6 +101,28 @@ class TestBusemannCoordinate:
         lor = busemann_coordinate(x, ideal, model="lorentz")
         poi = busemann_coordinate(lorentz_to_poincare(x), ideal, model="poincare")
         assert np.max(np.abs(lor - poi)) <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_poincare_near_the_ideal_point(self):
+        """On the ray ``x = t v`` the Poincare Busemann value is
+        ``log((1 - t) / (1 + t))``; the expansion of ``|v - x|^2`` cancels
+        there (to 0, and -inf, at ``t = 1 - 1e-12``), so near pairs take the
+        difference.  Axis directions keep ``t v`` exact in floats."""
+        ideal = np.vstack([np.eye(3), -np.eye(3)])
+        gaps = [10.0**-k for k in range(1, 16)] + [3e-9, 2.0**-53]
+        for t in 1.0 - np.array(gaps):
+            got = np.diag(busemann_coordinate(t * ideal, ideal, model="poincare"))
+            want = np.log((1.0 - t) / (1.0 + t))
+            assert np.all(np.abs(got - want) <= 1e-9 * abs(want))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hhsw_of_a_point_near_the_ideal_point_is_finite(self):
+        ideal = np.vstack([np.eye(3)[:1], sample_directions(3, 7, seed=2).dirs])
+        x = lorentz_to_poincare(wrapped_cloud(3, 20, seed=4))
+        x[0] = (1.0 - 1e-12) * ideal[0]
+        y = lorentz_to_poincare(wrapped_cloud(3, 20, seed=5))
+        dirs = DirectionSet(ideal, 0)
+        assert np.isfinite(hhsw(x, y, dirs, model="poincare"))
 
     def test_lipschitz(self):
         x = wrapped_cloud(3, 40, seed=9)

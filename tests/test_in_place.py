@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from msot import spd
+from msot import measures, spd
 from msot.errors import InvalidInput
 from msot.hyperbolic import (
     HyperbolicSlicer,
@@ -153,6 +153,30 @@ class TestUniformLineKernel:
         # a matrix compares each sorted measure with many others
         assert sorted_same()
         assert np.array_equal(got, wasserstein_1d_batched(u, v, p=p))
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_powered_is_each_expression_it_replaces(p):
+    """``measures._powered`` writes ``|d|^p`` over ``d`` with the bits of the
+    expressions the 1D solvers wrote out: ``d * d`` at p = 2, ``np.abs(d) **
+    p`` and the abs then square or power of ``_paired_cost``."""
+    rng = np.random.default_rng(int(2 * p))
+    d = rng.normal(size=(5, 40)) * 10.0 ** rng.uniform(-8.0, 8.0, (5, 40))
+    d[:, :4] = [0.0, -0.0, 1.0, -1.0]
+    paired = np.abs(d)
+    if p == 2:
+        np.square(paired, out=paired)
+    elif p != 1:
+        np.power(paired, p, out=paired)
+    wants = [np.abs(d) ** p, paired] + ([d * d] if p == 2 else [])
+    work = d.copy()
+    got = measures._powered(work, p)
+    assert got is work
+    assert all(_same_bits(got, want) for want in wants)
 
 
 def test_weighted_kernel_leaves_its_inputs():
