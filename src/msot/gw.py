@@ -100,7 +100,8 @@ def hw_tensor(x_cloud, y_cloud, plan, axis_weights=None):
 
 
 def _hw_objective(x, y, plan, axis_weights):
-    return float(np.sum(hw_tensor(x, y, plan, axis_weights) * plan))
+    # a sum of squares: a rounding error below 0 is reported as 0
+    return max(float(np.sum(hw_tensor(x, y, plan, axis_weights) * plan)), 0.0)
 
 
 def _linear_oracle_1d(a, b, grad_cross_sign):

@@ -9,8 +9,17 @@ otherwise.  On matched uniform rows the circle solvers search nothing: the
 shift cost is linear between the events ``k/n``, so an integer bisection
 over cyclic shifts of the sorted atoms finds its minimizing event.  The
 scalar functions taking profiles are the one-row cases.
+
+Large line problems run on a thread pool, one per process and created on
+first use: the line kernel in column blocks, and through
+:mod:`msot.sliced` the coordinates and sorts of separate clouds.  Every
+reduction runs along the rows of one block, so the results are those of
+one thread, bit for bit.
 """
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +28,68 @@ from .errors import InvalidInput, MassMismatch
 
 # absolute tolerance for all total-mass comparisons
 MASS_ATOL = 1e-9
+
+# fewest atom-slice entries, (n + m) * L, of a line-kernel call that is
+# split into column blocks on the pool; below it a thread hand-off costs
+# more than the second core saves
+_SPLIT_ENTRIES = 2**18
+# fewest atoms, over all clouds, whose coordinates and sorts are computed
+# one cloud per pooled task
+_SPLIT_ATOMS = 1000
+
+
+def _worker_count():
+    """Cores this process may run on, capped by a positive ``MSOT_THREADS``."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cores = os.cpu_count() or 1
+    cap = os.environ.get("MSOT_THREADS", "")
+    return min(cores, int(cap)) if cap.isdigit() and int(cap) > 0 else cores
+
+
+_WORKERS = _worker_count()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _executor():
+    """The shared pool of ``_WORKERS`` threads, created on first use, or
+    None with one worker.  ``concurrent.futures`` loads only here."""
+    global _pool
+    if _WORKERS < 2:
+        return None
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="msot")
+        return _pool
+
+
+def _drop_pool():
+    """A forked child has none of its parent's threads: the first pooled
+    call there builds its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork on Windows
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _in_order(fn, calls, pool):
+    """``[fn(*args) for args in calls]``, each call a task of ``pool`` (when
+    not None) run in a copy of the caller's context, which holds numpy's
+    error state.  Every task ends before the first exception in input order
+    is raised.  A task must not submit to the pool itself."""
+    if pool is None:
+        return [fn(*args) for args in calls]
+    from concurrent.futures import wait
+
+    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def validate_weights(weights, n=None):
@@ -130,7 +201,8 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     c(u_{i_k}, v_{j_k})` over the merged levels, computed in place.  Each
     side is sorted on its own, so :func:`sort_slices` and
     :func:`wasserstein_1d_sorted` split the work between the measures and
-    the pairs of many measures.
+    the pairs of many measures.  Large calls run in column blocks on the
+    pool, two per worker, so that only one block per worker is in flight.
     """
     check_order(p)
     u_values, v_values = _columns(u_values), _columns(v_values)
@@ -142,6 +214,22 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     v_weights = validate_weights(v_weights, n=m)
     check_masses(float(np.sum(u_weights)), float(np.sum(v_weights)))
 
+    blocks = min(2 * _WORKERS, L) if (n + m) * L >= _SPLIT_ENTRIES else 1
+    pool = _executor() if blocks > 1 else None
+    if pool is None:
+        # one thread runs the call whole: blocks would lower its peak only
+        # for glibc to trim the heap and fault it in again on the next call
+        return _batched_costs(u_values, v_values, u_weights, v_weights, p)
+    edges = [L * k // blocks for k in range(blocks + 1)]
+    calls = [(u_values[:, lo:hi], v_values[:, lo:hi], u_weights, v_weights, p)
+             for lo, hi in zip(edges, edges[1:])]
+    return np.concatenate(_in_order(_batched_costs, calls, pool))
+
+
+def _batched_costs(u_values, v_values, u_weights, v_weights, p):
+    """The body of :func:`wasserstein_1d_batched` on validated inputs."""
+    n, L = u_values.shape
+    m = v_values.shape[0]
     # row-major layout (L, n): every subsequent operation runs along the
     # contiguous last axis, which dominates the runtime at large L.  Ties
     # between equal values do not change the cost, so the value path may

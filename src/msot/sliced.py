@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import InvalidInput
 from .measures import (
+    _SPLIT_ATOMS,
+    _executor,
+    _in_order,
     check_order,
     sort_slices,
     sorted_rows,
@@ -128,13 +131,13 @@ def sliced_cost(slicer, x, y, p=2.0, x_weights=None, y_weights=None):
 
     ``slicer.coordinates(points)`` maps a cloud to its ``(n, L)`` line
     coordinates; the result is the mean over the ``L`` columns of the exact
-    1D :math:`W_p^p` between the coordinate measures.
+    1D :math:`W_p^p` between the coordinate measures.  Large clouds are
+    mapped on the pool, one task each; ``x``'s error comes first.
     """
     x, a, y, b = validate_pair(x, y, x_weights, y_weights)
-    costs = wasserstein_1d_batched(
-        slicer.coordinates(x), slicer.coordinates(y), a, b, p=p
-    )
-    return float(np.mean(costs))
+    pool = _executor() if len(x) + len(y) >= _SPLIT_ATOMS else None
+    u, v = _in_order(slicer.coordinates, [(x,), (y,)], pool)
+    return float(np.mean(wasserstein_1d_batched(u, v, a, b, p=p)))
 
 
 def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
@@ -145,21 +148,30 @@ def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
     each pair then runs only :func:`measures.wasserstein_1d_sorted`.  The
     order ``p`` is checked first, then the clouds in turn (each against the
     atom shape of the first), then the pairs' total masses in row order.
+    Large sets of clouds are mapped and sorted on the pool, one task each.
     """
     check_order(p)
     weights = [None] * len(clouds) if weights is None else weights
-    sides, shape = [], None
-    for x, w in zip(clouds, weights, strict=True):
-        x, w = validate_cloud(x, w)
-        shape = x.shape[1:] if shape is None else shape
-        if x.shape[1:] != shape:
-            raise InvalidInput(f"atom shape mismatch: {shape} vs {x.shape[1:]}")
-        sides.append(sort_slices(slicer.coordinates(x), w))
+    pairs, sides = list(zip(clouds, weights, strict=True)), []
+    if pairs:
+        x, _ = pairs[0] = validate_cloud(*pairs[0])
+        pool = _executor() if len(pairs) * len(x) >= _SPLIT_ATOMS else None
+        calls = [(slicer, *pair, x.shape[1:]) for pair in pairs]
+        sides = _in_order(_sorted_side, calls, pool)
     values = np.zeros((len(sides), len(sides)))
     for i, j in zip(*np.triu_indices(len(sides), 1)):
         costs = wasserstein_1d_sorted(sides[i], sides[j], p)
         values[i, j] = values[j, i] = np.mean(costs)
     return values
+
+
+def _sorted_side(slicer, x, w, shape):
+    """One cloud of :func:`sliced_cost_matrix`: validated, checked against
+    the atom shape of the first cloud, mapped and sorted."""
+    x, w = validate_cloud(x, w)
+    if x.shape[1:] != shape:
+        raise InvalidInput(f"atom shape mismatch: {shape} vs {x.shape[1:]}")
+    return sort_slices(slicer.coordinates(x), w)
 
 
 @dataclass(frozen=True)

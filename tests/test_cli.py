@@ -586,6 +586,33 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
     assert out[1] in ("None", "1")
 
 
+@pytest.mark.parametrize("threads, n", [("1", 2000), (None, 200)])
+def test_no_thread_pool_with_one_thread_or_small_inputs(threads, n):
+    """``MSOT_THREADS=1`` keeps a sliced distance above every split threshold
+    on the caller's thread, and a small one stays there anyway: no pool is
+    built and ``concurrent.futures`` is never imported."""
+    env = {k: v for k, v in os.environ.items() if k != "MSOT_THREADS"}
+    if threads is not None:
+        env["MSOT_THREADS"] = threads
+    src = str(Path(msot.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = f"""
+import sys
+import msot
+import numpy as np
+from msot import measures
+x = np.random.default_rng(0).normal(size=({n}, 10))
+w = np.linspace(1.0, 2.0, {n})
+msot.sw_p(x, x + 1.0, msot.sample_directions(10, 500, seed=1), x_weights=w / w.sum())
+print(measures._pool is None, "concurrent.futures" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    ).stdout.split()
+    assert out == ["True", "False"]
+
+
 # --- the JSON emitter, the parser and the import ----------------------------
 
 SCALARS = (

@@ -544,3 +544,17 @@ def test_malformed_input_is_invalid(case):
     match, call = MALFORMED[case]
     with pytest.raises(InvalidInput, match=match):
         call()
+
+
+def test_hw_of_a_cloud_with_itself_is_exactly_zero(tmp_path, capsys):
+    """The HW cost is a sum of squares: the rounding of the expanded tensor
+    no longer reports it below 0 (the two-atom file of
+    ``scripts/cli_smoke.sh`` read -4.3e-18)."""
+    x = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    value = hw_solve(x, x)[1]
+    assert value == 0.0 and np.copysign(1.0, value) == 1.0
+    path = tmp_path / "ok.csv"
+    path.write_text("x0,x1\n0.1,0.2\n-0.3,0.4\n")
+    for command in ("gw", "dist"):
+        assert main([command, "hw", str(path), str(path)]) == 0
+        assert '"value": 0.0,' in capsys.readouterr().out

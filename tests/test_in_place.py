@@ -28,7 +28,7 @@ from oracles import (
     sorted_rows_out_of_place,
     uniform_w1d_out_of_place,
 )
-from samples import sample_spd_cloud
+from samples import LAYOUTS, sample_spd_cloud, unchanged
 
 D = 4
 
@@ -66,24 +66,18 @@ def _ideal(L=40):
 CLOUDS = {"lorentz": _lorentz, "poincare": _poincare}
 
 
-def _unchanged(*arrays):
-    """Copies of the arrays, and a check that each is still what it was."""
-    copies = [a.copy() for a in arrays]
-    return lambda: all(np.array_equal(a, c) for a, c in zip(arrays, copies, strict=True))
-
-
 @pytest.mark.parametrize("model", ["lorentz", "poincare"])
 class TestHyperbolicCoordinates:
     def test_geodesic_coordinate_is_the_out_of_place_body(self, model):
         x, ideal = CLOUDS[model](60, 1), _ideal()
-        same = _unchanged(x, ideal)
+        same = unchanged(x, ideal)
         got = geodesic_coordinate(x, ideal, model=model)
         assert np.array_equal(got, geodesic_coordinate_out_of_place(x, ideal, model))
         assert same()
 
     def test_busemann_coordinate_is_the_out_of_place_body(self, model):
         x, ideal = CLOUDS[model](60, 2), _ideal()
-        same = _unchanged(x, ideal)
+        same = unchanged(x, ideal)
         got = busemann_coordinate(x, ideal, model=model)
         assert np.array_equal(got, busemann_coordinate_out_of_place(x, ideal, model))
         assert same()
@@ -91,7 +85,7 @@ class TestHyperbolicCoordinates:
     @pytest.mark.parametrize("kind", ["geodesic", "horospherical"])
     def test_slicer_coordinates(self, model, kind):
         x, ideal = CLOUDS[model](60, 3), _ideal()
-        same = _unchanged(x, ideal)
+        same = unchanged(x, ideal)
         got = HyperbolicSlicer(DirectionSet(ideal, 0), model, kind).coordinates(x)
         want = (geodesic_coordinate_out_of_place(x, ideal, model) if kind == "geodesic"
                 else -busemann_coordinate_out_of_place(x, ideal, model))
@@ -110,17 +104,10 @@ def test_poincare_cloud_reaches_both_branches():
 def test_spd_horospherical_slicer_negates_the_busemann_batch():
     x = sample_spd_cloud(3, 20, seed=4)
     slices = spd.sample_unit_symmetric(3, 15, seed=2)
-    same = _unchanged(x, slices)
+    same = unchanged(x, slices)
     got = spd.SpdSlicer(slices, kind="horospherical").coordinates(x)
     assert np.array_equal(got, -spd._busemann_ai_batch(x, slices))
     assert same()
-
-
-LAYOUTS = {
-    "c": lambda a: np.ascontiguousarray(a),
-    "fortran": lambda a: np.asfortranarray(a),
-    "transposed_view": lambda a: np.ascontiguousarray(a.T).T,
-}
 
 
 def _columns(n, L, seed):
@@ -135,19 +122,19 @@ def _columns(n, L, seed):
 class TestUniformLineKernel:
     def test_batched_is_the_out_of_place_body(self, layout, p):
         u, v = (LAYOUTS[layout](_columns(50, 12, s)) for s in (0, 1))
-        same = _unchanged(u, v)
+        same = unchanged(u, v)
         got = wasserstein_1d_batched(u, v, p=p)
         assert np.array_equal(got, uniform_w1d_out_of_place(u, v, p))
         assert same()
 
     def test_sorted_halves_are_the_out_of_place_bodies(self, layout, p):
         u, v = (LAYOUTS[layout](_columns(50, 12, s)) for s in (2, 3))
-        same = _unchanged(u, v)
+        same = unchanged(u, v)
         su, sv = sort_slices(u), sort_slices(v)
         assert same()
         assert np.array_equal(su.rows, sorted_rows_out_of_place(u))
         assert np.array_equal(sv.rows, sorted_rows_out_of_place(v))
-        sorted_same = _unchanged(su.rows, sv.rows, su.cum, sv.cum)
+        sorted_same = unchanged(su.rows, sv.rows, su.cum, sv.cum)
         got = wasserstein_1d_sorted(su, sv, p)
         assert np.array_equal(got, paired_cost_out_of_place(su.rows, sv.rows, 1.0 / 50, p))
         # a matrix compares each sorted measure with many others
@@ -184,7 +171,7 @@ def test_weighted_kernel_leaves_its_inputs():
     v = np.ascontiguousarray(_columns(20, 8, 5).T).T
     a, b = np.full(30, 2.0 / 30), np.linspace(1.0, 2.0, 20)
     b *= 2.0 / np.sum(b)
-    same = _unchanged(u, v, a, b)
+    same = unchanged(u, v, a, b)
     wasserstein_1d_batched(u, v, a, b, p=2.0)
     sort_slices(u, a)
     assert same()

@@ -1,0 +1,252 @@
+"""The pooled line path against its serial body, bit for bit: the line kernel
+in column blocks, both clouds' coordinates of a sliced cost, and the
+per-cloud sorts of a matrix.  Also which calls stay on one thread, which
+error a pooled call raises, numpy's error state inside a task, and a forked
+child's own pool."""
+
+import multiprocessing
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from msot import measures, sliced
+from msot.errors import InvalidInput
+from msot.hyperbolic import HyperbolicSlicer, ghsw, sample_wrapped_normal
+from msot.measures import validate_weights, wasserstein_1d_batched
+from msot.sliced import EuclideanSlicer, sample_directions, sliced_cost_matrix, sw_p
+from msot.spd import spdsw, sample_unit_symmetric
+from samples import LAYOUTS, sample_spd_cloud, unchanged
+
+WORKERS = 2  # the kernel splits a large call into 2 * WORKERS blocks
+
+
+class SpyPool(ThreadPoolExecutor):
+    """The shared pool, recording the function and the future of every task."""
+
+    def __init__(self):
+        super().__init__(WORKERS, thread_name_prefix="spy")
+        self.tasks, self.futures = [], []
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = super().submit(fn, *args, **kwargs)
+        self.tasks.append(args[0])  # ``fn`` is the task's ``Context.run``
+        self.futures.append(future)
+        return future
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """Two workers whatever the machine or ``MSOT_THREADS``, on a spy pool."""
+    spy = SpyPool()
+    monkeypatch.setattr(measures, "_WORKERS", WORKERS)
+    monkeypatch.setattr(measures, "_pool", spy)
+    yield spy
+    spy.shutdown()
+
+
+def _line_case(kind, L, seed):
+    """``(n, L)`` and ``(m, L)`` values with exact ties in the first column,
+    just past the split threshold, with weights for ``kind``: matched
+    uniform (n = m), uniform of unequal counts, or weighted."""
+    n = measures._SPLIT_ENTRIES // (2 * L) + 7
+    m = n if kind == "matched" else n - 5
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(n, L)), rng.normal(size=(m, L)) + 0.3
+    u[:, 0], v[:, 0] = np.round(u[:, 0], 1), np.round(v[:, 0], 1)
+    if kind != "weighted":
+        return u, v, None, None
+    a, b = rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 1.0, m)
+    a[::9] = 0.0
+    return u, v, a / a.sum(), b / b.sum()
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["matched", "uniform", "weighted"])
+@pytest.mark.parametrize("L", [1, 3, 10, 64])
+def test_kernel_blocks_are_the_serial_body(pool, L, kind, p, layout):
+    """L = 1 stays whole, L = 3 is below the block count and L = 10 is not a
+    multiple of it."""
+    u, v, a, b = _line_case(kind, L, seed=L)
+    u, v = LAYOUTS[layout](u), LAYOUTS[layout](v)
+    same = unchanged(u, v, *(w for w in (a, b) if w is not None))
+    got = wasserstein_1d_batched(u, v, a, b, p=p)
+    want = measures._batched_costs(u, v, validate_weights(a, len(u)),
+                                   validate_weights(b, len(v)), p)
+    assert np.array_equal(got, want)
+    assert same()
+    blocks = min(2 * WORKERS, L)
+    assert pool.tasks == [measures._batched_costs] * (blocks if blocks > 1 else 0)
+
+
+@pytest.mark.parametrize("m", [2047, 2048])
+def test_kernel_splits_at_its_threshold(pool, m):
+    """(2048 + m) * 64 slices is one entry-row short of 2^18, then 2^18."""
+    rng = np.random.default_rng(0)
+    wasserstein_1d_batched(rng.normal(size=(2048, 64)), rng.normal(size=(m, 64)))
+    split = (2048 + m) * 64 >= measures._SPLIT_ENTRIES
+    assert pool.tasks == [measures._batched_costs] * (2 * WORKERS if split else 0)
+
+
+def test_one_worker_builds_no_pool(monkeypatch):
+    monkeypatch.setattr(measures, "_WORKERS", 1)
+    monkeypatch.setattr(measures, "_pool", None)
+    u, v, _, _ = _line_case("matched", 64, seed=1)
+    got = wasserstein_1d_batched(u, v)
+    assert measures._pool is None
+    uniform = validate_weights(None, len(u))
+    assert np.array_equal(got, measures._batched_costs(u, v, uniform, uniform, 2.0))
+
+
+def test_small_calls_submit_nothing(pool):
+    rng = np.random.default_rng(2)
+    x, y = rng.normal(size=(200, 10)), rng.normal(size=(200, 10))
+    dirs = sample_directions(10, 50, seed=1)
+    sw_p(x, y, dirs)
+    sw_p(x, y, dirs, x_weights=np.full(200, 0.005), y_weights=np.full(200, 0.005))
+    sliced_cost_matrix(EuclideanSlicer(dirs), [x, y, x[:100], y[:100]])
+    assert len(x) + len(y) < sliced._SPLIT_ATOMS
+    assert pool.tasks == []
+
+
+def _serial(monkeypatch, call):
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_WORKERS", 1)
+        return call()
+
+
+def _lorentz(n, seed, shift=0.0):
+    mean = np.array([np.sqrt(1.0 + shift * shift), shift, 0.0, 0.0, 0.0])
+    return sample_wrapped_normal(mean, 0.5 * np.eye(4), n, seed=seed)
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("L", [37, 300])
+def test_sliced_cost_is_the_serial_one(pool, monkeypatch, L, weighted, p, layout):
+    """Both clouds' coordinates run on the pool; at L = 300 the kernel is
+    split too."""
+    rng = np.random.default_rng(L)
+    x, y = LAYOUTS[layout](rng.normal(size=(700, 6))), LAYOUTS[layout](rng.normal(size=(600, 6)))
+    a = b = None
+    if weighted:
+        a, b = rng.uniform(0.5, 1.0, 700), rng.uniform(0.5, 1.0, 600)
+        a, b = a / a.sum(), b / b.sum()
+    dirs = sample_directions(6, L, seed=3)
+    same = unchanged(x, y, dirs.dirs, *(w for w in (a, b) if w is not None))
+    got = sw_p(x, y, dirs, p, a, b)
+    assert got == _serial(monkeypatch, lambda: sw_p(x, y, dirs, p, a, b))
+    assert same()
+    blocks = 2 * WORKERS if (700 + 600) * L >= measures._SPLIT_ENTRIES else 0
+    coordinates = [t for t in pool.tasks if t != measures._batched_costs]
+    assert len(coordinates) == 2 and pool.tasks.count(measures._batched_costs) == blocks
+
+
+def test_hyperbolic_and_spd_costs_are_the_serial_ones(pool, monkeypatch):
+    x, y, dirs = _lorentz(600, 1), _lorentz(500, 2, 0.5), sample_directions(4, 40, seed=2)
+    calls = [
+        lambda: ghsw(x, y, dirs, p=1.5),
+        lambda: spdsw(sample_spd_cloud(3, 500, seed=1), sample_spd_cloud(3, 520, seed=2),
+                      sample_unit_symmetric(3, 30, seed=4)),
+    ]
+    for call in calls:
+        assert call() == _serial(monkeypatch, call)
+    assert len(pool.tasks) == 4
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_matrix_is_the_serial_one(pool, monkeypatch, weighted):
+    rng = np.random.default_rng(5)
+    clouds = [LAYOUTS["fortran"](rng.normal(size=(n, 6)) + 0.1 * k)
+              for k, n in enumerate((300, 300, 250, 320))]
+    weights = None
+    if weighted:
+        weights = [rng.uniform(0.5, 1.0, len(c)) for c in clouds]
+        weights = [w / w.sum() for w in weights]
+    slicer = EuclideanSlicer(sample_directions(6, 60, seed=7))
+    same = unchanged(*clouds, *(weights or []))
+    got = sliced_cost_matrix(slicer, clouds, 2.0, weights)
+    assert np.array_equal(got, _serial(monkeypatch,
+                                       lambda: sliced_cost_matrix(slicer, clouds, 2.0, weights)))
+    assert same()
+    assert pool.tasks == [sliced._sorted_side] * 4
+
+
+BAD = {
+    "shape": lambda c: np.column_stack([c, c[:, :1]]),
+    "nan": lambda c: np.where(np.arange(len(c))[:, None] == 3, np.nan, c),
+    "off": lambda c: c * 1.5,  # off the hyperboloid
+}
+
+
+@pytest.mark.parametrize("first, later", [("shape", "nan"), ("off", "nan"), ("nan", "shape"),
+                                          ("off", "shape")])
+def test_matrix_names_the_first_bad_cloud(pool, monkeypatch, first, later):
+    clouds = [_lorentz(300, k) for k in range(5)]
+    clouds[1], clouds[3] = BAD[first](clouds[1]), BAD[later](clouds[3])
+    slicer = HyperbolicSlicer(sample_directions(4, 20, seed=1))
+    with pytest.raises(InvalidInput) as pooled:
+        sliced_cost_matrix(slicer, clouds)
+    with pytest.raises(InvalidInput) as serial:
+        _serial(monkeypatch, lambda: sliced_cost_matrix(slicer, clouds))
+    assert str(pooled.value) == str(serial.value)
+    assert len(pool.tasks) == 5 and all(f.done() for f in pool.futures)
+
+
+def test_sliced_cost_raises_x_error_after_y_task(pool, monkeypatch):
+    """Both clouds are off the hyperboloid, by different amounts."""
+    x, y = BAD["off"](_lorentz(600, 1)), 2.0 * _lorentz(600, 2)
+    slicer = HyperbolicSlicer(sample_directions(4, 20, seed=1))
+    with pytest.raises(InvalidInput) as pooled:
+        sliced.sliced_cost(slicer, x, y)
+    with pytest.raises(InvalidInput) as serial:
+        _serial(monkeypatch, lambda: sliced.sliced_cost(slicer, x, y))
+    assert str(pooled.value) == str(serial.value)
+    assert len(pool.tasks) == 2 and all(f.done() for f in pool.futures)
+
+
+def test_tasks_run_in_the_callers_numpy_error_state(pool):
+    """Squares past the largest double overflow in every column: under the
+    caller's ``errstate(over="ignore")`` the pooled tasks return ``inf`` as
+    the serial body does, and warn nothing."""
+    u, v, _, _ = _line_case("matched", 64, seed=3)
+    u, v = u * 1e200, -v * 1e200
+    uniform = validate_weights(None, len(u))
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        got = wasserstein_1d_batched(u, v)
+        want = measures._batched_costs(u, v, uniform, uniform, 2.0)
+    assert np.all(np.isinf(want)) and np.array_equal(got, want)
+    assert len(pool.tasks) == 2 * WORKERS
+
+
+def _child_sw_p(x, y, dirs, want):
+    assert measures._pool is None
+    assert sw_p(x, y, dirs) == want
+    assert measures._pool is not None
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+def test_forked_child_builds_its_own_pool(pool):
+    rng = np.random.default_rng(4)
+    x, y = rng.normal(size=(700, 6)), rng.normal(size=(700, 6)) + 0.5
+    dirs = sample_directions(6, 200, seed=3)
+    want = sw_p(x, y, dirs)
+    assert pool.tasks  # the parent's pool has live threads
+    child = multiprocessing.get_context("fork").Process(target=_child_sw_p,
+                                                        args=(x, y, dirs, want))
+    with warnings.catch_warnings():
+        # Python 3.12 warns when a process with threads forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung
+    assert child.exitcode == 0
