@@ -10,14 +10,14 @@ shift cost is linear between the events ``k/n``, so an integer bisection
 over cyclic shifts of the sorted atoms finds its minimizing event.  The
 scalar functions taking profiles are the one-row cases.
 
-Large line problems run on a thread pool, one per process and created on
-first use: the line kernel in column blocks, and through
-:mod:`msot.sliced` the coordinates and sorts of separate clouds.  Every
-reduction runs along the rows of one block, so the results are those of
-one thread, bit for bit.
+Large problems run on a thread pool, one per process and created on first
+use: the line kernel in column blocks, through :mod:`msot.sliced` the
+coordinates and sorts of separate clouds, and through :mod:`msot.sphere`
+the projections and circle solves of frame blocks.  Every reduction runs
+along the rows of one block, so the results are those of one thread, bit
+for bit.
 """
 
-import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -80,16 +80,38 @@ if hasattr(os, "register_at_fork"):  # no fork on Windows
 
 def _in_order(fn, calls, pool):
     """``[fn(*args) for args in calls]``, each call a task of ``pool`` (when
-    not None) run in a copy of the caller's context, which holds numpy's
-    error state.  Every task ends before the first exception in input order
-    is raised.  A task must not submit to the pool itself."""
+    not None) run under the caller's numpy error state, which numpy 1.x
+    keeps per thread.  Every task ends before the first exception in input
+    order is raised.  A task must not submit to the pool itself."""
     if pool is None:
         return [fn(*args) for args in calls]
     from concurrent.futures import wait
 
-    futures = [pool.submit(contextvars.copy_context().run, fn, *args) for args in calls]
+    err = dict(np.geterr(), call=np.geterrcall())
+    futures = [pool.submit(_in_errstate, err, fn, *args) for args in calls]
     wait(futures)
     return [future.result() for future in futures]
+
+
+def _in_errstate(err, fn, *args):
+    """``fn(*args)`` under the numpy error state ``err``."""
+    with np.errstate(**err):
+        return fn(*args)
+
+
+def _in_blocks(fn, L, per_worker, block):
+    """``fn(*block(lo, hi))`` on contiguous blocks ``[lo, hi)`` of
+    ``range(L)``, ``per_worker`` blocks per worker but at most ``L``, each a
+    task of the pool, concatenated in order.  One block (``per_worker=0``
+    for a call too small to gain) runs ``fn(*block(0, L))`` whole on the
+    calling thread, as does a process with one worker."""
+    blocks = min(per_worker * _WORKERS, L)
+    pool = _executor() if blocks > 1 else None
+    if pool is None:
+        return fn(*block(0, L))
+    edges = [L * k // blocks for k in range(blocks + 1)]
+    calls = [block(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return np.concatenate(_in_order(fn, calls, pool))
 
 
 def validate_weights(weights, n=None):
@@ -214,16 +236,11 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     v_weights = validate_weights(v_weights, n=m)
     check_masses(float(np.sum(u_weights)), float(np.sum(v_weights)))
 
-    blocks = min(2 * _WORKERS, L) if (n + m) * L >= _SPLIT_ENTRIES else 1
-    pool = _executor() if blocks > 1 else None
-    if pool is None:
-        # one thread runs the call whole: blocks would lower its peak only
-        # for glibc to trim the heap and fault it in again on the next call
-        return _batched_costs(u_values, v_values, u_weights, v_weights, p)
-    edges = [L * k // blocks for k in range(blocks + 1)]
-    calls = [(u_values[:, lo:hi], v_values[:, lo:hi], u_weights, v_weights, p)
-             for lo, hi in zip(edges, edges[1:])]
-    return np.concatenate(_in_order(_batched_costs, calls, pool))
+    # one thread runs the call whole: blocks would lower its peak only for
+    # glibc to trim the heap and fault it in again on the next call
+    return _in_blocks(
+        _batched_costs, L, 2 if (n + m) * L >= _SPLIT_ENTRIES else 0,
+        lambda lo, hi: (u_values[:, lo:hi], v_values[:, lo:hi], u_weights, v_weights, p))
 
 
 def _batched_costs(u_values, v_values, u_weights, v_weights, p):
@@ -370,8 +387,10 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     step is clamped to ``min(max(0, c(i+1, j+1) - c(i, j+1)), c(i+1, j) -
     c(i, j))``, the flattest value feasible for the cells it skips.  Then
     ``g[j] = c(i, j) - f[i]`` at the row ``i`` holding on reaching column
-    ``j``.  Feasibility of every step's cell ``(i+1, j)`` is asserted to 1e-9
-    relative to the largest such cost (absolute below unit cost).
+    ``j``.  Rows of two equal, strictly rising level sequences need no
+    merge: there the i-th breakpoints pair, so row ``i`` steps, clamped, at
+    column ``i``.  Feasibility of every step's cell ``(i+1, j)`` is asserted
+    to 1e-9 relative to the largest such cost (absolute below unit cost).
     """
     check_order(p)
     x = np.asarray(x, dtype=float)
@@ -385,23 +404,31 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     def cost(u, v):
         return _powered(u - v, p)
 
-    # the last breakpoints never move the staircase; a target breakpoint
-    # merges ahead of an equal source one, so ``col`` counts those at or below
+    # the last breakpoints never move the staircase
     a_levels, b_levels = cum_a[:, :-1], cum_b[:, :-1]
-    merged = _merge(np.concatenate([b_levels, a_levels], axis=-1))
-    col = _ranks(merged >= m - 1, n - 1)
-    at = _flat_positions(col, m)
-    tie = (col > 0) & (np.take(cum_b, at - 1) == a_levels)
-    if np.any(tie):
-        # on a shared level, pair the r-th breakpoints of the two sides; the
-        # unpaired rest of the source side steps at the level's last column
-        on_level = np.zeros((L, m), dtype=np.intp)
-        on_level[:, 1:] = _run_rank(b_levels) + 1
-        paired = np.where(tie, np.take(on_level, at), 0)
-        rank = _run_rank(a_levels)
-        tie = rank < paired
-        col -= np.maximum(paired - rank, 0)
+    if n == m and np.array_equal(a_levels, b_levels) and np.all(
+            a_levels[:, 1:] > a_levels[:, :-1]):
+        col = np.broadcast_to(np.arange(n - 1), (L, n - 1))
         at = _flat_positions(col, m)
+        tie = np.ones((L, n - 1), dtype=bool)
+    else:
+        # a target breakpoint merges ahead of an equal source one, so
+        # ``col`` counts those at or below
+        merged = _merge(np.concatenate([b_levels, a_levels], axis=-1))
+        col = _ranks(merged >= m - 1, n - 1)
+        at = _flat_positions(col, m)
+        tie = (col > 0) & (np.take(cum_b, at - 1) == a_levels)
+        if np.any(tie):
+            # on a shared level, pair the r-th breakpoints of the two sides;
+            # the unpaired rest of the source side steps at the level's last
+            # column
+            on_level = np.zeros((L, m), dtype=np.intp)
+            on_level[:, 1:] = _run_rank(b_levels) + 1
+            paired = np.where(tie, np.take(on_level, at), 0)
+            rank = _run_rank(a_levels)
+            tie = rank < paired
+            col -= np.maximum(paired - rank, 0)
+            at = _flat_positions(col, m)
 
     y_at = np.take(y, at)
     landing = cost(x[:, 1:], y_at)
@@ -576,8 +603,7 @@ def _circle_rows(angles, weights=None):
     if not np.all(np.isfinite(a)):
         raise InvalidInput("angles must be finite")
     w = validate_weights(weights, n=a.shape[1])
-    if abs(np.sum(w) - 1.0) > MASS_ATOL:
-        raise InvalidInput("circle profiles must carry probability weights")
+    check_probability(w)
     a = np.mod(a, 1.0)
     if float(np.ptp(w)) == 0.0:
         # equal weights need no permutation, so no stable sort
@@ -589,6 +615,12 @@ def _circle_rows(angles, weights=None):
     cum = np.cumsum(w, axis=-1)
     cum /= cum[:, -1:]
     return a, w, cum
+
+
+def check_probability(weights):
+    """Reject weights whose total is more than ``MASS_ATOL`` off 1."""
+    if abs(np.sum(weights) - 1.0) > MASS_ATOL:
+        raise InvalidInput("circle profiles must carry probability weights")
 
 
 def circle_w2_vs_uniform(mu):

@@ -3,17 +3,34 @@ r"""Spherical sliced Wasserstein on :math:`S^{d-1}`.
 Great circles are sampled as two-frames on the Stiefel manifold
 :math:`\mathbb{V}_{d,2}`, points are projected with the closed form
 :math:`P^U(x) = U^T x / \|U^T x\|_2` and compared with the frame-batched
-circle Wasserstein solvers of :mod:`msot.measures`: one call solves every
-great circle, with no loop over frames.
+circle Wasserstein solvers of :mod:`msot.measures`, with no loop over
+frames.  A large call runs in contiguous frame blocks on the pool of
+:mod:`msot.measures`, one per worker, each block projecting both clouds
+onto its frames and solving them; no step sums across frames, so the
+per-frame costs are those of one thread, bit for bit.
 """
+
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInput, MeasureZeroProjection, check_atoms
-from .measures import circle_w1_batched, circle_w2_uniform_batched, circle_wp_batched
+from .measures import (
+    _in_blocks,
+    check_order,
+    check_positive,
+    check_probability,
+    circle_w1_batched,
+    circle_w2_uniform_batched,
+    circle_wp_batched,
+)
 from .sliced import haar_orthonormal, point_rows, validate_cloud, validate_pair
 
 PROJECTION_FLOOR = 1e-12
+# fewest atom-frame entries, (n + m) * L, of a call whose frames run in
+# blocks on the pool; below it the blocks' tasks contend for the GIL and
+# the call runs slower than on one thread
+_SPLIT_FRAME_ENTRIES = 2**16
 
 
 def sample_stiefel(d, n_projections, seed=0):
@@ -55,38 +72,77 @@ def _project_frames(points, frames):
     for the angle convention and the measure-zero check.
     """
     x = validate_sphere(points)
+    return _angles(x, _frames_for(frames, x.shape[1]))
+
+
+def _frames_for(frames, d):
+    """``frames`` as a float array of frames in ``R^d``."""
     frames = np.asarray(frames, dtype=float)
-    if frames.shape[-2] != x.shape[1]:
-        raise InvalidInput(
-            f"frames in R^{frames.shape[-2]} cannot slice points in R^{x.shape[1]}"
-        )
+    if frames.shape[-2] != d:
+        raise InvalidInput(f"frames in R^{frames.shape[-2]} cannot slice points in R^{d}")
+    return frames
+
+
+def _angles(x, frames):
+    """:func:`_project_frames` of sphere points checked against the frames."""
     z = x @ frames  # (L, n, 2)
-    norms = np.linalg.norm(z, axis=-1, keepdims=True)
+    # the sums np.linalg.norm(z, axis=-1) takes, bit for bit, without its
+    # slow reduction along an axis of two
+    norms = np.sqrt(z[..., 0] * z[..., 0] + z[..., 1] * z[..., 1])
     if np.min(norms) <= PROJECTION_FLOOR:
         raise MeasureZeroProjection(
             "a point projects onto the orthogonal complement of the frame"
         )
-    return circle_coordinates(z / norms)
+    return circle_coordinates(z, norms)
 
 
-def circle_coordinates(z):
-    """Angle in [0, 1) of unit vectors in the plane (shared convention)."""
+def _frame_costs(solve, clouds, frames):
+    """``solve`` of the clouds' angles on every frame, one cost per frame.
+
+    The clouds and frames come checked, so the only error a block can raise
+    is a zero projection, whose message is the same in every block.  Calls
+    on a stack of ``L`` frames with ``_SPLIT_FRAME_ENTRIES`` atom-frame
+    entries or more run one block of frames per worker.
+    """
+    split = frames.ndim == 3 and sum(map(len, clouds)) * len(frames) >= _SPLIT_FRAME_ENTRIES
+    return _in_blocks(_block_costs, len(frames), 1 if split else 0,
+                      lambda lo, hi: (solve, clouds, frames[lo:hi]))
+
+
+def _block_costs(solve, clouds, frames):
+    """One block of :func:`_frame_costs`: project every cloud, then solve."""
+    return solve(*(_angles(x, frames) for x in clouds))
+
+
+def circle_coordinates(z, norms=1.0):
+    """Angle in [0, 1) of the unit vectors ``z / norms`` in the plane (shared
+    convention); the division runs on each coordinate."""
     z = np.atleast_2d(z)
-    return (np.pi + np.arctan2(-z[..., 1], -z[..., 0])) / (2.0 * np.pi)
+    return (np.pi + np.arctan2(-(z[..., 1] / norms), -(z[..., 0] / norms))) / (2.0 * np.pi)
 
 
 def ssw(x, y, frames, p=2.0, x_weights=None, y_weights=None, eps=1e-6):
     r"""Spherical sliced Wasserstein :math:`SSW_p^p` between two clouds.
 
     Averages the circle :math:`W_p^p` between projected angle profiles over
-    the Stiefel frames, all frames solved at once: the level-median closed
-    form for ``p = 1`` and the shift bisection otherwise.
+    the Stiefel frames: the level-median closed form for ``p = 1`` and the
+    shift bisection otherwise.  Every input is checked before the first
+    projection, so a zero projection is reported only on inputs that are
+    otherwise valid.
     """
     x, a, y, b = validate_pair(point_rows(x), point_rows(y), x_weights, y_weights)
-    u, v = _project_frames(x, frames), _project_frames(y, frames)
+    x = validate_sphere(x)
+    frames = _frames_for(frames, x.shape[1])
+    y = validate_sphere(y)
     if p == 1:
-        return float(np.mean(circle_w1_batched(u, v, a, b)))
-    return float(np.mean(circle_wp_batched(u, v, a, b, p=p, eps=eps)))
+        solve = partial(circle_w1_batched, x_weights=a, y_weights=b)
+    else:
+        check_order(p)
+        check_positive(eps, "eps")
+        solve = partial(circle_wp_batched, x_weights=a, y_weights=b, p=p, eps=eps)
+    check_probability(a)
+    check_probability(b)
+    return float(np.mean(_frame_costs(solve, [x, y], frames)))
 
 
 def ssw2_vs_uniform(x, frames, x_weights=None):
@@ -97,4 +153,8 @@ def ssw2_vs_uniform(x, frames, x_weights=None):
     :func:`msot.measures.circle_w2_uniform_batched`; no uniform samples needed.
     """
     x, a = validate_cloud(point_rows(x), x_weights)
-    return float(np.mean(circle_w2_uniform_batched(_project_frames(x, frames), a)))
+    x = validate_sphere(x)
+    frames = _frames_for(frames, x.shape[1])
+    check_probability(a)
+    solve = partial(circle_w2_uniform_batched, weights=a)
+    return float(np.mean(_frame_costs(solve, [x], frames)))

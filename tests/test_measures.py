@@ -434,6 +434,25 @@ class TestFlatGatherDifferential:
             f_ref, g_ref = dual_1d_batched_gathers(*rows, p)
             assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("kind, n", [("uniform", 9), ("equal", 9), ("zero", 9),
+                                         ("uniform", 1), ("uniform", 2), ("equal", 2)])
+    def test_dual_on_matched_rows(self, monkeypatch, kind, n, p):
+        """Equal, strictly rising levels on both sides skip the merge; a zero
+        weight repeats a level and takes it."""
+        rng = np.random.default_rng([n, int(2 * p)])
+        x, y = np.sort(rng.normal(size=(2, 6, n)), axis=-1)
+        a = np.full((6, n), 1.0 / n) if kind == "uniform" else rng.uniform(0.5, 1.0, (6, n))
+        if kind == "zero":
+            a[:, 2:4] = 0.0
+        a /= a.sum(axis=-1, keepdims=True)
+        merge, merges = measures._merge, []
+        monkeypatch.setattr(measures, "_merge", lambda both: merges.append(1) or merge(both))
+        f, g = dual_1d_batched(x, a, y, a.copy(), p)
+        assert len(merges) == (kind == "zero")
+        f_ref, g_ref = dual_1d_batched_gathers(x, a, y, a.copy(), p)
+        assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_dual_errors_match(self, monkeypatch, seed):
         rng = np.random.default_rng(seed)

@@ -1,8 +1,9 @@
-"""The pooled line path against its serial body, bit for bit: the line kernel
-in column blocks, both clouds' coordinates of a sliced cost, and the
-per-cloud sorts of a matrix.  Also which calls stay on one thread, which
-error a pooled call raises, numpy's error state inside a task, and a forked
-child's own pool."""
+"""The pooled paths against their serial bodies, bit for bit: the line kernel
+in column blocks, both clouds' coordinates of a sliced cost, the per-cloud
+sorts of a matrix, and the great circles of ``ssw`` and ``ssw2_vs_uniform``
+in frame blocks.  Also which calls stay on one thread, which error a pooled
+call raises, numpy's error state inside a task, and a forked child's own
+pool."""
 
 import multiprocessing
 import warnings
@@ -11,12 +12,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from msot import measures, sliced
-from msot.errors import InvalidInput
+from msot import measures, sliced, sphere
+from msot.errors import InvalidInput, MeasureZeroProjection
 from msot.hyperbolic import HyperbolicSlicer, ghsw, sample_wrapped_normal
 from msot.measures import validate_weights, wasserstein_1d_batched
 from msot.sliced import EuclideanSlicer, sample_directions, sliced_cost_matrix, sw_p
 from msot.spd import spdsw, sample_unit_symmetric
+from msot.sphere import sample_stiefel, ssw, ssw2_vs_uniform
 from samples import LAYOUTS, sample_spd_cloud, unchanged
 
 WORKERS = 2  # the kernel splits a large call into 2 * WORKERS blocks
@@ -31,7 +33,7 @@ class SpyPool(ThreadPoolExecutor):
 
     def submit(self, fn, /, *args, **kwargs):
         future = super().submit(fn, *args, **kwargs)
-        self.tasks.append(args[0])  # ``fn`` is the task's ``Context.run``
+        self.tasks.append(args[1])  # ``fn`` runs ``args[1]`` under ``args[0]``
         self.futures.append(future)
         return future
 
@@ -108,6 +110,11 @@ def test_small_calls_submit_nothing(pool):
     sw_p(x, y, dirs, x_weights=np.full(200, 0.005), y_weights=np.full(200, 0.005))
     sliced_cost_matrix(EuclideanSlicer(dirs), [x, y, x[:100], y[:100]])
     assert len(x) + len(y) < sliced._SPLIT_ATOMS
+    u, v = _sphere_cloud(200, 1), _sphere_cloud(200, 2, 1.0)
+    frames = sample_stiefel(3, 50, seed=1)
+    ssw(u, v, frames)
+    ssw2_vs_uniform(u, frames)
+    assert (len(u) + len(v)) * len(frames) < sphere._SPLIT_FRAME_ENTRIES
     assert pool.tasks == []
 
 
@@ -221,6 +228,82 @@ def test_tasks_run_in_the_callers_numpy_error_state(pool):
         want = measures._batched_costs(u, v, uniform, uniform, 2.0)
     assert np.all(np.isinf(want)) and np.array_equal(got, want)
     assert len(pool.tasks) == 2 * WORKERS
+
+
+def _sphere_cloud(n, seed, pull=0.0):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, 3))
+    z[:, 0] += pull
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _sphere_case(L, above, weighted, seed):
+    """Two clouds of unequal counts whose ``(n + m) L`` entries are just past
+    the frame-block threshold, or well below it, with weights if asked."""
+    n = sphere._SPLIT_FRAME_ENTRIES // (2 * L) + 7 if above else 40
+    m = n - 5
+    x, y = _sphere_cloud(n, seed), _sphere_cloud(m, seed + 1, 1.0)
+    if not weighted:
+        return x, y, None, None
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 1.0, m)
+    b[::7] = 0.0
+    return x, y, a / a.sum(), b / b.sum()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("L", [1, 2, 37])
+def test_frame_blocks_are_the_serial_body(pool, monkeypatch, L, above, weighted, p):
+    """L = 1 stays whole, L = 2 is one frame per block and L = 37 is odd."""
+    x, y, a, b = _sphere_case(L, above, weighted, seed=L)
+    # one cloud of as many atoms as both
+    xy, c = np.concatenate([x, y]), None if a is None else np.concatenate([a, b]) / 2
+    frames = sample_stiefel(3, L, seed=L)
+    same = unchanged(x, y, frames, *(w for w in (a, b) if w is not None))
+    calls = [lambda: ssw(x, y, frames, p, a, b), lambda: ssw2_vs_uniform(xy, frames, c)]
+    for call in calls:
+        assert call() == _serial(monkeypatch, call)
+    assert same()
+    blocks = min(WORKERS, L) if above else 1
+    assert pool.tasks == [sphere._block_costs] * (2 * blocks if blocks > 1 else 0)
+
+
+@pytest.mark.parametrize("m", [3 * 2**10 - 1, 3 * 2**10])
+def test_frames_split_at_their_threshold(pool, m):
+    """(2^10 + m) * 16 frames is one entry-row short of 2^16, then 2^16."""
+    ssw(_sphere_cloud(2**10, 1), _sphere_cloud(m, 2), sample_stiefel(3, 16, seed=3))
+    split = (2**10 + m) * 16 >= sphere._SPLIT_FRAME_ENTRIES
+    assert pool.tasks == [sphere._block_costs] * (WORKERS if split else 0)
+
+
+# a frame of the second block that maps the north pole, atom 5 of one
+# cloud, onto the origin of its plane; and a second fault checked first
+ZERO_FAULTS = {
+    "alone": {},
+    "order": {"p": 0.5},
+    "weights": {"x_weights": np.full(900, 2.0 / 900)},
+}
+
+
+@pytest.mark.parametrize("cloud", [0, 1])
+@pytest.mark.parametrize("fault", list(ZERO_FAULTS))
+def test_zero_projection_in_the_second_block(pool, monkeypatch, fault, cloud):
+    clouds = [_sphere_cloud(900, 1), _sphere_cloud(900, 2, 1.0)]
+    clouds[cloud][5] = [0.0, 0.0, 1.0]
+    frames = sample_stiefel(3, 40, seed=2)
+    frames[30] = np.eye(3)[:, :2]
+    kwargs = ZERO_FAULTS[fault]
+    with pytest.raises(ValueError) as pooled:
+        ssw(*clouds, frames, **kwargs)
+    with pytest.raises(ValueError) as serial:
+        _serial(monkeypatch, lambda: ssw(*clouds, frames, **kwargs))
+    assert type(pooled.value) is type(serial.value)
+    assert str(pooled.value) == str(serial.value)
+    assert (type(pooled.value) is MeasureZeroProjection) == (fault == "alone")
+    assert len(pool.tasks) == (WORKERS if fault == "alone" else 0)
+    assert all(f.done() for f in pool.futures)
 
 
 def _child_sw_p(x, y, dirs, want):
