@@ -11,11 +11,15 @@ over cyclic shifts of the sorted atoms finds its minimizing event.  The
 scalar functions taking profiles are the one-row cases.
 
 Large problems run on a thread pool, one per process and created on first
-use: the line kernel in column blocks, through :mod:`msot.sliced` the
-coordinates and sorts of separate clouds, and through :mod:`msot.sphere`
-the projections and circle solves of frame blocks.  Every reduction runs
-along the rows of one block, so the results are those of one thread, bit
-for bit.
+use: the line kernel in column blocks, one per worker, through
+:mod:`msot.sliced` the coordinates and sorts of separate clouds, and
+through :mod:`msot.sphere` the projections and circle solves of frame
+blocks.  The line kernel runs each call or block in consecutive chunks of
+columns of at most ``2**17`` atom-slice entries, so its sort, merge, gather
+and power temporaries stay near 1 MiB each and its peak memory is bounded
+by the chunk size and the worker count.  Every reduction runs along the
+rows of one block or chunk, so the results are those of one thread and one
+whole call, bit for bit.
 """
 
 import os
@@ -33,6 +37,10 @@ MASS_ATOL = 1e-9
 # split into column blocks on the pool; below it a thread hand-off costs
 # more than the second core saves
 _SPLIT_ENTRIES = 2**18
+# most atom-slice entries of one chunk of columns in the line kernel: each
+# float temporary of a chunk is about 1 MiB, small enough to be reused from
+# the allocator's free lists rather than mapped and faulted in anew
+_CHUNK_ENTRIES = 2**17
 # fewest atoms, over all clouds, whose coordinates and sorts are computed
 # one cloud per pooled task
 _SPLIT_ATOMS = 1000
@@ -99,13 +107,13 @@ def _in_errstate(err, fn, *args):
         return fn(*args)
 
 
-def _in_blocks(fn, L, per_worker, block):
+def _in_blocks(fn, L, split, block):
     """``fn(*block(lo, hi))`` on contiguous blocks ``[lo, hi)`` of
-    ``range(L)``, ``per_worker`` blocks per worker but at most ``L``, each a
-    task of the pool, concatenated in order.  One block (``per_worker=0``
-    for a call too small to gain) runs ``fn(*block(0, L))`` whole on the
-    calling thread, as does a process with one worker."""
-    blocks = min(per_worker * _WORKERS, L)
+    ``range(L)``, one per worker but at most ``L``, each a task of the pool,
+    concatenated in order.  A call not ``split``, too small to gain, runs
+    ``fn(*block(0, L))`` whole on the calling thread, as does a process
+    with one worker."""
+    blocks = min(_WORKERS, L) if split else 1
     pool = _executor() if blocks > 1 else None
     if pool is None:
         return fn(*block(0, L))
@@ -224,7 +232,9 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     side is sorted on its own, so :func:`sort_slices` and
     :func:`wasserstein_1d_sorted` split the work between the measures and
     the pairs of many measures.  Large calls run in column blocks on the
-    pool, two per worker, so that only one block per worker is in flight.
+    pool, one per worker, and every block in chunks of columns, so that the
+    peak memory of a call is bounded by the chunk size and the worker
+    count, not by ``L (n + m)``.
     """
     check_order(p)
     u_values, v_values = _columns(u_values), _columns(v_values)
@@ -236,15 +246,27 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     v_weights = validate_weights(v_weights, n=m)
     check_masses(float(np.sum(u_weights)), float(np.sum(v_weights)))
 
-    # one thread runs the call whole: blocks would lower its peak only for
-    # glibc to trim the heap and fault it in again on the next call
     return _in_blocks(
-        _batched_costs, L, 2 if (n + m) * L >= _SPLIT_ENTRIES else 0,
+        _batched_costs, L, (n + m) * L >= _SPLIT_ENTRIES,
         lambda lo, hi: (u_values[:, lo:hi], v_values[:, lo:hi], u_weights, v_weights, p))
 
 
 def _batched_costs(u_values, v_values, u_weights, v_weights, p):
-    """The body of :func:`wasserstein_1d_batched` on validated inputs."""
+    """The body of :func:`wasserstein_1d_batched` on validated inputs, run
+    in consecutive chunks of at most ``_CHUNK_ENTRIES`` atom-slice entries
+    (one column at least) into one result: every reduction runs along one
+    column, so the costs are those of the whole call, bit for bit."""
+    (n, L), m = u_values.shape, v_values.shape[0]
+    step = max(1, _CHUNK_ENTRIES // (n + m))
+    costs = np.empty(L)
+    for lo in range(0, L, step):
+        costs[lo:lo + step] = _chunk_costs(
+            u_values[:, lo:lo + step], v_values[:, lo:lo + step], u_weights, v_weights, p)
+    return costs
+
+
+def _chunk_costs(u_values, v_values, u_weights, v_weights, p):
+    """One chunk of columns of :func:`_batched_costs`."""
     n, L = u_values.shape
     m = v_values.shape[0]
     # row-major layout (L, n): every subsequent operation runs along the

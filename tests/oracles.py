@@ -6,11 +6,11 @@ enumerations, integrals by quadrature or dense grids.  The exceptions are
 the earlier bodies of rewritten kernels (``dual_1d_batched_gathers``,
 ``ahead_masked``, ``circle_w1_along_axis``, ``nw_corner_add_at``,
 ``gw1d_inner_dense``, ``pairwise_from_zeros``, and the ``*_out_of_place``
-slicer coordinates and matched-uniform line kernel), kept as references for
-their replacements, and two ground truths that only the tests need:
-``dist_lorentz``, the hyperboloid distance behind the geodesic cost
-matrices, and ``bw_geodesic_point``, which puts Gaussians on a
-Bures-Wasserstein ray.
+slicer coordinates and matched-uniform line kernel, and the unchunked
+``batched_costs_whole``), kept as references for their replacements, and
+two ground truths that only the tests need: ``dist_lorentz``, the
+hyperboloid distance behind the geodesic cost matrices, and
+``bw_geodesic_point``, which puts Gaussians on a Bures-Wasserstein ray.
 """
 
 import csv
@@ -898,3 +898,18 @@ def uniform_w1d_out_of_place(u_values, v_values, p=2.0):
     u_rows = sorted_rows_out_of_place(u_values)
     v_rows = sorted_rows_out_of_place(v_values)
     return paired_cost_out_of_place(u_rows, v_rows, 1.0 / u_rows.shape[1], p)
+
+
+def batched_costs_whole(u_values, v_values, u_weights, v_weights, p):
+    """``measures._batched_costs`` before it ran in chunks of columns: every
+    column at once, through one ``(L, n + m)`` levels array."""
+    n, L = u_values.shape
+    m = v_values.shape[0]
+    if measures._matched_uniform(u_weights, v_weights):
+        diff = measures._sorted_copy(u_values)
+        diff -= measures._sorted_copy(v_values)
+        return measures._paired_cost(diff, u_weights[0], p)
+    levels = np.empty((L, n + m))
+    u_sorted = measures._sorted_with_cum(u_values, u_weights, levels[:, :n])
+    v_sorted = measures._sorted_with_cum(v_values, v_weights, levels[:, n:])
+    return measures._merged_cost(u_sorted, v_sorted, levels, p)

@@ -1,9 +1,10 @@
 """The line path written in place: the hyperbolic slicer coordinates and the
 matched-uniform 1D kernel against their earlier out-of-place bodies, bit for
 bit, with every input left as it was; and the peak memory of the sliced
-distances that run them."""
+distances that run them and of the weighted 1D kernel's chunks."""
 
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -224,3 +225,27 @@ def test_line_path_peak_is_at_most_four_and_a_half_coordinate_arrays(case):
     call, entries = (_sw_call() if name == "sw_p"
                      else _hyperbolic_call({"ghsw": ghsw, "hhsw": hhsw}[name], model))
     assert _peak_bytes(call) <= 4.5 * entries * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_weighted_kernel_peak_is_bounded_by_chunks_and_workers(monkeypatch, workers):
+    """Each worker holds the sorts, merge, gathers and ``|d|^p`` of one chunk
+    of columns at a time, at most six arrays of ``_CHUNK_ENTRIES`` entries
+    (4.8 at numpy 2.4). The call's whole ``(L, n + m)`` levels array alone
+    would be past that."""
+    rng = np.random.default_rng(6)
+    n, m, L = 3000, 2500, 500
+    u, v = rng.normal(size=(n, L)), rng.normal(size=(m, L))
+    a, b = rng.uniform(0.0, 1.0, n), rng.uniform(0.5, 1.0, m)
+    a[::11] = 0.0
+    a, b = a / a.sum(), b / b.sum()
+    bound = 6 * measures._CHUNK_ENTRIES * 8 * workers
+    assert L * (n + m) * 8 > bound and (n + m) * L >= measures._SPLIT_ENTRIES
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    monkeypatch.setattr(measures, "_WORKERS", workers)
+    monkeypatch.setattr(measures, "_pool", pool)
+    try:
+        assert _peak_bytes(lambda: wasserstein_1d_batched(u, v, a, b, p=1.5)) <= bound
+    finally:
+        if pool is not None:
+            pool.shutdown()

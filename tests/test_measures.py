@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from msot.measures import (
     dual_1d_batched,
     quantile,
     stable_order,
+    validate_weights,
     wasserstein_1d,
     wasserstein_1d_batched,
 )
 
 from oracles import (
     ahead_masked,
+    batched_costs_whole,
     circle_w1_along_axis,
     circle_w2_uniform_dirac,
     circle_wpp_grid,
@@ -31,6 +34,7 @@ from oracles import (
     wasserstein_1d_lp,
     wasserstein_1d_walk,
 )
+from samples import LAYOUTS, unchanged
 
 
 class TestBuildProfile:
@@ -251,6 +255,74 @@ class TestBatchedWasserstein:
         got = wasserstein_1d_batched(u, v, p=2)
         want = np.mean((np.sort(u, axis=0) - np.sort(v, axis=0)) ** 2, axis=0)
         assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-worker", "pooled"])
+def workers(request, monkeypatch):
+    """One worker, or two on a pool of their own that split every line-kernel
+    call of two or more columns into one block each."""
+    pool = ThreadPoolExecutor(request.param) if request.param > 1 else None
+    monkeypatch.setattr(measures, "_WORKERS", request.param)
+    monkeypatch.setattr(measures, "_pool", pool)
+    monkeypatch.setattr(measures, "_SPLIT_ENTRIES", 1)
+    yield request.param
+    if pool is not None:
+        pool.shutdown()
+
+
+def _chunk_case(kind, seed, L):
+    """``(40, L)`` and ``(m, L)`` values with exact ties in the first columns,
+    with weights for ``kind``: matched uniform (m = 40), uniform of unequal
+    counts (m = 31), or weighted with zero weights on both sides."""
+    n, m = 40, 40 if kind == "matched" else 31
+    rng = np.random.default_rng(seed)
+    u, v = rng.normal(size=(n, L)), rng.normal(size=(m, L)) + 0.2
+    u[:, :4], v[:, :4] = np.round(u[:, :4], 1), np.round(v[:, :4], 1)
+    if kind != "weighted":
+        return u, v, None, None
+    a, b = rng.uniform(0.0, 2.0, n), rng.uniform(0.5, 1.0, m)
+    a[::7], b[3::5] = 0.0, 0.0
+    return u, v, a / a.sum(), b / b.sum()
+
+
+class TestChunkedLineKernel:
+    """The line kernel runs each block's columns in chunks of at most
+    ``_CHUNK_ENTRIES`` atom-slice entries; L = 23 is a prime, so 3 and 5
+    rows divide neither the call nor a block, and 30 rows take it whole."""
+
+    @pytest.mark.parametrize("layout", ["c", "fortran"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("kind", ["matched", "uniform", "weighted"])
+    @pytest.mark.parametrize("rows", [1, 3, 5, 30])
+    def test_chunks_are_the_whole_body(self, workers, monkeypatch, rows, kind, p, layout):
+        L = 23
+        u, v, a, b = _chunk_case(kind, rows, L)
+        u, v = LAYOUTS[layout](u), LAYOUTS[layout](v)
+        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", rows * (len(u) + len(v)))
+        chunk, widths = measures._chunk_costs, []
+        monkeypatch.setattr(measures, "_chunk_costs",
+                            lambda u, *rest: widths.append(u.shape[1]) or chunk(u, *rest))
+        same = unchanged(u, v, *(w for w in (a, b) if w is not None))
+        got = wasserstein_1d_batched(u, v, a, b, p)
+        want = batched_costs_whole(u, v, validate_weights(a, len(u)),
+                                   validate_weights(b, len(v)), p)
+        assert np.array_equal(got, want)
+        assert same()
+        blocks = [L] if workers == 1 else [11, 12]
+        assert sum(widths) == L and max(widths) == min(rows, max(blocks))
+        assert len(widths) == sum(-(-block // rows) for block in blocks)
+
+    def test_a_column_past_one_chunk_is_a_chunk_of_its_own(self, workers, monkeypatch):
+        rng = np.random.default_rng(9)
+        u, v = rng.normal(size=(measures._CHUNK_ENTRIES, 3)), rng.normal(size=(7, 3))
+        b = np.full(7, 1.0 / 7)
+        chunk, widths = measures._chunk_costs, []
+        monkeypatch.setattr(measures, "_chunk_costs",
+                            lambda u, *rest: widths.append(u.shape[1]) or chunk(u, *rest))
+        got = wasserstein_1d_batched(u, v, None, b)
+        want = batched_costs_whole(u, v, validate_weights(None, len(u)), b, 2.0)
+        assert np.array_equal(got, want)
+        assert widths == [1, 1, 1]
 
 
 class TestCircleW2VsUniform:

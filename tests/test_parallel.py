@@ -21,7 +21,7 @@ from msot.spd import spdsw, sample_unit_symmetric
 from msot.sphere import sample_stiefel, ssw, ssw2_vs_uniform
 from samples import LAYOUTS, sample_spd_cloud, unchanged
 
-WORKERS = 2  # the kernel splits a large call into 2 * WORKERS blocks
+WORKERS = 2  # the kernel splits a large call into one block per worker
 
 
 class SpyPool(ThreadPoolExecutor):
@@ -69,8 +69,7 @@ def _line_case(kind, L, seed):
 @pytest.mark.parametrize("kind", ["matched", "uniform", "weighted"])
 @pytest.mark.parametrize("L", [1, 3, 10, 64])
 def test_kernel_blocks_are_the_serial_body(pool, L, kind, p, layout):
-    """L = 1 stays whole, L = 3 is below the block count and L = 10 is not a
-    multiple of it."""
+    """L = 1 stays whole, and L = 3 is not a multiple of the block count."""
     u, v, a, b = _line_case(kind, L, seed=L)
     u, v = LAYOUTS[layout](u), LAYOUTS[layout](v)
     same = unchanged(u, v, *(w for w in (a, b) if w is not None))
@@ -79,7 +78,7 @@ def test_kernel_blocks_are_the_serial_body(pool, L, kind, p, layout):
                                    validate_weights(b, len(v)), p)
     assert np.array_equal(got, want)
     assert same()
-    blocks = min(2 * WORKERS, L)
+    blocks = min(WORKERS, L)
     assert pool.tasks == [measures._batched_costs] * (blocks if blocks > 1 else 0)
 
 
@@ -89,7 +88,7 @@ def test_kernel_splits_at_its_threshold(pool, m):
     rng = np.random.default_rng(0)
     wasserstein_1d_batched(rng.normal(size=(2048, 64)), rng.normal(size=(m, 64)))
     split = (2048 + m) * 64 >= measures._SPLIT_ENTRIES
-    assert pool.tasks == [measures._batched_costs] * (2 * WORKERS if split else 0)
+    assert pool.tasks == [measures._batched_costs] * (WORKERS if split else 0)
 
 
 def test_one_worker_builds_no_pool(monkeypatch):
@@ -147,7 +146,7 @@ def test_sliced_cost_is_the_serial_one(pool, monkeypatch, L, weighted, p, layout
     got = sw_p(x, y, dirs, p, a, b)
     assert got == _serial(monkeypatch, lambda: sw_p(x, y, dirs, p, a, b))
     assert same()
-    blocks = 2 * WORKERS if (700 + 600) * L >= measures._SPLIT_ENTRIES else 0
+    blocks = WORKERS if (700 + 600) * L >= measures._SPLIT_ENTRIES else 0
     coordinates = [t for t in pool.tasks if t != measures._batched_costs]
     assert len(coordinates) == 2 and pool.tasks.count(measures._batched_costs) == blocks
 
@@ -227,7 +226,7 @@ def test_tasks_run_in_the_callers_numpy_error_state(pool):
         got = wasserstein_1d_batched(u, v)
         want = measures._batched_costs(u, v, uniform, uniform, 2.0)
     assert np.all(np.isinf(want)) and np.array_equal(got, want)
-    assert len(pool.tasks) == 2 * WORKERS
+    assert len(pool.tasks) == WORKERS
 
 
 def _sphere_cloud(n, seed, pull=0.0):
@@ -239,8 +238,9 @@ def _sphere_cloud(n, seed, pull=0.0):
 
 def _sphere_case(L, above, weighted, seed):
     """Two clouds of unequal counts whose ``(n + m) L`` entries are just past
-    the frame-block threshold, or well below it, with weights if asked."""
-    n = sphere._SPLIT_FRAME_ENTRIES // (2 * L) + 7 if above else 40
+    the frame-block threshold of ``ssw``, and so past that of
+    ``ssw2_vs_uniform`` too, or well below both, with weights if asked."""
+    n = sphere._SPLIT_SSW_ENTRIES // (2 * L) + 7 if above else 40
     m = n - 5
     x, y = _sphere_cloud(n, seed), _sphere_cloud(m, seed + 1, 1.0)
     if not weighted:
@@ -272,25 +272,39 @@ def test_frame_blocks_are_the_serial_body(pool, monkeypatch, L, above, weighted,
 
 @pytest.mark.parametrize("m", [3 * 2**10 - 1, 3 * 2**10])
 def test_frames_split_at_their_threshold(pool, m):
-    """(2^10 + m) * 16 frames is one entry-row short of 2^16, then 2^16."""
-    ssw(_sphere_cloud(2**10, 1), _sphere_cloud(m, 2), sample_stiefel(3, 16, seed=3))
+    """(2^10 + m) * 16 frames is one entry-row short of 2^16, then 2^16:
+    ``ssw2_vs_uniform`` of both clouds as one splits there, and ``ssw``,
+    whose gate is 2^17, does not."""
+    x, y, frames = _sphere_cloud(2**10, 1), _sphere_cloud(m, 2), sample_stiefel(3, 16, seed=3)
+    ssw2_vs_uniform(np.concatenate([x, y]), frames)
+    ssw(x, y, frames)
     split = (2**10 + m) * 16 >= sphere._SPLIT_FRAME_ENTRIES
+    assert (2**10 + m) * 16 < sphere._SPLIT_SSW_ENTRIES
+    assert pool.tasks == [sphere._block_costs] * (WORKERS if split else 0)
+
+
+@pytest.mark.parametrize("m", [7 * 2**10 - 1, 7 * 2**10])
+def test_ssw_frames_split_at_their_threshold(pool, m):
+    """(2^10 + m) * 16 frames is one entry-row short of 2^17, then 2^17."""
+    ssw(_sphere_cloud(2**10, 1), _sphere_cloud(m, 2), sample_stiefel(3, 16, seed=3), p=1.0)
+    split = (2**10 + m) * 16 >= sphere._SPLIT_SSW_ENTRIES
     assert pool.tasks == [sphere._block_costs] * (WORKERS if split else 0)
 
 
 # a frame of the second block that maps the north pole, atom 5 of one
-# cloud, onto the origin of its plane; and a second fault checked first
+# cloud, onto the origin of its plane; and a second fault checked first.
+# Two clouds of 1700 atoms on 40 frames are past the gate of ``ssw``
 ZERO_FAULTS = {
     "alone": {},
     "order": {"p": 0.5},
-    "weights": {"x_weights": np.full(900, 2.0 / 900)},
+    "weights": {"x_weights": np.full(1700, 2.0 / 1700)},
 }
 
 
 @pytest.mark.parametrize("cloud", [0, 1])
 @pytest.mark.parametrize("fault", list(ZERO_FAULTS))
 def test_zero_projection_in_the_second_block(pool, monkeypatch, fault, cloud):
-    clouds = [_sphere_cloud(900, 1), _sphere_cloud(900, 2, 1.0)]
+    clouds = [_sphere_cloud(1700, 1), _sphere_cloud(1700, 2, 1.0)]
     clouds[cloud][5] = [0.0, 0.0, 1.0]
     frames = sample_stiefel(3, 40, seed=2)
     frames[30] = np.eye(3)[:, :2]

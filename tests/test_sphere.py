@@ -195,3 +195,39 @@ class TestSswVsUniform:
         uniform = sphere_cloud(3, 5000, seed=6)
         sampled = ssw(x, uniform, frames, p=2, eps=1e-7)
         assert sampled == pytest.approx(closed, rel=0.02)
+
+
+class TestFrameShapes:
+    """Frames are an ``(L, d, 2)`` stack with L >= 1, or one ``(d, 2)`` frame,
+    which every entry point takes as a stack of one."""
+
+    @pytest.mark.parametrize("shape", [(5, 3, 3), (5, 3, 1), (0, 3, 2), (3, 3), (3, 1),
+                                       (3,), (), (2, 5, 3, 2)])
+    def test_other_shapes_are_rejected(self, shape):
+        x, y = sphere_cloud(3, 20, seed=1), sphere_cloud(3, 15, seed=2)
+        frames = np.ones(shape)
+        calls = [lambda: ssw(x, y, frames), lambda: ssw(x, y, frames, p=1.0),
+                 lambda: ssw2_vs_uniform(x, frames)]
+        for call in calls:
+            with pytest.raises(InvalidInput, match=r"frames must be one \(d, 2\) frame"):
+                call()
+
+    @pytest.mark.parametrize("shape", [(4, 2), (6, 4, 2)])
+    def test_frames_of_another_dimension_are_rejected(self, shape):
+        x = sphere_cloud(3, 20, seed=1)
+        with pytest.raises(InvalidInput, match=r"frames in R\^4 cannot slice points in R\^3"):
+            ssw(x, x, np.ones(shape))
+        with pytest.raises(InvalidInput, match=r"frames in R\^4 cannot slice points in R\^3"):
+            ssw2_vs_uniform(x, np.ones(shape))
+
+    def test_project_circle_rejects_a_stack(self):
+        x = sphere_cloud(3, 20, seed=1)
+        with pytest.raises(InvalidInput, match=r"one \(d, 2\) frame, got shape \(5, 3, 2\)"):
+            project_circle(x, sample_stiefel(3, 5, seed=1))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_one_frame_is_a_stack_of_one(self, p):
+        x, y = sphere_cloud(3, 20, seed=1), sphere_cloud(3, 15, seed=2, spread=0.5)
+        frame = sample_stiefel(3, 1, seed=4)[0]
+        assert ssw(x, y, frame, p) == ssw(x, y, frame[None], p) > 0
+        assert ssw2_vs_uniform(y, frame) == ssw2_vs_uniform(y, frame[None]) > 0
