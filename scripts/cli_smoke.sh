@@ -24,6 +24,18 @@ printf 'mean,sigma\n0.1,1.0\n0.4,1.5\n-0.2,0.7\n' > gauss.csv
 msot dist sw ok.csv ok.csv --projections 8
 expect_two "row 3" msot dist ghsw ball.csv ball.csv --geometry poincare
 expect_two "missing.csv: cannot read file" msot dist sw missing.csv ok.csv
+expect_two "cannot write file" msot dist sw ok.csv ok.csv --out .
+# a %.17g file (the format of np.savetxt) and its CRLF copy read alike
+python -c 'import numpy as np
+rng = np.random.default_rng(0)
+for name in ("a17", "b17"):
+    np.savetxt(name + ".csv", rng.normal(size=(300, 3)), delimiter=",",
+               header="x0,x1,x2", comments="", fmt="%.17g")'
+sed 's/$/\r/' a17.csv > a17crlf.csv
+lf=$(msot dist sw a17.csv b17.csv --projections 16 | grep '"value"')
+crlf=$(msot dist sw a17crlf.csv b17.csv --projections 16 | grep '"value"')
+echo "$lf"
+test "$lf" = "$crlf"
 msot dist ssw sphere.csv sphere2.csv --geometry sphere --projections 16
 msot matrix sw ok.csv ok.csv ball.csv --projections 8
 expect_two "n_projections must be positive" msot matrix sw ok.csv --projections 0

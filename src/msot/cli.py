@@ -1,6 +1,10 @@
 """Batch front door: dataset ingestion and the dist/flow/pca/matrix/gw
 subcommands, with deterministic seeded runs and machine-readable outputs.
 
+A CSV file is read once.  A plain one (ASCII, no quote or odd line break,
+a non-blank header first) is parsed by numpy's C reader; any other file,
+or one that reader refuses, by a row reader that names the first bad row.
+
 Every run is reproducible from the input files and the flag set: outputs
 are JSON (JSONL for flow traces) with a config echo, numerically identical
 across reruns except for the wallclock field.
@@ -54,20 +58,18 @@ class RunConfig:
 _CSV_ONLY = '"\x00\v\f\x1c\x1d\x1e'
 
 
-def _read_rows(path):
+def _read_text(path):
     try:
         with open(path, newline="") as handle:
-            text = handle.read()
+            return handle.read()
     except OSError as exc:
         raise InvalidInput(f"{path}: cannot read file: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: not UTF-8 text (byte {exc.start})") from exc
-    lines = text.splitlines()
-    if (
-        text.isascii()
-        and not any(char in text for char in _CSV_ONLY)
-        and max(map(len, lines), default=0) <= csv.field_size_limit()
-    ):
+
+
+def _read_rows(path, text, lines, plain):
+    if plain:
         rows = [line.split(",") for line in lines]
     else:
         try:
@@ -79,6 +81,40 @@ def _read_rows(path):
     if len(rows) < 2:
         raise InvalidInput(f"{path}: need a header row and at least one atom")
     return [cell.strip() for cell in rows[0]], rows[1:]
+
+
+def _clean(values, has_weight):
+    """Whether every cell is finite and every weight non-negative."""
+    return np.all(np.isfinite(values)) and not (
+        has_weight and np.any(values[:, -1] < 0)
+    )
+
+
+def _c_reader_table(text, lines):
+    """The header and the ``(n, width)`` values of a plain file, read by
+    numpy's C reader, or None where the row reader must read the file: one
+    it refuses or reads to another shape, one with no header first or no
+    body line, or one with a non-finite cell or a negative weight.
+
+    The C reader converts each cell with ``PyOS_string_to_double``, as
+    ``float`` does, so its values are the row reader's bit for bit.  It
+    skips the empty lines and refuses a whitespace-only one.
+    """
+    n = sum(map(bool, lines)) - 1
+    # the C reader strips the unit separator as whitespace, ``float`` does not
+    if n < 1 or "\x1f" in text:
+        return None
+    header = [cell.strip() for cell in lines[0].split(",")]
+    if not any(header):
+        return None
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    has_weight = header[-1].lower() == "weight"
+    if values.shape != (n, len(header)) or not _clean(values, has_weight):
+        return None
+    return header, values
 
 
 def _first_bad_row(path, rows, width, has_weight):
@@ -137,27 +173,42 @@ def load_dataset(path, geometry, weighted=True):
     a leading ``dim`` column followed by the d*d row-major entries.  Errors
     name the file; a bad row is named counting non-blank rows with the
     header as row 1.
+
+    A plain file is parsed by numpy's C reader; any other file, or one that
+    reader refuses, by the row reader, one ``float`` call per cell.  Both
+    give the same atoms and weights bit for bit, and the same errors.
     """
     if geometry not in MEMBERSHIP:
         raise InvalidInput(f"unknown geometry {geometry!r}")
-    header, rows = _read_rows(path)
+    text = _read_text(path)
+    lines = text.splitlines()
+    # plain: ``str.split(",")`` reads the lines as ``csv.reader`` would
+    plain = (
+        text.isascii()
+        and not any(char in text for char in _CSV_ONLY)
+        and max(map(len, lines), default=0) <= csv.field_size_limit()
+    )
+    table = _c_reader_table(text, lines) if plain else None
+    if table is None:
+        header, rows = _read_rows(path, text, lines, plain)
+    else:
+        header, values = table
     width = len(header)
     has_weight = header[-1].lower() == "weight"
     if has_weight and not weighted:
         raise InvalidInput(
             f"{path}: column {header[-1]!r} is not accepted: this run is unweighted"
         )
-    try:
-        if set(map(len, rows)) != {width}:
-            raise ValueError("ragged rows")
-        cells = map(float, chain.from_iterable(rows))
-        values = np.fromiter(cells, float, len(rows) * width).reshape(-1, width)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("non-finite cell")
-        if has_weight and np.any(values[:, -1] < 0):
-            raise ValueError("negative weight")
-    except ValueError:
-        _first_bad_row(path, rows, width, has_weight)
+    if table is None:
+        try:
+            if set(map(len, rows)) != {width}:
+                raise ValueError("ragged rows")
+            cells = map(float, chain.from_iterable(rows))
+            values = np.fromiter(cells, float, len(rows) * width).reshape(-1, width)
+            if not _clean(values, has_weight):
+                raise ValueError("non-finite cell or negative weight")
+        except ValueError:
+            _first_bad_row(path, rows, width, has_weight)
     n = values.shape[0]
     weights = values[:, -1].copy() if has_weight else np.full(n, 1.0 / n)
     atoms = np.ascontiguousarray(values[:, : width - has_weight])
@@ -373,8 +424,11 @@ def compute_distance(cmd, mu, nu, cfg):
 
 def _write(text, out):
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"{out}: cannot write file: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -448,6 +448,29 @@ class TestInputBoundary:
         assert captured.out == ""
         assert f"{path}: no coordinate column, only 'weight'" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "sw", "FILE", "FILE", "--projections", "4"],
+        ["matrix", "sw", "FILE", "FILE", "--projections", "4"],
+        ["flow", "euler", "FILE", "--steps", "1"],
+    ], ids=["dist", "matrix", "flow"])
+    @pytest.mark.parametrize("out, reason", [
+        ("", "Is a directory"),
+        ("missing/out.json", "No such file or directory"),
+    ], ids=["directory", "missing-directory"])
+    def test_unwritable_out_exits_two_naming_the_path(
+        self, tmp_path, capsys, argv, out, reason
+    ):
+        path = tmp_path / "a.csv"
+        euclidean_csv(path, np.eye(3))
+        target = str(tmp_path / out)
+        code = main([str(path) if a == "FILE" else a for a in argv] + ["--out", target])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {target}: cannot write file: {reason}"
+        ]
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_spd_file_without_a_positive_dim_exits_two(self, tmp_path, capsys, dim):
         path = tmp_path / "spd.csv"

@@ -1,18 +1,22 @@
 """Differential test of the CSV ingest boundary.
 
-``msot.cli.load_dataset`` parses a whole file in one call and leaves
-manifold membership to the library's vectorized checks.  Its reader splits
-plain ASCII text itself and hands every other file to ``csv``, so the
-generated files also hold quotes, CR and CRLF line ends, a missing final
-newline, the characters ``str.splitlines`` breaks on and non-ASCII digits.  It must agree
-with the row-by-row reference loader in ``tests/oracles.py`` on every
-file: the same atoms and weights, bit for bit, or the same error class
-and message, naming the same row.  Two deviations are documented, each
+``msot.cli.load_dataset`` reads a plain file (ASCII, no character on which
+``csv`` and ``str.splitlines`` part) through numpy's C reader, and every
+other file, or one the C reader refuses, through its row reader: it splits
+plain text itself and hands the rest to ``csv``.  Manifold membership is
+left to the library's vectorized checks.  So the generated files hold
+``repr`` and ``%.17g`` cells (the format of ``np.savetxt`` and of the
+benchmark), tens of rows as well as a few, quotes, CR and CRLF line ends,
+a missing final newline, the characters ``str.splitlines`` breaks on and
+non-ASCII digits.  The loader must agree with the row-by-row reference
+loader in ``tests/oracles.py`` on every file: the same atoms and weights,
+bit for bit, or the same error class and message, naming the same row.  Two deviations are documented, each
 with its own test: the SPD symmetry tolerance is the library's relative
 one, and a Lorentz file without coordinate columns is bad input instead
 of an ``IndexError``.
 """
 
+import csv
 import tempfile
 import warnings
 from pathlib import Path
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msot import spd
+from msot import cli, spd
 from msot.cli import load_dataset, main
 from msot.errors import InvalidInput
 from msot.hyperbolic import project_to_hyperboloid
@@ -94,7 +98,7 @@ def _off_manifold(geometry, row, how):
 def csv_files(draw):
     geometry = draw(st.sampled_from(GEOMETRIES))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(1, 5), st.integers(10, 40)))
     d = draw(st.integers(1, 3))
     scale = draw(st.sampled_from([1.0, 1000.0]))
     data, header = _atoms(geometry, rng, n, d, scale)
@@ -108,7 +112,8 @@ def csv_files(draw):
         how = draw(st.integers(0, 3))
         width = data.shape[1] - (header[-1].strip().lower() == "weight")
         data[k, :width] = _off_manifold(geometry, data[k, :width], how)
-    rows = [[repr(float(v)) for v in row] for row in data]
+    cell = draw(st.sampled_from(["{!r}", "{:.17g}"]))
+    rows = [[cell.format(float(v)) for v in row] for row in data]
     for _ in range(draw(st.integers(0, 3))):
         k = draw(st.integers(0, n - 1))
         kind = draw(st.sampled_from(["token", "float", "short", "long", "blank", "dim"]))
@@ -198,6 +203,82 @@ def test_loader_agrees_on_odd_characters(char, template):
     """Each character on which ``csv`` and ``str.splitlines`` part, at the
     start, inside and at the end of a cell, quoted or not."""
     _assert_agree("euclidean", template.format(c=char))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,x1\n1,2\n\n\n3,4\n",  # empty lines between rows
+        "x0,x1\n1,2\n   \n3,4\n",  # whitespace-only rows: the C reader rejects them
+        "x0\n1\n\t\n2\n",
+        "\n\nx0,x1\n1,2\n",  # blank lines before the header
+        " \t\n,,\nx0,x1\n1,2\n",
+        " , \n1,2\n3,4\n",  # a blank row of the header's width comes first
+        "x0,x1\n",  # header only: ``loadtxt`` would warn "input contained no data"
+        "x0,x1\n\n\n",
+        "x0,x1\n  \n",
+        "x0,x1\n1,2,\n",  # trailing comma
+        "x0,x1,\n1,2,\n",
+        "x0,x1\n\t1.5\t,\t-2\t\n2,\t3\n",  # tab-padded cells
+        "x0,x1\n#1,2\n",  # comments=None: ``#`` is a character of the cell
+        "#x0,x1\n1,2\n",
+        "x0,x1\n1_000,2\n",  # ``float`` reads it, the C reader does not
+        "x0,x1\n1\x1f,2\n",  # the C reader strips it as whitespace, ``float`` does not
+        "x0,weight\n1,0.5\n2,-0.5\n",
+        "x0,x1\n1,2\n1e400,2\n",
+        "x0,x1\n1,2\r3,4\r\n\r5,6",
+    ],
+)
+def test_loader_agrees_on_edge_files(text):
+    """Files on the edge between numpy's C reader and the row reader; no
+    warning of either may leak."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_agree("euclidean", text)
+
+
+def test_field_over_the_csv_limit_is_malformed(tmp_path):
+    """A number longer than ``csv.field_size_limit()`` is malformed CSV to
+    both loaders, though ``float`` and the C reader both read it."""
+    cell = "0.25" + "0" * csv.field_size_limit()
+    assert np.loadtxt([cell], delimiter=",", comments=None)[()] == float(cell) == 0.25
+    path = tmp_path / "long.csv"
+    path.write_text(f"x0,x1\n0.1,{cell}\n")
+    with pytest.raises(csv.Error) as want:
+        load_dataset_rows(str(path), "euclidean")
+    with pytest.raises(InvalidInput) as got:
+        load_dataset(str(path), "euclidean")
+    assert str(got.value) == f"{path}: malformed CSV: {want.value}"
+
+
+@pytest.mark.parametrize(
+    "text, row_reader",
+    [
+        ("x0,x1\n1,2\n3,4\n", False),
+        ("x0,x1\r\n1,2\r\n3,4\r\n", False),
+        ("x0,x1\r1,2\r3,4", False),
+        ("x0,weight\n0.1,0.5\n\n0.2,0.5\n", False),
+        (None, False),  # 1,000 rows written by ``np.savetxt``
+        ('"x0",x1\n1,2\n', True),  # quoted
+        ("x0,x1\n1,2\nabc,4\n", True),  # a bad row
+        ("x0,x1\n1,2\n  \n3,4\n", True),  # a whitespace-only row
+        ("x0,weight\n0.1,-0.5\n", True),  # a negative weight
+        ("x0,x1\n1,\u0662\n", True),  # non-ASCII
+    ],
+)
+def test_plain_file_never_reaches_the_row_reader(tmp_path, monkeypatch, text, row_reader):
+    """Plain files are parsed by numpy's C reader alone; every other file
+    goes through ``_read_rows``.  Both give the reference's result."""
+    path = tmp_path / "data.csv"
+    if text is None:
+        data = np.random.default_rng(0).normal(size=(1000, 3))
+        np.savetxt(path, data, delimiter=",", header="x0,x1,x2", comments="", fmt="%.17g")
+        text = path.read_text()
+    calls = []
+    read_rows = cli._read_rows
+    monkeypatch.setattr(cli, "_read_rows", lambda *args: calls.append(1) or read_rows(*args))
+    _assert_agree("euclidean", text)
+    assert bool(calls) == row_reader
 
 
 def _write(tmp_path, header, rows):
