@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of an installed `msot` entry point: every subcommand runs on
-# tiny CSV files, and bad input exits 2 naming the file or the flag.
+# tiny CSV files, the JSON of `dist`, `matrix`, `gw` and `pca` is laid out
+# as `json.dumps(payload, sort_keys=True, indent=2)`, and bad input exits 2
+# naming the file or the flag.
 # Run it from a scratch directory (it writes its CSV files there):
 #   bash scripts/cli_smoke.sh
 set -euo pipefail
@@ -12,6 +14,14 @@ expect_two() {  # expect_two PATTERN COMMAND...: exit 2 with PATTERN on stderr
     cat err.txt
     test "$code" -eq 2
     grep -q -- "$pattern" err.txt
+}
+
+same_layout() {  # same_layout COMMAND...: stdout is json.dumps(..., sort_keys=True, indent=2)
+    "$@" > out.json
+    cat out.json
+    python -c 'import json
+text = open("out.json").read()
+assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"'
 }
 
 printf 'x0,x1\n0.1,0.2\n-0.3,0.4\n' > ok.csv
@@ -36,13 +46,14 @@ lf=$(msot dist sw a17.csv b17.csv --projections 16 | grep '"value"')
 crlf=$(msot dist sw a17crlf.csv b17.csv --projections 16 | grep '"value"')
 echo "$lf"
 test "$lf" = "$crlf"
+same_layout msot dist usw ok.csv ball.csv --projections 4 --fw-iters 3
 msot dist ssw sphere.csv sphere2.csv --geometry sphere --projections 16
-msot matrix sw ok.csv ok.csv ball.csv --projections 8
+same_layout msot matrix sw ok.csv ok.csv ball.csv --projections 8
 expect_two "n_projections must be positive" msot matrix sw ok.csv --projections 0
-msot gw gw1d line.csv line.csv
-msot gw hw line.csv line.csv
-msot gw hw ok.csv ok.csv
-msot pca gauss.csv
+same_layout msot gw gw1d line.csv line.csv
+same_layout msot gw hw line.csv line.csv
+same_layout msot gw hw ok.csv ok.csv
+same_layout msot pca gauss.csv
 msot pca gauss.csv --origin -0.5,1 > /dev/null
 expect_two "--origin must be" msot pca gauss.csv --origin 0
 msot flow euler ok.csv --steps 2 > /dev/null

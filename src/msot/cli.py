@@ -15,13 +15,14 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -306,10 +307,7 @@ def _ssw(frames, mu, nu, cfg):
 
 def _dual_extras(marginals, pots, history):
     return {
-        "marginals": {
-            "source": marginals.source.tolist(),
-            "target": marginals.target.tolist(),
-        },
+        "marginals": {"source": marginals.source, "target": marginals.target},
         "dual_summary": {
             "f_mean": float(np.mean(pots.f)),
             "f_min": float(np.min(pots.f)),
@@ -422,22 +420,49 @@ def compute_distance(cmd, mu, nu, cfg):
     return float(value), extras
 
 
+def _unwritable(out, exc):
+    return InvalidInput(f"{out}: cannot write file: {exc.strerror or exc}")
+
+
 def _write(text, out):
     if out:
         try:
             with open(out, "w") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise InvalidInput(f"{out}: cannot write file: {exc.strerror or exc}") from exc
+            raise _unwritable(out, exc) from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out):
+    """Raise :func:`_write`'s error before a run pays for ingest and compute
+    when ``--out`` is a directory, an existing file that does not open for
+    writing, or a new file whose parent is missing or not a directory.  The
+    file is neither created nor truncated; every other failure is left to
+    :func:`_write`."""
+    if not out:
+        return
+    try:
+        if os.path.isdir(out) or os.path.isfile(out):
+            # no O_CREAT and no O_TRUNC: the file stays as it is
+            os.close(os.open(out, os.O_WRONLY))
+        else:
+            # the trailing separator fails a parent that is not a directory
+            os.stat(os.path.join(os.path.dirname(os.path.abspath(out)), ""))
+    except OSError as exc:
+        raise _unwritable(out, exc) from exc
 
 
 def _json(value, pad=""):
     """The text of ``json.dumps(value, sort_keys=True, indent=2,
     allow_nan=False)`` nested at indent ``pad``.  An indent sends ``json`` to
     its pure-Python encoder, so dicts and lists are laid out here and each
-    flat list of numbers goes through the C encoder in one call."""
+    flat list of numbers goes through the C encoder in one call.  An array is
+    the text of its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        text = _float_array(value, pad)
+        return _json(value.tolist(), pad) if text is None else text
     inner = pad + "  "
     if isinstance(value, dict) and value and all(isinstance(k, str) for k in value):
         body = f",\n{inner}".join(
@@ -465,6 +490,58 @@ def _list_items(values, pad):
             # encoding below raises the pure-Python encoder's, which has it
             pass
     return f",\n{pad}".join(_json(item, pad) for item in values)
+
+
+def _float_rows(rows, sep):
+    """The text of each row of a finite float64 ``(k, m)`` array, its cells
+    joined by ``sep``.  A non-zero cell (``-0.0`` too) is its ``repr``, as
+    the C encoder writes it, and a run of ``+0.0`` cells is one string
+    multiplication, so a sparse plan pays a float object per non-zero cell
+    only."""
+    k, m = rows.shape
+    nonzero = (rows.view(np.int64) != 0).ravel()
+    # the runs of non-zero and of +0.0 cells, cut at each row's end
+    first = np.ones(k * m, bool)
+    np.not_equal(nonzero[1:], nonzero[:-1], out=first[1:])
+    first[::m] = True
+    starts = np.flatnonzero(first)
+    stops = np.append(starts[1:], k * m)
+    runs = zip(
+        (stops - starts).tolist(), nonzero[starts].tolist(), (stops % m == 0).tolist()
+    )
+    texts = map(repr, rows.ravel()[nonzero].tolist())
+    zero = "0.0" + sep
+    lines, parts = [], []
+    for length, is_cells, row_end in runs:
+        if is_cells:
+            parts += (sep.join(islice(texts, length)), sep)
+        else:
+            parts.append(zero * length)
+        if row_end:
+            lines.append("".join(parts)[: -len(sep)])
+            parts = []
+    return lines
+
+
+def _float_array(values, pad):
+    """``_json(values.tolist(), pad)`` of a finite float64 array with one or
+    two non-empty axes, laid out from the array; None for any other array."""
+    if (
+        values.dtype != np.float64
+        or values.ndim not in (1, 2)
+        or 0 in values.shape
+        or not np.isfinite(values).all()
+    ):
+        return None
+    inner = pad + "  "
+    cell_pad = inner + "  " if values.ndim == 2 else inner
+    lines = _float_rows(values.reshape(-1, values.shape[-1]), ",\n" + cell_pad)
+    if values.ndim == 1:
+        return f"[\n{inner}{lines[0]}\n{pad}]"
+    # the brackets go on the end rows, so the text is built in one join
+    lines[0] = f"[\n{inner}[\n{cell_pad}{lines[0]}"
+    lines[-1] = f"{lines[-1]}\n{inner}]\n{pad}]"
+    return f"\n{inner}],\n{inner}[\n{cell_pad}".join(lines)
 
 
 def _emit(args, start, payload):
@@ -500,7 +577,7 @@ def run_matrix(args, cfg):
     values = distance.matrix(distance.setup(datasets[0], cfg), datasets, cfg)
     payload = {
         "distance": args.name,
-        "values": values.tolist(),
+        "values": values,
         "inputs": list(args.inputs),
         "config": cfg.echo() | {"geometry": args.geometry},
     }
@@ -607,7 +684,7 @@ def run_pca(args, cfg):
             {"m0": ray.m0, "s0": ray.s0, "m1": ray.m1, "s1": ray.s1}
             for ray in (ray1, ray2)
         ],
-        "scores": scores.tolist(),
+        "scores": scores,
         "inputs": [args.input],
         "config": cfg.echo(),
     }
@@ -622,7 +699,7 @@ def run_gw(args, cfg):
     payload = {
         "problem": args.name,
         "value": float(value),
-        "plan": plan.tolist(),
+        "plan": plan,
         "inputs": [args.source, args.target],
         "config": cfg.echo(),
     }
@@ -730,6 +807,7 @@ def main(argv=None):
     }[args.command]
     try:
         _check_counts(args)
+        _check_out(args.out)
         runner(args, cfg)
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import msot
-from msot import cli
+from msot import cli, measures
 from msot.cli import Dataset, RunConfig, compute_distance, load_dataset, main
 from msot.hyperbolic import poincare_to_lorentz
 
@@ -452,24 +454,55 @@ class TestInputBoundary:
         ["dist", "sw", "FILE", "FILE", "--projections", "4"],
         ["matrix", "sw", "FILE", "FILE", "--projections", "4"],
         ["flow", "euler", "FILE", "--steps", "1"],
-    ], ids=["dist", "matrix", "flow"])
+        ["gw", "gw1d", "FILE", "FILE"],
+        ["pca", "FILE"],
+    ], ids=["dist", "matrix", "flow", "gw", "pca"])
     @pytest.mark.parametrize("out, reason", [
         ("", "Is a directory"),
         ("missing/out.json", "No such file or directory"),
-    ], ids=["directory", "missing-directory"])
+        ("a.csv/out.json", "Not a directory"),
+    ], ids=["directory", "missing-directory", "file-as-directory"])
     def test_unwritable_out_exits_two_naming_the_path(
-        self, tmp_path, capsys, argv, out, reason
+        self, tmp_path, capsys, monkeypatch, argv, out, reason
     ):
+        """The ``--out`` check runs before any file is read, with the
+        message of the write that would fail after the run."""
         path = tmp_path / "a.csv"
         euclidean_csv(path, np.eye(3))
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: loads.append(a))
         target = str(tmp_path / out)
         code = main([str(path) if a == "FILE" else a for a in argv] + ["--out", target])
-        assert code == 2
+        assert (code, loads) == (2, [])
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: {target}: cannot write file: {reason}"
         ]
+
+    @pytest.mark.parametrize("command", ["dist", "gw", "pca"])
+    def test_failed_run_leaves_an_existing_out_file_unchanged(
+        self, tmp_path, monkeypatch, command
+    ):
+        """A run that exits 3 neither truncates nor rewrites ``--out``."""
+        line, gauss = tmp_path / "line.csv", tmp_path / "gauss.csv"
+        euclidean_csv(line, [[0.0], [1.0], [3.0]])
+        write_csv(gauss, ["mean", "sigma"], [[0.0, 1.0], [1.0, 2.0], [0.5, 0.5]])
+        nan_plan = np.array([[0.5, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 0.25]])
+        monkeypatch.setattr(cli, "compute_distance", lambda *args: (np.nan, {}))
+        monkeypatch.setitem(cli.GW_PLANS, "gw1d", lambda *args: (nan_plan, 0.0))
+        ray = cli.busemann.GaussianRay(m0=0.0, s0=1.0, m1=1.0, s1=1.0)
+        monkeypatch.setattr(cli.busemann, "gaussian_pca_1d",
+                            lambda *args, **kwargs: (ray, ray, np.array([0.0, np.inf])))
+        argv = {
+            "dist": ["dist", "sw", str(line), str(line)],
+            "gw": ["gw", "gw1d", str(line), str(line)],
+            "pca": ["pca", str(gauss)],
+        }[command]
+        out = tmp_path / "out.json"
+        out.write_bytes(b'{"kept": true}\n')
+        assert main(argv + ["--out", str(out)]) == 3
+        assert out.read_bytes() == b'{"kept": true}\n'
 
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_spd_file_without_a_positive_dim_exits_two(self, tmp_path, capsys, dim):
@@ -673,18 +706,33 @@ def test_emitter_text_is_json_dumps_with_indent(payload):
     assert out.getvalue() == _reference_json(payload) + "\n"
 
 
+def _as_lists(value):
+    """``value`` with every array replaced by its ``tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_as_lists(item) for item in value]
+    return value
+
+
 @settings(max_examples=300, deadline=None)
-@given(value=JSON_VALUES, bad=NON_FINITE, where=st.integers(0, 3))
+@given(value=JSON_VALUES, bad=NON_FINITE, where=st.integers(0, 6))
 def test_emitter_rejects_non_finite_with_the_reference_message(value, bad, where):
-    """A NaN or infinity anywhere raises the pure-Python encoder's
-    ``ValueError``, which names the value, and text is equal otherwise."""
+    """A NaN or infinity anywhere, in a list or an array, raises the
+    pure-Python encoder's ``ValueError``, which names the value, and text is
+    equal otherwise."""
     payload = [
         {"value": value, "bad": bad},
         {"rows": [[1.0, 2.0], [3.0, bad]]},
         {"row": [0.5, bad, 1.5], "first": value},
         [value, [bad]],
+        {"plan": np.array([[0.5, 0.0, 0.0], [0.0, 0.0, bad]]), "value": value},
+        {"scores": np.array([-0.0, bad, 0.0, 1.5])},
+        {"values": np.array([[bad]])},
     ][where]
-    want = _reference_json(payload)
+    want = _reference_json(_as_lists(payload))
     assert isinstance(want, ValueError)
     with pytest.raises(ValueError) as err:
         cli._json(payload)
@@ -699,6 +747,71 @@ def test_emitter_keeps_the_layout_of_a_dense_plan():
                "empty": [], "nested": {"rows": [[], [1, 2.5]], "none": None},
                "other keys": {1: [0.5, 1.5], 2: {"a": (1, 2)}}, "tuples": [(1, 2), [(3,)]]}
     assert cli._json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+CELLS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-7, 1e16, 1e300, -1e300, 0.5])
+FLOAT_ARRAYS = st.builds(
+    lambda cells, transpose: cells.T if transpose else cells,
+    st.one_of(
+        # mostly +0.0, as a transport plan is
+        arrays(np.float64, array_shapes(max_dims=2, max_side=12), elements=CELLS,
+               fill=st.just(0.0)),
+        # dense
+        arrays(np.float64, array_shapes(max_dims=2, max_side=12),
+               elements=CELLS | st.floats(allow_nan=False, allow_infinity=False)),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=FLOAT_ARRAYS, pad=st.sampled_from(["", "  ", "    "]))
+def test_emitter_lays_float_arrays_out_as_their_lists(values, pad):
+    """A finite float64 array of one or two axes is laid out from the array,
+    with the text of its ``tolist()``."""
+    assert cli._float_array(values, pad) is not None
+    assert cli._json(values, pad) == cli._json(values.tolist(), pad)
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(6).reshape(2, 3),
+    np.array([0.5, 0.0, 1e-7], dtype=np.float32),
+    np.array([[True, False]]),
+    np.array([0.0, 1.5], dtype=">f8"),
+    np.array(2.5),
+    np.zeros((2, 2, 2)),
+    np.zeros(0),
+    np.zeros((0, 3)),
+    np.zeros((2, 0)),
+], ids=["int64", "float32", "bool", "big-endian", "0-d", "3-d", "empty",
+        "no-rows", "empty-rows"])
+@pytest.mark.parametrize("pad", ["", "  "])
+def test_emitter_sends_other_arrays_through_their_lists(values, pad):
+    assert cli._float_array(values, pad) is None
+    assert cli._json(values, pad) == cli._json(values.tolist(), pad)
+
+
+def test_emitting_a_plan_array_peaks_no_higher_than_its_list():
+    """A 300 x 250 north-west plan, 549 non-zero cells, emitted from the
+    array needs no more memory than emitting its ``tolist()``, and about two
+    copies of its text at most."""
+    rng = np.random.default_rng(0)
+    a, b = rng.random(300), rng.random(250)
+    plan = measures.nw_corner(a / a.sum(), b / b.sum())
+
+    def peak(emit):
+        tracemalloc.start()
+        try:
+            text = emit()
+            return text, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    text, array_peak = peak(lambda: cli._json(plan))
+    want, list_peak = peak(lambda: cli._json(plan.tolist()))
+    assert text == want
+    assert array_peak <= list_peak
+    assert array_peak < 2.2 * len(text)
 
 
 def test_parser_is_built_once_and_holds_no_run_state(tmp_path):
