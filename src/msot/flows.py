@@ -7,7 +7,9 @@ projected on the simplex; the forward scheme follows the particle
 Wasserstein gradient directly, on Euclidean space or on the hyperboloid.
 The optional dilation flag multiplies the coupling term by the ambient
 dimension, matching the plain-Wasserstein dynamics on measure classes
-where :math:`SW_2^2 = W_2^2/d`.
+where :math:`SW_2^2 = W_2^2/d`.  Each flow runs in one scratch
+(:func:`~msot.measures._solve_scratch`), so the dual sweep and the
+interaction matrices reuse their buffers from step to step.
 """
 
 import json
@@ -18,6 +20,9 @@ import numpy as np
 from .errors import FlowDiverged, InvalidInput
 from .hyperbolic import geodesic_coordinate, ghsw, riemannian_step_lorentz
 from .measures import (
+    _buffer,
+    _gather,
+    _solve_scratch,
     check_positive,
     dual_1d_batched,
     slice_mean,
@@ -205,7 +210,11 @@ class InteractionFunctional(Functional):
 
     Energy and force are read off one ``(n, n)`` matrix of squared
     distances, in powers of it: the default kernel then needs no square
-    root and no general power, only numpy's square, copy and ones."""
+    root and no general power, only numpy's square, copy and ones.  The
+    ``(n, n)`` matrices are :func:`~msot.measures._buffer` arrays, kept
+    from step to step inside a flow: ``sq``, the zero-distance mask, and
+    two power buffers that the coordinate differences, the kernel and the
+    force take in turn."""
 
     def __init__(self, a=4.0, b=2.0):
         if not (np.isfinite(a) and np.isfinite(b)):
@@ -218,9 +227,10 @@ class InteractionFunctional(Functional):
     def _kernel(self, sq):
         """``W`` at squared distances ``sq``: ``sq**(a/2)/a - sq**(b/2)/b``,
         in place on the first power."""
-        kernel = sq ** (self.a / 2)
+        kernel = _scalar_power(sq, self.a / 2, _buffer("power_a", sq.shape))
         kernel /= self.a
-        kernel -= sq ** (self.b / 2) / self.b
+        power_b = _scalar_power(sq, self.b / 2, _buffer("power_b", sq.shape))
+        kernel -= np.divide(power_b, self.b, out=power_b)
         return kernel
 
     def _pairwise(self, points):
@@ -229,10 +239,11 @@ class InteractionFunctional(Functional):
         ``np.sum(diff**2, axis=-1)`` over the ``(n, n, d)`` differences."""
         if points.ndim != 2 or points.shape[1] == 0:
             raise InvalidInput(f"interaction needs (n, d) points, d >= 1, got {points.shape}")
+        n = points.shape[0]
         first, *rest = points.T
-        sq = np.subtract.outer(first, first)
+        sq = np.subtract.outer(first, first, out=_buffer("sq", (n, n)))
         np.square(sq, out=sq)
-        diff = np.empty_like(sq)
+        diff = _buffer("power_a", (n, n))
         for col in rest:
             np.subtract.outer(col, col, out=diff)
             sq += np.square(diff, out=diff)
@@ -248,9 +259,10 @@ class InteractionFunctional(Functional):
         first keeps the cancellation between the two terms at the scale of
         the cloud's spread."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            coef = sq ** (self.a / 2 - 1)
-            coef -= sq ** (self.b / 2 - 1)
-        coef[~(sq > 0)] = 0.0
+            coef = _scalar_power(sq, self.a / 2 - 1, _buffer("power_a", sq.shape))
+            coef -= _scalar_power(sq, self.b / 2 - 1, _buffer("power_b", sq.shape))
+        off = np.greater(sq, 0.0, out=_buffer("off", sq.shape, np.bool_))
+        np.copyto(coef, 0.0, where=np.logical_not(off, out=off))
         coef *= w[None, :]
         centered = points - np.mean(points, axis=0)
         force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
@@ -276,6 +288,21 @@ class InteractionFunctional(Functional):
     def grid_gradient(self, grid):
         sq = self._pairwise(np.asarray(grid.nodes, dtype=float))
         return self._kernel(sq) @ grid.rho
+
+
+# the ufunc numpy's ``**`` calls for these scalar exponents of a float array
+_FAST_POWERS = {2.0: np.square, 1.0: np.positive, 0.5: np.sqrt}
+
+
+def _scalar_power(base, exponent, out):
+    """``base ** exponent`` for a float exponent above -1 (every power the
+    kernel takes), bit for bit, written into ``out``: the ufuncs of
+    ``**``'s fast paths, ones at exponent 0, and ``np.power`` otherwise."""
+    if exponent == 0.0:
+        out.fill(1.0)
+        return out
+    fast = _FAST_POWERS.get(exponent)
+    return fast(base, out=out) if fast else np.power(base, exponent, out=out)
 
 
 class EntropyFunctional(Functional):
@@ -448,6 +475,7 @@ class InnerOptimizer:
         check_positive(self.learning_rate, "inner learning rate")
 
 
+@_solve_scratch()
 def swjko_particles(
     initial,
     functional,
@@ -509,6 +537,7 @@ def swjko_particles(
     return trace
 
 
+@_solve_scratch()
 def swjko_grid(
     grid,
     functional,
@@ -540,9 +569,10 @@ def swjko_grid(
         coords = nodes @ dirs.dirs.T
         xs, order = sorted_rows(coords)
         rho_prev = rho.copy()
+        prev_rows = rho_prev[order]
         grad = np.zeros(n)
         for _ in range(inner.n_steps):
-            f, _ = dual_1d_batched(xs, rho[order], xs, rho_prev[order], 2.0)
+            f, _ = dual_1d_batched(xs, _gather(rho, order, "rho_rows"), xs, prev_rows, 2.0)
             grad_sw = slice_mean(f, order)
             grad = factor / (2.0 * tau) * grad_sw + functional.grid_gradient(
                 GridState(nodes=nodes, rho=rho, cell_volume=grid.cell_volume)
@@ -574,6 +604,7 @@ def swjko_grid(
     return trace
 
 
+@_solve_scratch()
 def euler_particles(
     initial,
     functional,

@@ -20,10 +20,17 @@ and power temporaries stay near 1 MiB each and its peak memory is bounded
 by the chunk size and the worker count.  Every reduction runs along the
 rows of one block or chunk, so the results are those of one thread and one
 whole call, bit for bit.
+
+An iterative solve (a Frank-Wolfe loop, a flow) runs in one scratch
+(:func:`_solve_scratch`): the kernels it calls round after round write
+their large temporaries into the arrays :func:`_buffer` keeps for them by
+role, rather than mapping and faulting in fresh ones every round.
 """
 
+import contextvars
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +127,45 @@ def _in_blocks(fn, L, split, block):
     edges = [L * k // blocks for k in range(blocks + 1)]
     calls = [block(lo, hi) for lo, hi in zip(edges, edges[1:])]
     return np.concatenate(_in_order(fn, calls, pool))
+
+
+# (thread id, {key: array}) of the solve running in this context, or None
+_SCRATCH = contextvars.ContextVar("msot_scratch", default=None)
+
+
+@contextmanager
+def _solve_scratch():
+    """One scratch for the solve run in this block, or in each call of a
+    function it decorates: every :func:`_buffer` call of a role and shape
+    returns the same array until the block ends, when the arrays go.  A pool
+    task, another thread or a nested solve sees none of them."""
+    token = _SCRATCH.set((threading.get_ident(), {}))
+    try:
+        yield
+    finally:
+        _SCRATCH.reset(token)
+
+
+def _buffer(role, shape, dtype=np.float64):
+    """An uninitialized array of the tuple ``shape`` and the scalar type
+    ``dtype`` for ``role``: the scratch's own inside a solve on this thread,
+    a fresh one otherwise.  Its contents are only good until the next call
+    of the role, so it never leaves the call that fills it."""
+    scratch = _SCRATCH.get()
+    if scratch is None or scratch[0] != threading.get_ident():
+        return np.empty(shape, dtype)
+    key = (role, shape, dtype)
+    held = scratch[1].get(key)
+    if held is None:
+        held = scratch[1][key] = np.empty(shape, dtype)
+    return held
+
+
+def _gather(values, idx, role):
+    """``np.take(values, idx)`` written into the ``role`` buffer.  Under its
+    default ``mode="raise"`` ``np.take`` buffers ``out``; ``"wrap"`` reads
+    the same entries at every index ``"raise"`` accepts."""
+    return values.take(idx, out=_buffer(role, idx.shape, values.dtype.type), mode="wrap")
 
 
 def validate_weights(weights, n=None):
@@ -415,64 +461,80 @@ def dual_1d_batched(x, a, y, b, p=2.0):
     to 1e-9 relative to the largest such cost (absolute below unit cost).
     """
     check_order(p)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cum_a, cum_b = np.cumsum(a, axis=-1), np.cumsum(b, axis=-1)
+    x, a, y, b = (np.asarray(v, dtype=float) for v in (x, a, y, b))
+    cum_a = np.cumsum(a, axis=-1, out=_buffer("cum_a", a.shape))
+    cum_b = np.cumsum(b, axis=-1, out=_buffer("cum_b", b.shape))
     gap = np.abs(cum_a[:, -1] - cum_b[:, -1]) / np.maximum(cum_a[:, -1], 1.0)
     if np.any(gap > MASS_ATOL):
         raise MassMismatch(f"total masses differ, by up to {np.max(gap):.2e} relative")
     (L, n), m = x.shape, y.shape[1]
 
-    def cost(u, v):
-        return _powered(u - v, p)
+    def cost(u, v, role):
+        """``|u - v|^p`` in the ``role`` buffer, which ``u`` or ``v`` may be."""
+        return _powered(np.subtract(u, v, out=_buffer(role, v.shape)), p)
 
     # the last breakpoints never move the staircase
     a_levels, b_levels = cum_a[:, :-1], cum_b[:, :-1]
+    # the flat positions of the steps, and of the cells next to them; the
+    # ``gathered`` buffer holds one gather after another, each spent before
+    # the next, and ``by_column`` the level ranks, then the reached rows
+    at = _buffer("at", a_levels.shape, np.intp)
+    near_at = _buffer("near_at", a_levels.shape, np.intp)
     if n == m and np.array_equal(a_levels, b_levels) and np.all(
             a_levels[:, 1:] > a_levels[:, :-1]):
         col = np.broadcast_to(np.arange(n - 1), (L, n - 1))
-        at = _flat_positions(col, m)
+        _flat_positions(col, m, out=at)
         tie = np.ones((L, n - 1), dtype=bool)
     else:
         # a target breakpoint merges ahead of an equal source one, so
         # ``col`` counts those at or below
-        merged = _merge(np.concatenate([b_levels, a_levels], axis=-1))
-        col = _ranks(merged >= m - 1, n - 1)
-        at = _flat_positions(col, m)
-        tie = (col > 0) & (np.take(cum_b, at - 1) == a_levels)
+        both = _buffer("both", (L, n + m - 2))
+        both[:, :m - 1], both[:, m - 1:] = b_levels, a_levels
+        col = _ranks(_merge(both) >= m - 1, n - 1)
+        _flat_positions(col, m, out=at)
+        tie = (col > 0) & (_gather(cum_b, np.subtract(at, 1, out=near_at), "gathered")
+                           == a_levels)
         if np.any(tie):
             # on a shared level, pair the r-th breakpoints of the two sides;
             # the unpaired rest of the source side steps at the level's last
             # column
-            on_level = np.zeros((L, m), dtype=np.intp)
+            on_level = _buffer("by_column", (L, m), np.intp)
+            on_level[:, 0] = 0
             on_level[:, 1:] = _run_rank(b_levels) + 1
             paired = np.where(tie, np.take(on_level, at), 0)
             rank = _run_rank(a_levels)
             tie = rank < paired
             col -= np.maximum(paired - rank, 0)
-            at = _flat_positions(col, m)
+            _flat_positions(col, m, out=at)
 
-    y_at = np.take(y, at)
-    landing = cost(x[:, 1:], y_at)
-    step = landing - cost(x[:, :-1], y_at)
+    y_at = _gather(y, at, "gathered")
+    landing = cost(x[:, 1:], y_at, "landing")
+    step = cost(x[:, :-1], y_at, "step")
+    np.subtract(landing, step, out=step)
     if np.any(tie):
-        y_next = np.take(y, at + (col < m - 1))
-        flat = cost(x[:, 1:], y_next) - cost(x[:, :-1], y_next)
-        step = np.where(tie, np.minimum(np.maximum(flat, 0.0), step), step)
+        y_next = _gather(y, np.add(at, col < m - 1, out=near_at), "gathered")
+        flat = cost(x[:, 1:], y_next, "flat")
+        np.subtract(flat, cost(x[:, :-1], y_next, "gathered"), out=flat)
+        np.maximum(flat, 0.0, out=flat)
+        np.copyto(step, np.minimum(flat, step, out=flat), where=tie)
     f = np.zeros((L, n))
     np.cumsum(step, axis=-1, out=f[:, 1:])
 
     # column j is reached at the row given by the steps taken at columns
     # below j (a tied step is taken at the column it leaves)
-    reached = np.zeros((L, m), dtype=np.intp)
+    reached = _buffer("by_column", (L, m), np.intp)
+    reached[:, 0] = 0
     if m > 1:
         counts = np.bincount(at.ravel(), minlength=L * m)
         np.cumsum(counts.reshape(L, m)[:, :-1], axis=-1, out=reached[:, 1:])
     reached = _flat_positions(reached, n, out=reached)
-    g = cost(np.take(x, reached), y) - np.take(f, reached)
+    g = np.take(f, reached)
+    np.subtract(cost(_gather(x, reached, "gathered"), y, "gathered"), g, out=g)
 
-    slack = f[:, 1:] + np.take(g, at) - landing
-    if slack.size and np.max(slack) > 1e-9 * max(1.0, np.max(np.abs(landing))):
+    slack = _gather(g, at, "gathered")
+    np.add(f[:, 1:], slack, out=slack)
+    slack -= landing
+    if slack.size and np.max(slack) > 1e-9 * max(1.0, np.max(np.abs(landing, out=landing))):
         raise InvalidInput(f"dual pair violates feasibility by {np.max(slack):.2e}")
     return f, g
 
@@ -544,7 +606,9 @@ def _ranks(mask, count):
     """False positions before each of the ``count`` True ones per mask row."""
     L, N = mask.shape
     pos = np.flatnonzero(mask).reshape(L, count)
-    return pos - N * np.arange(L)[:, None] - np.arange(count)
+    pos -= N * np.arange(L)[:, None]
+    pos -= np.arange(count)
+    return pos
 
 
 def _flat_positions(idx, n, out=None):

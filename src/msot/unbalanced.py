@@ -21,7 +21,10 @@ import numpy as np
 
 from .errors import DualOverflow, InvalidInput
 from .measures import (
+    _buffer,
     _flat_positions,
+    _gather,
+    _solve_scratch,
     check_order,
     check_positive,
     dual_1d_batched,
@@ -72,7 +75,12 @@ class ReweightedPair:
 
 def phi_conj(x, rho):
     r"""Legendre-type transform :math:`\varphi^\circ(x) = \rho(1 - e^{-x/\rho})`."""
-    return rho * (1.0 - np.exp(-np.asarray(x, dtype=float) / rho))
+    return _conj_of_exp(_exp_neg(np.asarray(x, dtype=float), rho), rho)
+
+
+def _conj_of_exp(exp_neg, rho, out=None):
+    """:func:`phi_conj` from ``exp_neg = exp(-x / rho)``, in ``out`` if given."""
+    return np.multiply(rho, np.subtract(1.0, exp_neg, out=out), out=out)
 
 
 def norm_reweight(source_weights, target_weights, potentials, rho1, rho2):
@@ -107,9 +115,15 @@ def fw_translation(source_weights, target_weights, f, g, rho1, rho2):
 def _log_mass(weights, potential, rho):
     """``log sum_i w_i exp(-potential_i / rho)`` along the last axis, shifted
     by the largest exponent of positive weight (as ``scipy``'s logsumexp)."""
-    z = np.where(weights > 0, -np.asarray(potential, dtype=float) / rho, -np.inf)
+    potential = np.asarray(potential, dtype=float)
+    z = _buffer("log_mass", np.broadcast(weights, potential).shape)
+    np.divide(np.negative(potential, out=z), rho, out=z)
+    positive = weights > 0
+    if not positive.all():
+        np.copyto(z, -np.inf, where=~positive)
     top = np.max(z, axis=-1, keepdims=True)
-    return np.log(np.sum(weights * np.exp(z - top), axis=-1)) + top[..., 0]
+    np.exp(np.subtract(z, top, out=z), out=z)
+    return np.log(np.sum(np.multiply(weights, z, out=z), axis=-1)) + top[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -131,51 +145,78 @@ def sliced_dual(mu, nu, p=2.0):
 
 
 def _mass_matched_dual(xs, src, ys, tgt, p):
-    """Per-slice balanced dual after scaling each target row to its source mass."""
-    tgt = tgt * (np.sum(src, axis=-1) / np.sum(tgt, axis=-1))[:, None]
+    """Per-slice balanced dual after scaling each target row to its source
+    mass, in place."""
+    tgt *= (np.sum(src, axis=-1) / np.sum(tgt, axis=-1))[:, None]
     return dual_1d_batched(xs, src, ys, tgt, p)
 
 
-def _translated(a, b, f, g, params):
-    lam = np.asarray(fw_translation(a, b, f, g, params.rho1, params.rho2))
-    return f + lam[..., None], g - lam[..., None]
+def _translate(a, b, f, g, params):
+    """Apply :func:`fw_translation` to ``f`` and ``g`` in place."""
+    lam = np.asarray(fw_translation(a, b, f, g, params.rho1, params.rho2))[..., None]
+    f += lam
+    g -= lam
 
 
+def _exp_neg(potential, rho, out=None):
+    """``exp(-potential / rho)``, in ``out`` if given."""
+    return np.exp(np.divide(np.negative(potential, out=out), rho, out=out), out=out)
+
+
+def _conj_sum(weights, exp_neg, rho, out):
+    """``sum(weights * phi_conj(potential, rho))`` along the last axis, from
+    ``exp_neg = exp(-potential / rho)``, in ``out``."""
+    return np.sum(np.multiply(weights, _conj_of_exp(exp_neg, rho, out), out=out), axis=-1)
+
+
+@_solve_scratch()
 def _frank_wolfe(a, b, f, g, params, oracle):
     """Frank-Wolfe on the dual, ``f``/``g`` per slice (2D) or shared (1D).
 
     ``oracle(t, src, tgt)`` returns the balanced potentials between the
-    reweighted marginals, laid out like ``f`` and ``g``.  Returns the best
-    post-translation iterate as ``(value, f, g)`` and the dual values per
-    round: fixed-step rounds can overshoot past the optimum (badly so for
-    small penalties), and every post-translation iterate is a feasible dual,
-    so the best one seen is the honest answer.  Raises ``DualOverflow``
-    when no round has a finite dual value.
+    reweighted marginals, laid out like ``f`` and ``g``, in arrays the loop
+    may overwrite.  Returns the best post-translation iterate as ``(value,
+    f, g)`` and the dual values per round: fixed-step rounds can overshoot
+    past the optimum (badly so for small penalties), and every
+    post-translation iterate is a feasible dual, so the best one seen is the
+    honest answer.  Raises ``DualOverflow`` when no round has a finite dual
+    value.
+
+    The iterate ``f``/``g`` (fresh arrays of the caller) is updated in place,
+    ``exp(-f / rho)`` is computed once per round, for that round's dual value
+    and the next round's oracle input, and the loop and its oracle run in
+    one scratch (:func:`~msot.measures._solve_scratch`).
     """
+    rho1, rho2 = params.rho1, params.rho2
     history = []
-    best = (-np.inf, None, None)
+    best_value, best_f, best_g = -np.inf, np.empty_like(f), np.empty_like(g)
     # every later round starts from the previous round's translated pair
-    f, g = _translated(a, b, f, g, params)
+    _translate(a, b, f, g, params)
+    exp_f, exp_g = _exp_neg(f, rho1, np.empty_like(f)), _exp_neg(g, rho2, np.empty_like(g))
     for t in range(params.n_iters):
-        r, s = oracle(t, a * np.exp(-f / params.rho1), b * np.exp(-g / params.rho2))
+        r, s = oracle(t, np.multiply(a, exp_f, out=exp_f), np.multiply(b, exp_g, out=exp_g))
         gamma = 2.0 / (3.0 + t)  # gamma_{t+1} = 2 / (2 + t + 1) for t = 0, 1, ...
-        f, g = _translated(a, b, f + gamma * (r - f), g + gamma * (s - g), params)
-        per_slice = np.sum(a * phi_conj(f, params.rho1), axis=-1) + np.sum(
-            b * phi_conj(g, params.rho2), axis=-1
-        )
+        f += np.multiply(gamma, np.subtract(r, f, out=r), out=r)
+        g += np.multiply(gamma, np.subtract(s, g, out=s), out=s)
+        _translate(a, b, f, g, params)
+        _exp_neg(f, rho1, exp_f)
+        _exp_neg(g, rho2, exp_g)
+        per_slice = _conj_sum(a, exp_f, rho1, r) + _conj_sum(b, exp_g, rho2, s)
         history.append(float(np.mean(per_slice)))
-        if history[-1] > best[0]:
-            best = (history[-1], f, g)
+        if history[-1] > best_value:
+            best_value = history[-1]
+            np.copyto(best_f, f)
+            np.copyto(best_g, g)
         if t > 0 and 0.0 <= history[-1] - history[-2] < params.eps:
             break
-    if best[1] is None:
+    if best_value == -np.inf:
         raise DualOverflow(
             f"Frank-Wolfe found no finite dual value in {len(history)} rounds: "
             f"exp(-potential / rho) overflows when the transport costs dwarf the "
             f"penalties rho1={params.rho1}, rho2={params.rho2}; rescale the data "
             "or raise rho"
         )
-    return best, np.array(history)
+    return (best_value, best_f, best_g), np.array(history)
 
 
 def suot(x, y, slicer, params, x_weights=None, y_weights=None):
@@ -193,8 +234,10 @@ def suot(x, y, slicer, params, x_weights=None, y_weights=None):
     y_at = _flat_positions(y_order, ys.shape[1])
 
     def oracle(t, src, tgt):
-        fs, gs = _mass_matched_dual(xs, np.take(src, x_at), ys, np.take(tgt, y_at), params.p)
-        r, s = np.empty_like(fs), np.empty_like(gs)
+        fs, gs = _mass_matched_dual(
+            xs, _gather(src, x_at, "src_rows"), ys, _gather(tgt, y_at, "tgt_rows"), params.p)
+        # the sorted rows are spent: the potentials go back to atom order there
+        r, s = _buffer("src_rows", fs.shape), _buffer("tgt_rows", gs.shape)
         r.ravel()[x_at] = fs
         s.ravel()[y_at] = gs
         return r, s
@@ -227,7 +270,8 @@ def usw(x, y, slicer, params, x_weights=None, y_weights=None, stochastic_slicer=
         fresh = stochastic_slicer is not None and t > 0
         rows = sorted_pair(stochastic_slicer(t)) if fresh else fixed
         (xs, x_order), (ys, y_order) = rows
-        fs, gs = _mass_matched_dual(xs, src[x_order], ys, tgt[y_order], params.p)
+        fs, gs = _mass_matched_dual(
+            xs, _gather(src, x_order, "src_rows"), ys, _gather(tgt, y_order, "tgt_rows"), params.p)
         return slice_mean(fs, x_order), slice_mean(gs, y_order)
 
     (value, f, g), history = _frank_wolfe(

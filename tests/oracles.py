@@ -6,8 +6,10 @@ enumerations, integrals by quadrature or dense grids.  The exceptions are
 the earlier bodies of rewritten kernels (``dual_1d_batched_gathers``,
 ``ahead_masked``, ``circle_w1_along_axis``, ``nw_corner_add_at``,
 ``gw1d_inner_dense``, ``pairwise_from_zeros``, and the ``*_out_of_place``
-slicer coordinates and matched-uniform line kernel, and the unchunked
-``batched_costs_whole``), kept as references for their replacements, and
+slicer coordinates and matched-uniform line kernel, the unchunked
+``batched_costs_whole``, and the fresh-array Frank-Wolfe loop
+``frank_wolfe_fresh`` behind ``suot_fresh``/``usw_fresh`` and interaction
+matrices ``InteractionFresh``), kept as references for their replacements, and
 two ground truths that only the tests need: ``dist_lorentz``, the
 hyperboloid distance behind the geodesic cost matrices, and
 ``bw_geodesic_point``, which puts Gaussians on a Bures-Wasserstein ray.
@@ -25,6 +27,8 @@ from scipy.linalg import null_space
 
 from msot import busemann, hyperbolic, measures
 from msot.errors import InvalidInput, MassMismatch
+from msot.flows import InteractionFunctional
+from msot.sliced import validate_pair
 
 
 def wasserstein_1d_lp(x, a, y, b, p):
@@ -913,3 +917,120 @@ def batched_costs_whole(u_values, v_values, u_weights, v_weights, p):
     u_sorted = measures._sorted_with_cum(u_values, u_weights, levels[:, :n])
     v_sorted = measures._sorted_with_cum(v_values, v_weights, levels[:, n:])
     return measures._merged_cost(u_sorted, v_sorted, levels, p)
+
+
+def log_mass_where(weights, potential, rho):
+    """The earlier ``unbalanced._log_mass``: ``np.where`` on every call."""
+    z = np.where(weights > 0, -np.asarray(potential, dtype=float) / rho, -np.inf)
+    top = np.max(z, axis=-1, keepdims=True)
+    return np.log(np.sum(weights * np.exp(z - top), axis=-1)) + top[..., 0]
+
+
+def _translated_fresh(a, b, f, g, params):
+    rho1, rho2 = params.rho1, params.rho2
+    tau = rho1 * rho2 / (rho1 + rho2)
+    lam = np.asarray(tau * (log_mass_where(a, f, rho1) - log_mass_where(b, g, rho2)))
+    return f + lam[..., None], g - lam[..., None]
+
+
+def frank_wolfe_fresh(a, b, f, g, params, oracle):
+    """The earlier ``unbalanced._frank_wolfe``: new arrays for every
+    expression of every round, ``phi_conj`` taking its own exponential, and
+    the best iterate kept by reference.  Returns ``((value, f, g),
+    history)``, with ``(-inf, None, None)`` when no round is finite."""
+    history = []
+    best = (-np.inf, None, None)
+    f, g = _translated_fresh(a, b, f, g, params)
+    for t in range(params.n_iters):
+        r, s = oracle(t, a * np.exp(-f / params.rho1), b * np.exp(-g / params.rho2))
+        gamma = 2.0 / (3.0 + t)
+        f, g = _translated_fresh(a, b, f + gamma * (r - f), g + gamma * (s - g), params)
+        per_slice = np.sum(a * (params.rho1 * (1.0 - np.exp(-f / params.rho1))), axis=-1) + np.sum(
+            b * (params.rho2 * (1.0 - np.exp(-g / params.rho2))), axis=-1
+        )
+        history.append(float(np.mean(per_slice)))
+        if history[-1] > best[0]:
+            best = (history[-1], f, g)
+        if t > 0 and 0.0 <= history[-1] - history[-2] < params.eps:
+            break
+    return best, np.array(history)
+
+
+def _mass_matched_gathers(xs, src, ys, tgt, p):
+    tgt = tgt * (np.sum(src, axis=-1) / np.sum(tgt, axis=-1))[:, None]
+    return dual_1d_batched_gathers(xs, src, ys, tgt, p)
+
+
+def suot_fresh(x, y, slicer, params, x_weights=None, y_weights=None):
+    """``unbalanced.suot`` through :func:`frank_wolfe_fresh` and
+    :func:`dual_1d_batched_gathers`, with 2-D ``take_along_axis`` gathers
+    and ``put_along_axis`` scatters.  Returns ``((value, f, g), history)``."""
+    x, a, y, b = validate_pair(x, y, x_weights, y_weights)
+    xs, x_order = measures.sorted_rows(slicer.coordinates(x))
+    ys, y_order = measures.sorted_rows(slicer.coordinates(y))
+
+    def oracle(t, src, tgt):
+        fs, gs = _mass_matched_gathers(xs, np.take_along_axis(src, x_order, -1), ys,
+                                       np.take_along_axis(tgt, y_order, -1), params.p)
+        r, s = np.empty_like(fs), np.empty_like(gs)
+        np.put_along_axis(r, x_order, fs, -1)
+        np.put_along_axis(s, y_order, gs, -1)
+        return r, s
+
+    return frank_wolfe_fresh(a, b, np.zeros(xs.shape), np.zeros(ys.shape), params, oracle)
+
+
+def usw_fresh(x, y, slicer, params, x_weights=None, y_weights=None, stochastic_slicer=None):
+    """``unbalanced.usw`` through :func:`frank_wolfe_fresh` and
+    :func:`dual_1d_batched_gathers`.  Returns ``((value, f, g), marginals,
+    history)`` with the marginals ``(a exp(-f / rho1), b exp(-g / rho2))``."""
+    x, a, y, b = validate_pair(x, y, x_weights, y_weights)
+
+    def sorted_pair(sl):
+        return measures.sorted_rows(sl.coordinates(x)), measures.sorted_rows(sl.coordinates(y))
+
+    fixed = sorted_pair(slicer)
+
+    def oracle(t, src, tgt):
+        fresh = stochastic_slicer is not None and t > 0
+        (xs, x_order), (ys, y_order) = sorted_pair(stochastic_slicer(t)) if fresh else fixed
+        fs, gs = _mass_matched_gathers(xs, src[x_order], ys, tgt[y_order], params.p)
+        return measures.slice_mean(fs, x_order), measures.slice_mean(gs, y_order)
+
+    best, history = frank_wolfe_fresh(a, b, np.zeros(x.shape[0]), np.zeros(y.shape[0]),
+                                      params, oracle)
+    f, g = best[1:]
+    return best, (a * np.exp(-f / params.rho1), b * np.exp(-g / params.rho2)), history
+
+
+class InteractionFresh(InteractionFunctional):
+    """``InteractionFunctional`` with its earlier ``_kernel``, ``_pairwise``
+    and ``_force``: a new ``(n, n)`` array for every power and mask."""
+
+    def _kernel(self, sq):
+        kernel = sq ** (self.a / 2)
+        kernel /= self.a
+        kernel -= sq ** (self.b / 2) / self.b
+        return kernel
+
+    def _pairwise(self, points):
+        if points.ndim != 2 or points.shape[1] == 0:
+            raise InvalidInput(f"interaction needs (n, d) points, d >= 1, got {points.shape}")
+        first, *rest = points.T
+        sq = np.subtract.outer(first, first)
+        np.square(sq, out=sq)
+        diff = np.empty_like(sq)
+        for col in rest:
+            np.subtract.outer(col, col, out=diff)
+            sq += np.square(diff, out=diff)
+        return sq
+
+    def _force(self, points, sq, w):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = sq ** (self.a / 2 - 1)
+            coef -= sq ** (self.b / 2 - 1)
+        coef[~(sq > 0)] = 0.0
+        coef *= w[None, :]
+        centered = points - np.mean(points, axis=0)
+        force = centered * np.sum(coef, axis=1)[:, None] - coef @ centered
+        return w[:, None] * force

@@ -35,6 +35,7 @@ PAPER_API = {
     "gaussian_kernel": "the Gaussian kernel on those features",
     "spd_exp": "the matrix exponential onto SPD matrices, inverse of spd_log",
     "sliced_dual": "the unbalanced 1D dual of one slice",
+    "phi_conj": "the conjugate of the KL marginal penalty in the unbalanced dual",
 }
 
 
