@@ -30,6 +30,9 @@ printf 'x0,x1,x2\n1,0,0\n0,1,0\n0,0,1\n0.6,0.8,0\n' > sphere.csv
 printf 'x0,x1,x2\n0,0,1\n0,-0.6,0.8\n-1,0,0\n' > sphere2.csv
 printf 'x0\n0.3\n-1.2\n0.8\n' > line.csv
 printf 'mean,sigma\n0.1,1.0\n0.4,1.5\n-0.2,0.7\n' > gauss.csv
+printf 'dim,m0,m1,m2,m3\n2,2,0.5,0.5,1\n2,1,0,0,3\n2,1.5,-0.2,-0.2,0.8\n' > spd.csv
+printf 'dim,m0,m1,m2,m3\n2,1,0.1,0.1,1\n2,0.7,0.3,0.3,2\n' > spd2.csv
+printf 'dim,m0,m1,m2,m3\n2,1,0.1,0.1,1\n2,2,0.3,0.3,2\n2,1,2,2,1\n' > spd_bad.csv
 
 msot dist sw ok.csv ok.csv --projections 8
 expect_two "row 3" msot dist ghsw ball.csv ball.csv --geometry poincare
@@ -48,6 +51,9 @@ echo "$lf"
 test "$lf" = "$crlf"
 same_layout msot dist usw ok.csv ball.csv --projections 4 --fw-iters 3
 msot dist ssw sphere.csv sphere2.csv --geometry sphere --projections 16
+msot dist spdsw spd.csv spd2.csv --geometry spd --projections 8
+same_layout msot dist hspdsw spd.csv spd2.csv --geometry spd --projections 8
+expect_two "spd_bad.csv: row 4: matrix not positive definite" msot dist hspdsw spd.csv spd_bad.csv --geometry spd
 same_layout msot matrix sw ok.csv ok.csv ball.csv --projections 8
 expect_two "n_projections must be positive" msot matrix sw ok.csv --projections 0
 same_layout msot gw gw1d line.csv line.csv

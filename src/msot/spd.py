@@ -23,9 +23,9 @@ from .sliced import (
 
 SYM_ATOL = 1e-10
 EIG_FLOOR = 1e-13
-# matrix entries in one (atoms, slices, d, d) block of the AI Busemann
-# coordinate: 2 MiB per float64 temporary, whatever the cloud size
-AI_BLOCK_ENTRIES = 1 << 18
+# entries in each of the two (slices, d, d, atoms) AI Busemann buffers: 512 KiB
+# of float64 each, so a block stays in a 2 MiB L2; one slice of the cloud if more
+AI_BLOCK_ENTRIES = 1 << 16
 
 
 def _symmetric_stack(m):
@@ -146,7 +146,7 @@ def coordinate_le(m, a):
     a_stack = np.asarray(a, dtype=float)
     if single_a:
         a_stack = a_stack[None]
-    coords = np.einsum("nij,lij->nl", logs, a_stack)
+    coords = logs.reshape(len(logs), -1) @ a_stack.reshape(len(a_stack), -1).T
     if single_m and single_a:
         return float(coords[0, 0])
     if single_m:
@@ -159,36 +159,36 @@ def coordinate_le(m, a):
 def _busemann_ai_batch(m, slices):
     """:func:`busemann_ai` of a cloud ``(n, d, d)`` along ``L`` slices, ``(n, L)``.
 
-    One ``eigh`` of the slices, then per block of atoms and slices one
-    broadcast rotation and one stacked Cholesky.  The UDU diagonal comes
-    from the exchange trick ``UDU(M) = J LDL(J M J) J``, with ``J`` the
-    index reversal and LDL read off a Cholesky factor.
+    One ``eigh`` of the slices.  Per block of slices, stacked BLAS products
+    (one shape per slice, so the block changes no bit) rotate every atom into
+    ``R = P^T M P``, and a ``d``-step elimination from the bottom-right corner
+    gives the UDU pivots ``D_k = W_kk``: ``W_ik = R_ik - sum_{m>k} W_im W_km / D_m``
+    (``i <= k``, kept above the diagonal; ``W_ik / D_k`` below it).
     """
     a_vals, a_vecs = sym_eig(np.asarray(slices, dtype=float))  # (L, d), (L, d, d)
     if np.min(np.diff(a_vals[..., ::-1], axis=-1)) < 1e-10:
         raise DegenerateDirection("direction eigenvalues collide; resample")
     m = np.asarray(m, dtype=float)
     (n_slices, d), n = a_vals.shape, len(m)
-    step_l = min(n_slices, max(1, AI_BLOCK_ENTRIES // d**2))
-    step_n = max(1, AI_BLOCK_ENTRIES // (step_l * d**2))
+    sym = (m + np.swapaxes(m, 1, 2)).transpose(1, 2, 0).reshape(d, d * n) / 2.0  # (a, (b, atom))
+    step = min(n_slices, max(1, AI_BLOCK_ENTRIES // max(1, d * d * n)))
+    half, planes = np.empty((step, d, d * n)), np.empty((d, d, step, n))
     out = np.empty((n, n_slices))
-    for l0 in range(0, n_slices, step_l):
-        vecs = a_vecs[l0 : l0 + step_l]
-        for i0 in range(0, n, step_n):
-            # (atoms, slices, d, d) stack of P^T M P, symmetrized
-            work = np.swapaxes(vecs, -1, -2) @ m[i0 : i0 + step_n, None]
-            rotated = work @ vecs
-            np.add(rotated, np.swapaxes(rotated, -1, -2), out=work)
-            work /= 2.0
-            try:
-                chol = np.linalg.cholesky(work[..., ::-1, ::-1])
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefinite(str(exc)) from exc
-            diag = np.einsum("...ii->...i", chol)[..., ::-1] ** 2
-            if np.min(diag) <= EIG_FLOOR:
+    for l0 in range(0, n_slices, step):
+        s = min(step, n_slices - l0)
+        pt = np.ascontiguousarray(np.swapaxes(a_vecs[l0 : l0 + s], -1, -2))
+        np.matmul(pt, sym, out=half[:s])  # P^T M: (slice, k, (b, atom))
+        r = planes[:, :, :s]  # P^T M P: (k, j, slice, atom)
+        np.matmul(pt[:, None], half[:s].reshape(s, d, d, n), out=r.transpose(2, 0, 1, 3))
+        r, total = r.reshape(d, d, s * n), np.zeros((s, n))
+        for k in range(d - 1, -1, -1):
+            col = r[: k + 1, k]
+            col -= np.einsum("imb,mb->ib", r[: k + 1, k + 1 :], r[k + 1 :, k])
+            if not (col[k] > EIG_FLOOR).all():
                 raise NotPositiveDefinite("matrix not positive definite")
-            block = np.einsum("lk,nlk->nl", a_vals[l0 : l0 + step_l], np.log(diag))
-            out[i0 : i0 + step_n, l0 : l0 + step_l] = -block
+            total += a_vals[l0 : l0 + s, k, None] * np.log(col[k]).reshape(s, n)
+            np.divide(col[:k], col[k], out=r[k, :k])
+        np.negative(total.T, out=out[:, l0 : l0 + s])
     return out
 
 
@@ -214,9 +214,9 @@ class SpdSlicer:
     r"""Line coordinates of SPD-valued atoms along symmetric slices.
 
     ``kind="geodesic"`` gives the Log-Euclidean coordinate
-    :math:`\mathrm{Tr}(A \log M)`; ``kind="horospherical"`` the negated
-    affine-invariant Busemann function of :func:`busemann_ai`, batched
-    over atoms and slices.
+    :math:`\mathrm{Tr}(A \log M)`, one matrix product; ``kind="horospherical"``
+    the negated affine-invariant Busemann function of :func:`busemann_ai`,
+    rotated by BLAS and eliminated in blocks of slices over every atom.
     """
 
     slices: np.ndarray = field(repr=False)

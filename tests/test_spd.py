@@ -121,6 +121,13 @@ class TestCoordinateLE:
             m = spd_exp(t * a)
             assert coordinate_le(m, a) == pytest.approx(t, abs=1e-10)
 
+    def test_one_product_matches_the_entrywise_contraction(self):
+        x = sample_spd_cloud(3, 500, seed=3)
+        slices = sample_unit_symmetric(3, 200, seed=4)
+        want = np.einsum("nij,lij->nl", spd_log(x), slices)
+        got = coordinate_le(x, slices)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
+
     def test_lipschitz_vs_le_distance(self):
         slices = sample_unit_symmetric(3, 20, seed=2)
         for trial in range(10):
@@ -198,6 +205,67 @@ class TestBusemannAI:
         bad_x[4] = np.diag([1.0, 2.0, -1.0])
         with pytest.raises(NotPositiveDefinite):
             SpdSlicer(slices, kind="horospherical").coordinates(bad_x)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("spread", [1.0, 1.5, 3.0])
+    def test_matches_cholesky_loop_on_ill_conditioned_atoms(self, d, spread):
+        # both routes lose about cond(M) * eps in the smallest pivot (the
+        # slices have unit Frobenius norm); 1.5 * eps * cond was the worst
+        # seen over d = 2-6, three spreads and four seeds
+        x = sample_spd_cloud(d, 30, seed=100 * d, spread=spread)
+        slices = sample_unit_symmetric(d, 25, seed=200 * d)
+        want = -np.stack([busemann_ai_loop(x, a) for a in slices], axis=1)
+        got = SpdSlicer(slices, kind="horospherical").coordinates(x)
+        tol = 8 * np.finfo(float).eps * np.linalg.cond(x)
+        assert np.all(np.abs(got - want) <= tol[:, None])
+
+    def test_matches_50_digit_elimination(self):
+        # the truth is exact for the float64 atoms and the float64
+        # eigenpairs of the slices, which both routes share
+        mpmath = pytest.importorskip("mpmath")
+        x = sample_spd_cloud(3, 30, seed=0, spread=3.0)
+        slices = sample_unit_symmetric(3, 6, seed=50)
+        vals, vecs = sym_eig(slices)
+        truth = np.empty((30, 6))
+        with mpmath.workdps(50):
+            for l in range(6):
+                p = mpmath.matrix(vecs[l].tolist())
+                for i, m in enumerate(x):
+                    r = p.T * mpmath.matrix(m.tolist()) * p
+                    total = 0
+                    for k in (2, 1, 0):
+                        total += vals[l, k] * mpmath.log(r[k, k])
+                        r = r[:k, :k] - r[:k, k] * r[k, :k] / r[k, k] if k else r
+                    truth[i, l] = float(total)
+        got = SpdSlicer(slices, kind="horospherical").coordinates(x)
+        loop = -np.stack([busemann_ai_loop(x, a) for a in slices], axis=1)
+        eps = np.finfo(float).eps
+        tol = eps * (np.linalg.cond(x)[:, None] + 8 * np.abs(truth))
+        assert np.all(np.abs(got - truth) <= tol)
+        assert np.all(np.abs(loop - truth) <= tol)
+
+    @pytest.mark.parametrize("d, n", [(2, 30), (5, 30), (3, 1)])
+    @pytest.mark.parametrize("entries", [1, 27, 900])
+    def test_blocks_match_the_whole_call(self, monkeypatch, d, n, entries):
+        x = sample_spd_cloud(d, n, seed=d + n, spread=1.5)
+        slices = sample_unit_symmetric(d, 25, seed=d)
+        whole = spd._busemann_ai_batch(x, slices)
+        monkeypatch.setattr(spd, "AI_BLOCK_ENTRIES", entries)
+        np.testing.assert_array_equal(spd._busemann_ai_batch(x, slices), whole)
+        for l in (0, 24):
+            np.testing.assert_array_equal(busemann_ai(x, slices[l]), whole[:, l])
+
+    def test_late_failing_pivot_raises_without_warning(self, recwarn):
+        # P^T M P = diag(-1, 1, 2): the first two pivots (from the bottom)
+        # pass, the third fails
+        slices = sample_unit_symmetric(3, 1, seed=5)
+        _, vecs = sym_eig(slices[0])
+        bad = vecs @ np.diag([-1.0, 1.0, 2.0]) @ vecs.T
+        x = sample_spd_cloud(3, 6, seed=6)
+        x[3] = (bad + bad.T) / 2.0
+        with pytest.raises(NotPositiveDefinite):
+            SpdSlicer(slices, kind="horospherical").coordinates(x)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSlicedDistances:
