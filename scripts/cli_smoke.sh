@@ -56,6 +56,24 @@ same_layout msot dist hspdsw spd.csv spd2.csv --geometry spd --projections 8
 expect_two "spd_bad.csv: row 4: matrix not positive definite" msot dist hspdsw spd.csv spd_bad.csv --geometry spd
 same_layout msot matrix sw ok.csv ok.csv ball.csv --projections 8
 expect_two "n_projections must be positive" msot matrix sw ok.csv --projections 0
+# a matrix whose pairs run in blocks on the thread pool ((2000 + 2000) * 80
+# atom-slice entries per pair): every entry is `dist` of its pair, bit for bit
+python -c 'import numpy as np
+rng = np.random.default_rng(1)
+for k in range(4):
+    np.savetxt(f"m{k}.csv", rng.normal(size=(2000, 3)) + 0.1 * k, delimiter=",",
+               header="x0,x1,x2", comments="", fmt="%.17g")'
+msot matrix sw m0.csv m1.csv m2.csv m3.csv --projections 80 > matrix.json
+for i in 0 1 2; do
+    for j in $(seq $((i + 1)) 3); do
+        msot dist sw "m$i.csv" "m$j.csv" --projections 80 > pair.json
+        python -c 'import json, sys
+i, j = int(sys.argv[1]), int(sys.argv[2])
+values = json.load(open("matrix.json"))["values"]
+want = json.load(open("pair.json"))["value"]
+assert values[i][j] == values[j][i] == want, (i, j, values[i][j], want)' "$i" "$j"
+    done
+done
 same_layout msot gw gw1d line.csv line.csv
 same_layout msot gw hw line.csv line.csv
 same_layout msot gw hw ok.csv ok.csv

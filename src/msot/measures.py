@@ -12,9 +12,9 @@ scalar functions taking profiles are the one-row cases.
 
 Large problems run on a thread pool, one per process and created on first
 use: the line kernel in column blocks, one per worker, through
-:mod:`msot.sliced` the coordinates and sorts of separate clouds, and
-through :mod:`msot.sphere` the projections and circle solves of frame
-blocks.  The line kernel runs each call or block in consecutive chunks of
+:mod:`msot.sliced` the coordinates and sorts of separate clouds and the
+pairs of a matrix in blocks, and through :mod:`msot.sphere` the projections
+and circle solves of frame blocks.  The line kernel runs each call or block in consecutive chunks of
 columns of at most ``2**17`` atom-slice entries, so its sort, merge, gather
 and power temporaries stay near 1 MiB each and its peak memory is bounded
 by the chunk size and the worker count.  Every reduction runs along the
@@ -394,7 +394,7 @@ def _merged_cost(u_sorted, v_sorted, levels, p):
     n, N = u_sorted.shape[1], levels.shape[1]
     order = _merge(levels)
     ahead = _ahead(order, n)
-    merged = _take_rows(levels, order)
+    merged = _permuted_rows(levels, order)
     del order
     # the rise of every merged level, written over the caller's levels
     delta = levels
@@ -554,7 +554,7 @@ def nw_support(a, b):
     levels = np.concatenate([np.cumsum(a), np.cumsum(b)])[None]
     order = _merge(levels)
     ahead = _ahead(order, n)[0]
-    rise = np.diff(_take_rows(levels, order)[0], prepend=0.0)
+    rise = np.diff(_permuted_rows(levels, order)[0], prepend=0.0)
     cols = np.minimum(np.arange(n + m) - ahead, m - 1)
     return np.minimum(ahead, n - 1), cols, rise
 
@@ -619,9 +619,14 @@ def _flat_positions(idx, n, out=None):
 
 def _take_rows(values, idx):
     """``values[l, min(idx[l, k], n - 1)]`` as one flat take; reuses ``idx``."""
-    n = values.shape[1]
-    np.minimum(idx, n - 1, out=idx)
-    return np.take(values.ravel(), _flat_positions(idx, n, out=idx))
+    np.minimum(idx, values.shape[1] - 1, out=idx)
+    return _permuted_rows(values, idx)
+
+
+def _permuted_rows(values, idx):
+    """``values[l, idx[l, k]]`` as one flat take, for indices already below
+    the row length, e.g. a row permutation; reuses ``idx``."""
+    return np.take(values.ravel(), _flat_positions(idx, values.shape[1], out=idx))
 
 
 def _columns(values):
@@ -651,7 +656,7 @@ def _sorted_with_cum(values, weights, cum):
     rows = np.ascontiguousarray(values.T)
     sorter = np.argsort(rows, axis=-1)
     np.cumsum(weights[sorter], axis=-1, out=cum)
-    return _take_rows(rows, sorter)
+    return _permuted_rows(rows, sorter)
 
 
 # ---------------------------------------------------------------------------
@@ -690,14 +695,17 @@ def _circle_rows(angles, weights=None):
         raise InvalidInput("angles must be finite")
     w = validate_weights(weights, n=a.shape[1])
     check_probability(w)
-    a = np.mod(a, 1.0)
+    # np.mod(a, 1.0), bit for bit on finite doubles, without its scalar loop
+    a = a - np.floor(a)
     if float(np.ptp(w)) == 0.0:
-        # equal weights need no permutation, so no stable sort
-        w = np.broadcast_to(w, a.shape)
-        a = np.sort(a, axis=-1)
-    else:
-        order, a = stable_order(a)
-        w = w[order]
+        # equal weights need no permutation, so no stable sort, and every
+        # row has the same cumulative weights
+        cum = np.cumsum(w)
+        cum /= cum[-1]
+        a.sort(axis=-1)
+        return a, np.broadcast_to(w, a.shape), np.broadcast_to(cum, a.shape)
+    order, a = stable_order(a)
+    w = w[order]
     cum = np.cumsum(w, axis=-1)
     cum /= cum[:, -1:]
     return a, w, cum

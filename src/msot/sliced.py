@@ -16,8 +16,11 @@ import numpy as np
 from .errors import InvalidInput
 from .measures import (
     _SPLIT_ATOMS,
+    _SPLIT_ENTRIES,
     _executor,
+    _in_blocks,
     _in_order,
+    _matched_uniform,
     check_order,
     sort_slices,
     sorted_rows,
@@ -28,6 +31,10 @@ from .measures import (
 
 # largest distance of a direction's norm from 1
 UNIT_ATOL = 1e-9
+# fewest atom-slice entries of the mean pair of a matrix whose pairs merge
+# cumulative weights (some 25 times the work per entry of a difference of
+# sorted rows) for the pairs to run in blocks on the pool
+_SPLIT_MERGE_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,9 @@ def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
     each pair then runs only :func:`measures.wasserstein_1d_sorted`.  The
     order ``p`` is checked first, then the clouds in turn (each against the
     atom shape of the first), then the pairs' total masses in row order.
-    Large sets of clouds are mapped and sorted on the pool, one task each.
+    Large sets of clouds are mapped and sorted on the pool, one task each,
+    and large pairs (:func:`_split_pairs`) run in row order as one
+    contiguous block per worker.
     """
     check_order(p)
     weights = [None] * len(clouds) if weights is None else weights
@@ -158,11 +167,33 @@ def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
         pool = _executor() if len(pairs) * len(x) >= _SPLIT_ATOMS else None
         calls = [(slicer, *pair, x.shape[1:]) for pair in pairs]
         sides = _in_order(_sorted_side, calls, pool)
-    values = np.zeros((len(sides), len(sides)))
-    for i, j in zip(*np.triu_indices(len(sides), 1)):
-        costs = wasserstein_1d_sorted(sides[i], sides[j], p)
-        values[i, j] = values[j, i] = np.mean(costs)
+    k = len(sides)
+    values = np.zeros((k, k))
+    rows, cols = np.triu_indices(k, 1)
+    if rows.size:
+        values[rows, cols] = values[cols, rows] = _in_blocks(
+            _pair_costs, rows.size, _split_pairs(sides),
+            lambda lo, hi: (sides, rows[lo:hi], cols[lo:hi], p))
     return values
+
+
+def _split_pairs(sides):
+    """Whether the pairs of :func:`sliced_cost_matrix` run on the pool: when
+    the mean pair holds ``_SPLIT_ENTRIES`` atom-slice entries, ``(n_i +
+    n_j) L``, or ``_SPLIT_MERGE_ENTRIES`` where pairs merge.  A pool task
+    holds whole pairs, and on smaller ones the threads lose more taking
+    turns on the GIL between numpy calls than the other cores save."""
+    k, (L, _) = len(sides), sides[0].rows.shape
+    paired = all(_matched_uniform(sides[0].weights, side.weights) for side in sides)
+    gate = _SPLIT_ENTRIES if paired else _SPLIT_MERGE_ENTRIES
+    return 2 * L * sum(side.rows.shape[1] for side in sides) >= gate * k
+
+
+def _pair_costs(sides, rows, cols, p):
+    """The mean 1D cost of every pair ``(sides[i], sides[j])`` of one block
+    of :func:`sliced_cost_matrix`, in order."""
+    return np.array([np.mean(wasserstein_1d_sorted(sides[i], sides[j], p))
+                     for i, j in zip(rows, cols)])
 
 
 def _sorted_side(slicer, x, w, shape):

@@ -15,6 +15,8 @@ from msot.measures import (
     circle_w1_level_median,
     circle_w2_vs_uniform,
     circle_w1_batched,
+    circle_w2_uniform_batched,
+    circle_wp_batched,
     circle_wp_binary_search,
     dual_1d_batched,
     quantile,
@@ -27,8 +29,12 @@ from msot.measures import (
 from oracles import (
     ahead_masked,
     batched_costs_whole,
+    circle_profile,
     circle_w1_along_axis,
+    circle_w1_level_median_profile,
     circle_w2_uniform_dirac,
+    circle_w2_vs_uniform_profile,
+    circle_wp_bisection,
     circle_wpp_grid,
     dual_1d_batched_gathers,
     wasserstein_1d_lp,
@@ -559,3 +565,66 @@ class TestFlatGatherDifferential:
             b[-1] += 1.0
             args = (x, y, a / a.sum(), b / b.sum())
             assert np.array_equal(circle_w1_batched(*args), circle_w1_along_axis(*args))
+
+
+def _mod_edge_values():
+    """Finite doubles where a reduction modulo 1 could go wrong: random bit
+    patterns, integers small and past 2^53, signed zeros, subnormals, and
+    the neighbours of integers on both sides."""
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    ints = np.concatenate([np.arange(-1000.0, 1001.0), 2.0 ** np.arange(50, 60),
+                           -(2.0 ** np.arange(50, 60)), [1e300, -1e300]])
+    tiny = np.finfo(float).smallest_subnormal * rng.integers(1, 2**52, size=1000)
+    near = np.concatenate([np.nextafter(ints, np.inf), np.nextafter(ints, -np.inf)])
+    values = np.concatenate([bits, ints, [0.0, -0.0], tiny, -tiny, near])
+    return values[np.isfinite(values)]
+
+
+class TestCircleReduction:
+    """Angles are reduced to the circle by ``a - floor(a)``, which is
+    ``np.mod(a, 1.0)`` bit for bit on finite doubles."""
+
+    def test_floor_difference_is_mod_on_edge_values(self):
+        a = _mod_edge_values()
+        assert np.array_equal((a - np.floor(a)).view(np.int64), np.mod(a, 1.0).view(np.int64))
+        rows = a[: a.size // 500 * 500].reshape(500, -1)
+        angles, weights, cum = measures._circle_rows(rows)
+        assert np.array_equal(angles.view(np.int64),
+                              np.sort(np.mod(rows, 1.0), axis=-1).view(np.int64))
+        # one cumulative row for all rows, as each row cumulated on its own
+        each = np.cumsum(np.full(rows.shape, 1.0 / rows.shape[1]), axis=-1)
+        each /= each[:, -1:]
+        assert np.all(weights == 1.0 / rows.shape[1]) and np.array_equal(cum, each)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_solvers_match_oracles_outside_the_unit_interval(self, weighted):
+        """Negative angles, angles above 1, exact integers and -0.0, against
+        one oracle profile per row, and bit for bit against the angles
+        reduced beforehand."""
+        rng = np.random.default_rng(12)
+        L, n = 6, 9
+        x = rng.random((L, n)) + rng.integers(-3, 4, size=(L, n))
+        y = rng.random((L, n)) + rng.integers(-3, 4, size=(L, n))
+        x[:, 0], x[:, 1], y[:, 2] = -0.0, rng.integers(-3, 4, size=L), 2.0
+        x[:, 3] = y[:, 4] = -0.25
+        a = b = None
+        if weighted:
+            a, b = rng.uniform(0.0, 1.0, n), rng.uniform(0.5, 1.0, n)
+            a[::4] = 0.0
+            a, b = a / a.sum(), b / b.sum()
+        same = unchanged(x, y)
+        solvers = [lambda u, v: circle_w2_uniform_batched(u, a),
+                   lambda u, v: circle_w1_batched(u, v, a, b),
+                   lambda u, v: circle_wp_batched(u, v, a, b, p=1.5, eps=1e-9),
+                   lambda u, v: circle_wp_batched(u, v, a, b, p=2.0, eps=1e-9)]
+        got = [solve(x, y) for solve in solvers]
+        assert same()
+        for values, solve in zip(got, solvers):
+            assert np.array_equal(values, solve(np.mod(x, 1.0), np.mod(y, 1.0)))
+        for ell in range(L):
+            mu, nu = circle_profile(x[ell], a), circle_profile(y[ell], b)
+            want = [circle_w2_vs_uniform_profile(mu), circle_w1_level_median_profile(mu, nu),
+                    circle_wp_bisection(mu, nu, 1.5, 1e-9), circle_wp_bisection(mu, nu, 2.0, 1e-9)]
+            for values, value in zip(got, want):
+                assert values[ell] == pytest.approx(value, rel=1e-12, abs=1e-15)

@@ -1,9 +1,9 @@
 """The pooled paths against their serial bodies, bit for bit: the line kernel
 in column blocks, both clouds' coordinates of a sliced cost, the per-cloud
-sorts of a matrix, and the great circles of ``ssw`` and ``ssw2_vs_uniform``
-in frame blocks.  Also which calls stay on one thread, which error a pooled
-call raises, numpy's error state inside a task, and a forked child's own
-pool."""
+sorts and the pair blocks of a matrix, and the great circles of ``ssw`` and
+``ssw2_vs_uniform`` in frame blocks.  Also which calls stay on one thread,
+which error a pooled call raises, numpy's error state inside a task, and a
+forked child's own pool."""
 
 import multiprocessing
 import warnings
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from msot import measures, sliced, sphere
-from msot.errors import InvalidInput, MeasureZeroProjection
+from msot.errors import InvalidInput, MassMismatch, MeasureZeroProjection
 from msot.hyperbolic import HyperbolicSlicer, ghsw, sample_wrapped_normal
 from msot.measures import validate_weights, wasserstein_1d_batched
 from msot.sliced import EuclideanSlicer, sample_directions, sliced_cost_matrix, sw_p
@@ -179,6 +179,106 @@ def test_matrix_is_the_serial_one(pool, monkeypatch, weighted):
                                        lambda: sliced_cost_matrix(slicer, clouds, 2.0, weights)))
     assert same()
     assert pool.tasks == [sliced._sorted_side] * 4
+
+
+def _matrix_case(kind, k, L, seed):
+    """``k`` clouds whose mean pair is just past the pair gate for ``kind``:
+    matched uniform (equal counts), uniform of unequal counts, or weighted
+    with zero weights; every cloud has exact ties on its first axis."""
+    gate = measures._SPLIT_ENTRIES if kind == "matched" else sliced._SPLIT_MERGE_ENTRIES
+    n = gate // (2 * L) + 7
+    rng = np.random.default_rng(seed)
+    counts = [n if kind == "matched" else n + 3 * j - 4 for j in range(k)]
+    clouds = [rng.normal(size=(c, 4)) + 0.1 * j for j, c in enumerate(counts)]
+    for cloud in clouds:
+        cloud[:, 0] = np.round(cloud[:, 0], 1)
+    if kind != "weighted":
+        return clouds, None
+    weights = [rng.uniform(0.0, 2.0, c) for c in counts]
+    for w in weights:
+        w[::9] = 0.0
+    return clouds, [w / w.sum() for w in weights]
+
+
+def _pair_loop(slicer, clouds, p, weights):
+    """The pairs of a matrix one at a time, as the serial loop ran them."""
+    sides = [sliced._sorted_side(slicer, c, w, c.shape[1:])
+             for c, w in zip(clouds, weights or [None] * len(clouds))]
+    values = np.zeros((len(sides), len(sides)))
+    for i, j in zip(*np.triu_indices(len(sides), 1)):
+        values[i, j] = values[j, i] = np.mean(
+            measures.wasserstein_1d_sorted(sides[i], sides[j], p))
+    return values
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("kind", ["matched", "uniform", "weighted"])
+def test_pair_blocks_are_the_serial_loop(pool, monkeypatch, kind, p):
+    """Five clouds: ten pairs in two blocks of five, the second starting
+    inside row 1; each entry is also the sliced cost of its pair."""
+    clouds, weights = _matrix_case(kind, 5, 32, seed=int(2 * p))
+    slicer = EuclideanSlicer(sample_directions(4, 32, seed=5))
+    same = unchanged(*clouds, *(weights or []))
+    got = sliced_cost_matrix(slicer, clouds, p, weights)
+    assert np.array_equal(got, _pair_loop(slicer, clouds, p, weights))
+    assert np.array_equal(got, _serial(monkeypatch,
+                                       lambda: sliced_cost_matrix(slicer, clouds, p, weights)))
+    assert same()
+    assert pool.tasks == [sliced._sorted_side] * 5 + [sliced._pair_costs] * WORKERS
+    w = weights or [None] * 5
+    for i, j in [(0, 1), (1, 3), (3, 4)]:
+        assert got[i, j] == sliced.sliced_cost(slicer, clouds[i], clouds[j], p, w[i], w[j])
+
+
+@pytest.mark.parametrize("short", [1, 0])
+@pytest.mark.parametrize("kind", ["matched", "weighted"])
+def test_pairs_split_at_their_gate(pool, kind, short):
+    """Four clouds on 64 slices: the mean pair holds 32 times the total atom
+    count in entries, one atom-row short of the gate for ``kind``, then on it.
+    Weights of equal masses that are not uniform make every pair merge."""
+    gate = measures._SPLIT_ENTRIES if kind == "matched" else sliced._SPLIT_MERGE_ENTRIES
+    n = gate // 128
+    counts = [n] * 3 + [n - short] if kind == "weighted" else [n - short] * 4
+    rng = np.random.default_rng(3)
+    clouds = [rng.normal(size=(c, 3)) for c in counts]
+    weights = None
+    if kind == "weighted":
+        weights = [rng.uniform(0.5, 1.0, c) for c in counts]
+        weights = [w / w.sum() for w in weights]
+    sliced_cost_matrix(EuclideanSlicer(sample_directions(3, 64, seed=1)), clouds, 2.0, weights)
+    pairs = [t for t in pool.tasks if t is sliced._pair_costs]
+    assert pairs == [sliced._pair_costs] * (0 if short else WORKERS)
+
+
+def test_one_pair_submits_no_pair_block(pool):
+    """Two clouds far past both gates: the one pair stays on the calling
+    thread, after both clouds are sorted on the pool."""
+    rng = np.random.default_rng(4)
+    clouds = [rng.normal(size=(6000, 3)), rng.normal(size=(6000, 3)) + 0.2]
+    slicer = EuclideanSlicer(sample_directions(3, 64, seed=2))
+    got = sliced_cost_matrix(slicer, clouds)
+    assert pool.tasks == [sliced._sorted_side] * 2
+    assert got[0, 1] == got[1, 0] == sliced.sliced_cost(slicer, *clouds)
+
+
+def test_mass_mismatch_in_the_second_block(pool, monkeypatch):
+    """Masses 1 + (0, 6, 6, -6, 0) 1e-10 on five clouds: no pair of the
+    first block, (0, 1)-(1, 2), is more than ``MASS_ATOL`` apart, and the
+    first that is, (1, 3), opens the second block."""
+    clouds, _ = _matrix_case("matched", 5, 32, seed=6)
+    weights = [np.full(len(c), (1.0 + e * 1e-10) / len(c)) for c, e in
+               zip(clouds, (0, 6, 6, -6, 0))]
+    slicer = EuclideanSlicer(sample_directions(4, 32, seed=5))
+    with pytest.raises(MassMismatch) as pooled:
+        sliced_cost_matrix(slicer, clouds, 2.0, weights)
+    assert [t for t in pool.tasks if t is sliced._pair_costs] == [sliced._pair_costs] * WORKERS
+    assert all(f.done() for f in pool.futures)
+    with pytest.raises(MassMismatch) as serial:
+        _serial(monkeypatch, lambda: sliced_cost_matrix(slicer, clouds, 2.0, weights))
+    assert str(pooled.value) == str(serial.value)
+    with pytest.raises(MassMismatch) as pair:
+        sliced.sliced_cost(slicer, clouds[1], clouds[3], 2.0, weights[1], weights[3])
+    assert str(pooled.value) == str(pair.value)
 
 
 BAD = {
