@@ -18,10 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, check_atoms
-from .sliced import DirectionSet, point_rows, sliced_cost
+from .sliced import DirectionSet, _project, point_rows, sliced_cost
 
 LORENTZ_ATOL = 1e-9
 _ARCTANH_CLIP = 1.0 - 1e-15
+# atom-slice entries of one block of the Poincare geodesic coordinate: each
+# of its two temporaries is 512 KiB and stays in a core's L2; with smaller
+# blocks two clouds mapped on the pool take turns on the GIL between their
+# many small calls
+_COORD_BLOCK_ENTRIES = 2**16
 
 
 def minkowski_ip(x, y):
@@ -88,39 +93,64 @@ def geodesic_coordinate(x, ideal, model="lorentz"):
 
     Lorentz: :math:`P^v(x) = \operatorname{arctanh}(-\langle x,v
     \rangle_\mathbb{L} / \langle x,x^0\rangle_\mathbb{L})`.
-    Poincaré: :math:`P^{\tilde v}(x) = 2\operatorname{arctanh}(s(x))` with
-    the quadratic-root ``s`` (and ``s = 0`` when ``<x, v> = 0``).
+    Poincaré: :math:`P^{\tilde v}(x) = \operatorname{sign}(\langle x,
+    \tilde v\rangle) \frac12 \log(1 + 4 |\langle x, \tilde v\rangle| /
+    \|x - s \tilde v\|_2^2)` with :math:`s = \operatorname{sign}(\langle
+    x, \tilde v\rangle)`, which is :math:`2 \operatorname{arctanh}(t)` at
+    :math:`x = t \tilde v` and cancels neither near :math:`\pm\tilde v` nor
+    near :math:`\langle x, \tilde v\rangle = 0`.
 
-    Returns an ``(n, L)`` array for ``n`` points and ``L`` directions.
+    Returns an ``(n, L)`` array for ``n`` points and ``L`` directions, its
+    columns contiguous.
     """
     ideal = np.atleast_2d(ideal)
     if model == "lorentz":
         x = validate_lorentz(x)
-        # -<x, v>_L / <x, x0>_L = <x_{1:}, ideal> / x0, as an (n, L) matrix
-        out = x[:, 1:] @ ideal.T
-        out /= x[:, :1]
+        # -<x, v>_L / <x, x0>_L = <x_{1:}, ideal> / x0, as an (n, L) matrix;
+        # a contiguous x0 keeps the loops down the columns contiguous
+        out = _project(x[:, 1:], ideal)
+        out /= np.ascontiguousarray(x[:, :1])
         np.clip(out, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=out)
         return np.arctanh(out, out=out)
     if model == "poincare":
         x = validate_poincare(x)
-        ip = x @ ideal.T  # (n, L)
-        sq = np.sum(x**2, axis=-1, keepdims=True)
-        # s = (1 + |x|^2 - disc) / (2 <x, v>) written into one array
-        s = np.square(ip)
-        s *= 4.0
-        np.subtract((1.0 + sq) ** 2, s, out=s)
-        np.maximum(s, 0.0, out=s)
-        np.sqrt(s, out=s)
-        np.subtract(1.0 + sq, s, out=s)
-        ip *= 2.0  # zero exactly where <x, v> is
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s /= ip
-        s[ip == 0.0] = 0.0
-        np.clip(s, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=s)
-        np.arctanh(s, out=s)
-        s *= 2.0
-        return s
+        out = _project(x, ideal)
+        _poincare_geodesic_rows(out.T, x, ideal)
+        return out
     raise InvalidInput(f"unknown model {model!r}")
+
+
+def _poincare_geodesic_rows(rows, x, ideal):
+    """The Poincare geodesic coordinate written over the ``(L, n)`` rows of
+    products ``<x, v>``, in blocks of slices whose few temporaries stay in
+    cache."""
+    L, n = rows.shape
+    sq, v_sq = np.sum(x**2, axis=-1), np.sum(ideal**2, axis=-1)
+    step = max(1, min(L, _COORD_BLOCK_ENTRIES // max(n, 1)))
+    num, den = np.empty((step, n)), np.empty((step, n))
+    for lo in range(0, L, step):
+        ip = rows[lo : lo + step]
+        s = len(ip)
+        t, sq_dist = np.abs(ip, out=num[:s]), den[:s]
+        t *= 2.0
+        np.add(v_sq[lo : lo + s, None], sq, out=sq_dist)
+        sq_dist -= t  # |x|^2 - 2 |<x, v>| + |v|^2
+        _summed_where_cancelled(sq_dist, x, ideal[lo : lo + s], ip)
+        t *= 2.0
+        t /= sq_dist
+        np.log1p(t, out=t)
+        t *= 0.5
+        np.copysign(t, ip, out=ip)
+
+
+def _summed_where_cancelled(sq_dist, x, ideal, ip=None):
+    """Where the expansion ``sq_dist`` of ``|x - s v|^2`` over ``(L, n)``
+    rows falls below 1e-4 it cancels: write the sum of squared differences
+    there.  ``s`` is the sign of ``ip`` (+1 at 0), or +1 without ``ip``."""
+    if np.min(sq_dist, initial=np.inf) < 1e-4:
+        r, c = np.nonzero(sq_dist < 1e-4)
+        near = ideal[r] if ip is None else np.where(ip[r, c] < 0.0, -1.0, 1.0)[:, None] * ideal[r]
+        sq_dist[r, c] = np.sum((x[c] - near) ** 2, axis=-1)
 
 
 def j_flip(v):
@@ -141,20 +171,18 @@ def busemann_coordinate(x, ideal, model="lorentz"):
     if model == "lorentz":
         x = validate_lorentz(x)
         # -<x, x0 + v>_L = x0 - <x_{1:}, v>
-        out = x[:, 1:] @ ideal.T
-        np.subtract(x[:, :1], out, out=out)
+        out = _project(x[:, 1:], ideal)
+        np.subtract(np.ascontiguousarray(x[:, :1]), out, out=out)
         return np.log(out, out=out)
     if model == "poincare":
         x = validate_poincare(x)
         x_sq = np.sum(x**2, axis=-1)[:, None]
         # |v - x|^2 / (1 - |x|^2); the expansion of |v - x|^2 cancels near the
         # ideal point, so the few pairs nearer than 1e-2 take the difference
-        out = 2.0 * x @ ideal.T
+        out = _project(2.0 * x, ideal)
         np.subtract(np.sum(ideal**2, axis=-1)[None, :], out, out=out)
         out += x_sq
-        if np.min(out) < 1e-4:
-            rows, cols = np.nonzero(out < 1e-4)
-            out[rows, cols] = np.sum((ideal[cols] - x[rows]) ** 2, axis=-1)
+        _summed_where_cancelled(out.T, x, ideal)
         out /= 1.0 - x_sq
         return np.log(out, out=out)
     raise InvalidInput(f"unknown model {model!r}")

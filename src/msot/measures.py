@@ -129,6 +129,11 @@ def _in_blocks(fn, L, split, block):
     return np.concatenate(_in_order(fn, calls, pool))
 
 
+def _largest_block(L):
+    """Items in the largest block of a split :func:`_in_blocks` call."""
+    return -(-L // min(_WORKERS, L))
+
+
 # (thread id, {key: array}) of the solve running in this context, or None
 _SCRATCH = contextvars.ContextVar("msot_scratch", default=None)
 

@@ -20,6 +20,7 @@ from .measures import (
     _executor,
     _in_blocks,
     _in_order,
+    _largest_block,
     _matched_uniform,
     check_order,
     sort_slices,
@@ -95,6 +96,13 @@ def haar_orthonormal(z):
     signs = np.sign(np.einsum("...ii->...i", r))
     signs[signs == 0] = 1.0
     return q * signs[:, None, :]
+
+
+def _project(points, dirs):
+    """``points @ dirs.T`` laid out slice-major: the transpose of the C-ordered
+    ``(L, n)`` product ``dirs @ points.T``, so that each slice's column of the
+    ``(n, L)`` result is contiguous and sorts without a transposing copy."""
+    return (dirs @ points.T).T
 
 
 def point_rows(points):
@@ -182,11 +190,18 @@ def _split_pairs(sides):
     the mean pair holds ``_SPLIT_ENTRIES`` atom-slice entries, ``(n_i +
     n_j) L``, or ``_SPLIT_MERGE_ENTRIES`` where pairs merge.  A pool task
     holds whole pairs, and on smaller ones the threads lose more taking
-    turns on the GIL between numpy calls than the other cores save."""
+    turns on the GIL between numpy calls than the other cores save.  Where
+    the largest block holds most of the unmerged pairs (three on two
+    workers) the pairs outside it must also hold four times the gate: the
+    largest block alone takes nearly as long as the serial loop."""
     k, (L, _) = len(sides), sides[0].rows.shape
     paired = all(_matched_uniform(sides[0].weights, side.weights) for side in sides)
     gate = _SPLIT_ENTRIES if paired else _SPLIT_MERGE_ENTRIES
-    return 2 * L * sum(side.rows.shape[1] for side in sides) >= gate * k
+    entries = 2 * L * sum(side.rows.shape[1] for side in sides)  # k mean pairs
+    pairs = k * (k - 1) // 2
+    outside = pairs - _largest_block(pairs)
+    lopsided = paired and 2 * outside < pairs
+    return entries >= gate * k and (not lopsided or outside * entries >= 4 * gate * k)
 
 
 def _pair_costs(sides, rows, cols, p):
@@ -216,7 +231,7 @@ class EuclideanSlicer:
         d = self.dirs.dirs.shape[1]
         if points.ndim != 2 or points.shape[1] != d:
             raise InvalidInput(f"points must be an (n, {d}) array, got {points.shape}")
-        return points @ self.dirs.dirs.T
+        return _project(points, self.dirs.dirs)
 
 
 def sw_p(x, y, dirs, p=2.0, x_weights=None, y_weights=None):

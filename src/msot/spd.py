@@ -16,6 +16,7 @@ from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite, chec
 from .measures import check_positive, quantile_rows, sorted_rows, validate_weights
 from .sliced import (
     EuclideanSlicer,
+    _project,
     haar_orthonormal,
     sample_directions,
     sliced_cost,
@@ -136,7 +137,8 @@ def coordinate_le(m, a):
 
     Accepts a single matrix or a cloud ``(n, d, d)`` and a single direction
     or a stack ``(L, d, d)``; returns scalars, vectors or an ``(n, L)``
-    matrix accordingly.  Equals minus the Log-Euclidean Busemann function.
+    matrix, its columns contiguous, accordingly.  Equals minus the
+    Log-Euclidean Busemann function.
     """
     logs = spd_log(m)
     single_m = logs.ndim == 2
@@ -146,7 +148,7 @@ def coordinate_le(m, a):
     a_stack = np.asarray(a, dtype=float)
     if single_a:
         a_stack = a_stack[None]
-    coords = logs.reshape(len(logs), -1) @ a_stack.reshape(len(a_stack), -1).T
+    coords = _project(logs.reshape(len(logs), -1), a_stack.reshape(len(a_stack), -1))
     if single_m and single_a:
         return float(coords[0, 0])
     if single_m:
@@ -157,7 +159,8 @@ def coordinate_le(m, a):
 
 
 def _busemann_ai_batch(m, slices):
-    """:func:`busemann_ai` of a cloud ``(n, d, d)`` along ``L`` slices, ``(n, L)``.
+    """:func:`busemann_ai` of a cloud ``(n, d, d)`` along ``L`` slices, ``(n, L)``
+    with contiguous columns.
 
     One ``eigh`` of the slices.  Per block of slices, stacked BLAS products
     (one shape per slice, so the block changes no bit) rotate every atom into
@@ -173,7 +176,7 @@ def _busemann_ai_batch(m, slices):
     sym = (m + np.swapaxes(m, 1, 2)).transpose(1, 2, 0).reshape(d, d * n) / 2.0  # (a, (b, atom))
     step = min(n_slices, max(1, AI_BLOCK_ENTRIES // max(1, d * d * n)))
     half, planes = np.empty((step, d, d * n)), np.empty((d, d, step, n))
-    out = np.empty((n, n_slices))
+    out = np.empty((n_slices, n))
     for l0 in range(0, n_slices, step):
         s = min(step, n_slices - l0)
         pt = np.ascontiguousarray(np.swapaxes(a_vecs[l0 : l0 + s], -1, -2))
@@ -188,8 +191,8 @@ def _busemann_ai_batch(m, slices):
                 raise NotPositiveDefinite("matrix not positive definite")
             total += a_vals[l0 : l0 + s, k, None] * np.log(col[k]).reshape(s, n)
             np.divide(col[:k], col[k], out=r[k, :k])
-        np.negative(total.T, out=out[:, l0 : l0 + s])
-    return out
+        np.negative(total, out=out[l0 : l0 + s])
+    return out.T
 
 
 def busemann_ai(m, a):

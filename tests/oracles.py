@@ -856,11 +856,14 @@ def geodesic_coordinate_out_of_place(x, ideal, model="lorentz"):
     x = hyperbolic.validate_poincare(x)
     ideal = np.atleast_2d(ideal)
     ip = x @ ideal.T
-    sq = np.sum(x**2, axis=-1, keepdims=True)
-    disc = np.sqrt(np.maximum((1.0 + sq) ** 2 - 4.0 * ip**2, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(ip != 0.0, (1.0 + sq - disc) / (2.0 * ip), 0.0)
-    return 2.0 * np.arctanh(np.clip(s, -hyperbolic._ARCTANH_CLIP, hyperbolic._ARCTANH_CLIP))
+    # |x - s v|^2 with s = sign(<x, v>) (+1 at 0), expanded or, below 1e-4,
+    # summed over the (n, L, d) differences
+    sign = np.where(ip < 0.0, -1.0, 1.0)
+    expanded = (np.sum(ideal**2, axis=-1)[None, :] + np.sum(x**2, axis=-1)[:, None]
+                - 2.0 * np.abs(ip))
+    summed = np.sum((x[:, None, :] - sign[..., None] * ideal[None]) ** 2, axis=-1)
+    sq_dist = np.where(expanded < 1e-4, summed, expanded)
+    return np.copysign(0.5 * np.log1p(4.0 * np.abs(ip) / sq_dist), ip)
 
 
 def busemann_coordinate_out_of_place(x, ideal, model="lorentz"):

@@ -70,6 +70,69 @@ class TestGeodesicCoordinate:
         poi = geodesic_coordinate(lorentz_to_poincare(x), ideal, model="poincare")
         assert np.max(np.abs(lor - poi)) <= 1e-9
 
+    def test_models_agree_to_rounding_on_a_large_cloud(self):
+        """Away from the boundary both closed forms are well conditioned:
+        the earlier Poincare form was 1.2e-9 off the Lorentz one here."""
+        x = wrapped_cloud(5, 1000, seed=12)
+        ideal = sample_directions(5, 200, seed=13).dirs
+        lor = geodesic_coordinate(x, ideal, model="lorentz")
+        poi = geodesic_coordinate(lorentz_to_poincare(x), ideal, model="poincare")
+        assert np.max(np.abs(lor - poi)) <= 1e-13
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_poincare_near_the_ideal_point(self):
+        """On the ray ``x = t v`` the Poincare geodesic coordinate is ``2
+        artanh(t)``, to the last double below 1: the expansion of ``(1 +
+        |x|^2)^2 - 4 <x, v>^2`` cancelled there (an error of 2e-2 at ``1 - t
+        = 1e-8``, and the clip value from 1e-9 on).  Axis directions keep
+        ``t v`` exact in floats."""
+        ideal = np.vstack([np.eye(3), -np.eye(3)])
+        gaps = np.array([10.0**-k for k in range(1, 16)] + [2.0**-53])
+        for t in 1.0 - gaps:
+            got = geodesic_coordinate(t * ideal, ideal, model="poincare")
+            want = np.log1p(2.0 * t / (1.0 - t))  # log((1 + t) / (1 - t)), 1 - t exact
+            assert np.all(np.abs(np.diag(got) - want) <= 1e-9 * want)
+            # and minus that on the opposite ray
+            assert np.all(np.abs(np.diag(np.roll(got, 3, axis=1)) + want) <= 1e-9 * want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_poincare_near_the_hyperplane(self):
+        """Within 1e-9 to 1e-300 of ``<x, e_1> = 0`` the coordinate is ``2
+        <x, e_1> / (1 + |x|^2)`` to first order; the earlier form returned 0
+        there.  Exactly on the hyperplane it is 0."""
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-0.6, 0.6, (40, 3))
+        x[:, 0] = rng.choice([-1.0, 1.0], 40) * 10.0 ** -rng.uniform(9.0, 300.0, 40)
+        x[-1, 0] = 0.0
+        got = geodesic_coordinate(x, np.eye(3)[:1], model="poincare")[:, 0]
+        want = 2.0 * x[:, 0] / (1.0 + np.sum(x**2, axis=-1))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert got[-1] == 0.0
+
+    def test_poincare_matches_50_digits(self):
+        """Against the quadratic root ``s`` evaluated to 50 digits, ``2
+        artanh(s)``, on boundary, near-hyperplane and interior points."""
+        import mpmath  # a test dependency: fails, not skips, when missing
+        rng = np.random.default_rng(15)
+        ideal = np.vstack([np.eye(3)[:1], sample_directions(3, 5, seed=16).dirs])
+        edge = rng.normal(size=(10, 3))
+        edge *= (1.0 - 10.0 ** -rng.uniform(6.0, 15.0, 10))[:, None] / np.linalg.norm(
+            edge, axis=1, keepdims=True)
+        flat = rng.uniform(-0.5, 0.5, (10, 3))
+        flat[:, 0] = 10.0 ** -rng.uniform(9.0, 15.0, 10)
+        x = np.vstack([edge, flat, lorentz_to_poincare(wrapped_cloud(3, 10, seed=17))])
+        got = geodesic_coordinate(x, ideal, model="poincare")
+        with mpmath.workdps(50):
+            def truth(point, v):
+                ip = mpmath.fsum(mpmath.mpf(a) * mpmath.mpf(b) for a, b in zip(point, v))
+                ip /= mpmath.sqrt(mpmath.fsum(mpmath.mpf(b) ** 2 for b in v))  # unit v
+                xx = mpmath.fsum(mpmath.mpf(a) ** 2 for a in point)
+                s = (1 + xx - mpmath.sqrt((1 + xx) ** 2 - 4 * ip**2)) / (2 * ip)
+                return float(2 * mpmath.atanh(s))
+
+            want = np.array([[truth(p, v) for v in ideal] for p in x])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
     def test_lipschitz_vs_geodesic_distance(self):
         x = wrapped_cloud(3, 40, seed=4)
         y = wrapped_cloud(3, 40, seed=5)

@@ -230,6 +230,20 @@ def test_pair_blocks_are_the_serial_loop(pool, monkeypatch, kind, p):
         assert got[i, j] == sliced.sliced_cost(slicer, clouds[i], clouds[j], p, w[i], w[j])
 
 
+def _gate_matrix(pool, kind, counts, L):
+    """Run a matrix of clouds of ``counts`` atoms on ``L`` slices, matched
+    uniform or weighted (equal masses, not uniform, so that every pair
+    merges); the pair blocks it submitted."""
+    rng = np.random.default_rng(3)
+    clouds = [rng.normal(size=(c, 3)) for c in counts]
+    weights = None
+    if kind == "weighted":
+        weights = [rng.uniform(0.5, 1.0, c) for c in counts]
+        weights = [w / w.sum() for w in weights]
+    sliced_cost_matrix(EuclideanSlicer(sample_directions(3, L, seed=1)), clouds, 2.0, weights)
+    return [t for t in pool.tasks if t is sliced._pair_costs]
+
+
 @pytest.mark.parametrize("short", [1, 0])
 @pytest.mark.parametrize("kind", ["matched", "weighted"])
 def test_pairs_split_at_their_gate(pool, kind, short):
@@ -239,14 +253,22 @@ def test_pairs_split_at_their_gate(pool, kind, short):
     gate = measures._SPLIT_ENTRIES if kind == "matched" else sliced._SPLIT_MERGE_ENTRIES
     n = gate // 128
     counts = [n] * 3 + [n - short] if kind == "weighted" else [n - short] * 4
-    rng = np.random.default_rng(3)
-    clouds = [rng.normal(size=(c, 3)) for c in counts]
-    weights = None
-    if kind == "weighted":
-        weights = [rng.uniform(0.5, 1.0, c) for c in counts]
-        weights = [w / w.sum() for w in weights]
-    sliced_cost_matrix(EuclideanSlicer(sample_directions(3, 64, seed=1)), clouds, 2.0, weights)
-    pairs = [t for t in pool.tasks if t is sliced._pair_costs]
+    pairs = _gate_matrix(pool, kind, counts, 64)
+    assert pairs == [sliced._pair_costs] * (0 if short else WORKERS)
+
+
+@pytest.mark.parametrize("short", [1, 0])
+@pytest.mark.parametrize("kind", ["matched", "weighted"])
+def test_three_clouds_split_at_their_gate(pool, kind, short):
+    """Three clouds on 64 slices, whose three pairs split two and one: the
+    one matched pair outside the larger block must hold four times the
+    gate, so the mean pair does too, ``gate / 32`` atoms a cloud; merging
+    pairs keep the mean-pair gate, ``gate / 128``.  One atom-row short of
+    it, then on it."""
+    gate = measures._SPLIT_ENTRIES if kind == "matched" else sliced._SPLIT_MERGE_ENTRIES
+    n = gate // 32 if kind == "matched" else gate // 128
+    counts = [n] * 2 + [n - short] if kind == "weighted" else [n - short] * 3
+    pairs = _gate_matrix(pool, kind, counts, 64)
     assert pairs == [sliced._pair_costs] * (0 if short else WORKERS)
 
 

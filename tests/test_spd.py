@@ -222,7 +222,7 @@ class TestBusemannAI:
     def test_matches_50_digit_elimination(self):
         # the truth is exact for the float64 atoms and the float64
         # eigenpairs of the slices, which both routes share
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath  # a test dependency: fails, not skips, when missing
         x = sample_spd_cloud(3, 30, seed=0, spread=3.0)
         slices = sample_unit_symmetric(3, 6, seed=50)
         vals, vecs = sym_eig(slices)
