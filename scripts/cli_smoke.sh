@@ -74,6 +74,29 @@ want = json.load(open("pair.json"))["value"]
 assert values[i][j] == values[j][i] == want, (i, j, values[i][j], want)' "$i" "$j"
     done
 done
+# sliced distances whose line kernel runs in blocks of slices on the thread
+# pool ((2000 + 2000) * 80 atom-slice entries): stdout is the same, apart
+# from `wallclock_ms`, under the default thread count and on one thread
+python -c 'import numpy as np
+rng = np.random.default_rng(2)
+for k in range(2):
+    v = rng.normal(size=(2000, 3)) * 0.5 + 0.2 * k
+    r = np.linalg.norm(v, axis=1, keepdims=True)
+    lorentz = np.column_stack([np.cosh(r), np.sinh(r) / r * v])
+    np.savetxt(f"h{k}.csv", lorentz, delimiter=",", header="x0,x1,x2,x3",
+               comments="", fmt="%.17g")
+    w = rng.uniform(0.5, 1.0, 2000)
+    np.savetxt(f"w{k}.csv", np.column_stack([rng.normal(size=(2000, 3)) + 0.2 * k, w / w.sum()]),
+               delimiter=",", header="x0,x1,x2,weight", comments="", fmt="%.17g")'
+for run in "ghsw h0.csv h1.csv --geometry lorentz" "hhsw h0.csv h1.csv --geometry lorentz" \
+           "sw w0.csv w1.csv"; do
+    # shellcheck disable=SC2086
+    msot dist $run --projections 80 | grep -v '"wallclock_ms"' > pooled.json
+    # shellcheck disable=SC2086
+    MSOT_THREADS=1 msot dist $run --projections 80 | grep -v '"wallclock_ms"' > serial.json
+    grep '"value"' pooled.json
+    cmp pooled.json serial.json
+done
 same_layout msot gw gw1d line.csv line.csv
 same_layout msot gw hw line.csv line.csv
 same_layout msot gw hw ok.csv ok.csv

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, check_atoms
-from .sliced import DirectionSet, _project, point_rows, sliced_cost
+from .sliced import DirectionSet, LineSlicer, _product_rows, point_rows, sliced_cost
 
 LORENTZ_ATOL = 1e-9
 _ARCTANH_CLIP = 1.0 - 1e-15
@@ -104,28 +104,44 @@ def geodesic_coordinate(x, ideal, model="lorentz"):
     columns contiguous.
     """
     ideal = np.atleast_2d(ideal)
+    return _geodesic_rows(_cloud(x, model), ideal, model, 0, len(ideal)).T
+
+
+def _cloud(x, model):
+    """One cloud checked on its model, with what its coordinate rows need:
+    Lorentz ``(x_{1:}, x_0)``, Poincare ``(x, |x|^2)``."""
     if model == "lorentz":
         x = validate_lorentz(x)
-        # -<x, v>_L / <x, x0>_L = <x_{1:}, ideal> / x0, as an (n, L) matrix;
-        # a contiguous x0 keeps the loops down the columns contiguous
-        out = _project(x[:, 1:], ideal)
-        out /= np.ascontiguousarray(x[:, :1])
-        np.clip(out, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=out)
-        return np.arctanh(out, out=out)
+        # a contiguous x0 keeps the loops along the rows contiguous
+        return x[:, 1:], np.ascontiguousarray(x[:, 0])
     if model == "poincare":
         x = validate_poincare(x)
-        out = _project(x, ideal)
-        _poincare_geodesic_rows(out.T, x, ideal)
-        return out
+        return x, np.sum(x**2, axis=-1)
     raise InvalidInput(f"unknown model {model!r}")
 
 
-def _poincare_geodesic_rows(rows, x, ideal):
+def _geodesic_rows(cloud, ideal, model, lo, hi):
+    """The C-ordered rows ``[lo, hi)`` of :func:`geodesic_coordinate` of a
+    :func:`_cloud` along the ``(L, .)`` directions ``ideal``."""
+    if model == "lorentz":
+        space, time = cloud
+        # -<x, v>_L / <x, x0>_L = <x_{1:}, ideal> / x0
+        out = _product_rows(ideal, space, lo, hi)
+        out /= time
+        np.clip(out, -_ARCTANH_CLIP, _ARCTANH_CLIP, out=out)
+        return np.arctanh(out, out=out)
+    x, sq = cloud
+    out = _product_rows(ideal, x, lo, hi)
+    _poincare_geodesic_rows(out, x, sq, ideal[lo:hi])
+    return out
+
+
+def _poincare_geodesic_rows(rows, x, sq, ideal):
     """The Poincare geodesic coordinate written over the ``(L, n)`` rows of
-    products ``<x, v>``, in blocks of slices whose few temporaries stay in
-    cache."""
+    products ``<x, v>`` (``sq`` is ``|x|^2``), in blocks of slices whose few
+    temporaries stay in cache."""
     L, n = rows.shape
-    sq, v_sq = np.sum(x**2, axis=-1), np.sum(ideal**2, axis=-1)
+    v_sq = np.sum(ideal**2, axis=-1)
     step = max(1, min(L, _COORD_BLOCK_ENTRIES // max(n, 1)))
     num, den = np.empty((step, n)), np.empty((step, n))
     for lo in range(0, L, step):
@@ -168,28 +184,32 @@ def busemann_coordinate(x, ideal, model="lorentz"):
     (1 - \|x\|_2^2))`.  Shape ``(n, L)``.
     """
     ideal = np.atleast_2d(ideal)
+    return _busemann_rows(_cloud(x, model), ideal, model, 0, len(ideal)).T
+
+
+def _busemann_rows(cloud, ideal, model, lo, hi):
+    """The C-ordered rows ``[lo, hi)`` of :func:`busemann_coordinate` of a
+    :func:`_cloud` along the ``(L, .)`` directions ``ideal``."""
     if model == "lorentz":
-        x = validate_lorentz(x)
+        space, time = cloud
         # -<x, x0 + v>_L = x0 - <x_{1:}, v>
-        out = _project(x[:, 1:], ideal)
-        np.subtract(np.ascontiguousarray(x[:, :1]), out, out=out)
+        out = _product_rows(ideal, space, lo, hi)
+        np.subtract(time, out, out=out)
         return np.log(out, out=out)
-    if model == "poincare":
-        x = validate_poincare(x)
-        x_sq = np.sum(x**2, axis=-1)[:, None]
-        # |v - x|^2 / (1 - |x|^2); the expansion of |v - x|^2 cancels near the
-        # ideal point, so the few pairs nearer than 1e-2 take the difference
-        out = _project(2.0 * x, ideal)
-        np.subtract(np.sum(ideal**2, axis=-1)[None, :], out, out=out)
-        out += x_sq
-        _summed_where_cancelled(out.T, x, ideal)
-        out /= 1.0 - x_sq
-        return np.log(out, out=out)
-    raise InvalidInput(f"unknown model {model!r}")
+    x, x_sq = cloud
+    # |v - x|^2 / (1 - |x|^2); the expansion of |v - x|^2 cancels near the
+    # ideal point, so the few pairs nearer than 1e-2 take the difference
+    out = _product_rows(ideal, 2.0 * x, lo, hi)
+    ideal = ideal[lo:hi]
+    np.subtract(np.sum(ideal**2, axis=-1)[:, None], out, out=out)
+    out += x_sq
+    _summed_where_cancelled(out, x, ideal)
+    out /= 1.0 - x_sq
+    return np.log(out, out=out)
 
 
 @dataclass(frozen=True)
-class HyperbolicSlicer:
+class HyperbolicSlicer(LineSlicer):
     """Geodesic or horospherical coordinates on hyperbolic space.
 
     The horospherical coordinate is the negated Busemann function, so that
@@ -200,18 +220,25 @@ class HyperbolicSlicer:
     model: str = "lorentz"
     kind: str = "geodesic"
 
-    def coordinates(self, points):
+    @property
+    def n_slices(self):
+        return self.dirs.n_projections
+
+    def prepare(self, points):
         points = point_rows(points)
         # Lorentz points carry the time coordinate ahead of the directions'
         d = self.dirs.dirs.shape[1] + (self.model == "lorentz")
         if points.shape[1] != d:
             raise InvalidInput(f"these directions need {self.model} points in R^{d}")
+        if self.kind not in ("geodesic", "horospherical"):
+            raise InvalidInput(f"unknown hyperbolic slicer kind {self.kind!r}")
+        return _cloud(points, self.model)
+
+    def rows(self, cloud, lo, hi):
         if self.kind == "geodesic":
-            return geodesic_coordinate(points, self.dirs.dirs, model=self.model)
-        if self.kind == "horospherical":
-            out = busemann_coordinate(points, self.dirs.dirs, model=self.model)
-            return np.negative(out, out=out)
-        raise InvalidInput(f"unknown hyperbolic slicer kind {self.kind!r}")
+            return _geodesic_rows(cloud, self.dirs.dirs, self.model, lo, hi)
+        out = _busemann_rows(cloud, self.dirs.dirs, self.model, lo, hi)
+        return np.negative(out, out=out)
 
 
 def ghsw(x, y, dirs, p=2.0, x_weights=None, y_weights=None, model="lorentz"):

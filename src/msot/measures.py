@@ -10,16 +10,22 @@ shift cost is linear between the events ``k/n``, so an integer bisection
 over cyclic shifts of the sorted atoms finds its minimizing event.  The
 scalar functions taking profiles are the one-row cases.
 
-Large problems run on a thread pool, one per process and created on first
-use: the line kernel in column blocks, one per worker, through
-:mod:`msot.sliced` the coordinates and sorts of separate clouds and the
-pairs of a matrix in blocks, and through :mod:`msot.sphere` the projections
-and circle solves of frame blocks.  The line kernel runs each call or block in consecutive chunks of
-columns of at most ``2**17`` atom-slice entries, so its sort, merge, gather
-and power temporaries stay near 1 MiB each and its peak memory is bounded
-by the chunk size and the worker count.  Every reduction runs along the
-rows of one block or chunk, so the results are those of one thread and one
-whole call, bit for bit.
+The line kernel reads each measure through a row map, ``(lo, hi) ->`` the
+C-ordered ``(hi - lo, n)`` coordinates of slices ``[lo, hi)`` in a fresh
+array it owns: a slicer's own map (:class:`msot.sliced.LineSlicer`) or
+copies of the columns of ``(n, L)`` values.  It runs each call in
+consecutive chunks of at most ``2**17`` atom-slice entries; per chunk it
+maps both measures, sorts the rows in place (or argsorts them with their
+weights) and takes the 1D costs, so its map, sort, merge, gather and power
+temporaries stay near 1 MiB each and no call holds a whole ``(n, L)``
+array.  Large problems run on a thread pool, one per process and created
+on first use: the line kernel in contiguous blocks of slices, one per
+worker, each mapping, sorting and costing its own slices; through
+:mod:`msot.sliced` the preparation of separate clouds, the rows and sorts
+of the clouds of a matrix and its pairs in blocks; and through
+:mod:`msot.sphere` the projections and circle solves of frame blocks.
+Every reduction runs along the rows of one block or chunk, so the results
+are those of one thread and one whole call, bit for bit.
 
 An iterative solve (a Frank-Wolfe loop, a flow) runs in one scratch
 (:func:`_solve_scratch`): the kernels it calls round after round write
@@ -41,15 +47,20 @@ from .errors import InvalidInput, MassMismatch
 MASS_ATOL = 1e-9
 
 # fewest atom-slice entries, (n + m) * L, of a line-kernel call that is
-# split into column blocks on the pool; below it a thread hand-off costs
+# split into blocks of slices on the pool; below it a thread hand-off costs
 # more than the second core saves
 _SPLIT_ENTRIES = 2**18
-# most atom-slice entries of one chunk of columns in the line kernel: each
+# most atom-slice entries of one chunk of slices in the line kernel: each
 # float temporary of a chunk is about 1 MiB, small enough to be reused from
 # the allocator's free lists rather than mapped and faulted in anew
 _CHUNK_ENTRIES = 2**17
-# fewest atoms, over all clouds, whose coordinates and sorts are computed
-# one cloud per pooled task
+# the same where the chunk merges cumulative weights: its levels, merge
+# order, ranks and gathers are some ten such arrays at once, and at 2^17
+# (about 12 MiB) glibc trims them off the heap after every chunk, to fault
+# them in again, unless a larger array freed earlier raised its threshold
+_MERGE_CHUNK_ENTRIES = 2**16
+# fewest atoms, over all clouds, that are prepared (or mapped and sorted,
+# in a matrix) one cloud per pooled task
 _SPLIT_ATOMS = 1000
 
 
@@ -114,17 +125,27 @@ def _in_errstate(err, fn, *args):
         return fn(*args)
 
 
-def _in_blocks(fn, L, split, block):
+def _in_blocks(fn, L, split, block, sizes=None):
     """``fn(*block(lo, hi))`` on contiguous blocks ``[lo, hi)`` of
     ``range(L)``, one per worker but at most ``L``, each a task of the pool,
-    concatenated in order.  A call not ``split``, too small to gain, runs
-    ``fn(*block(0, L))`` whole on the calling thread, as does a process
-    with one worker."""
+    concatenated in order.  The blocks hold equal counts of items, or with
+    positive integer ``sizes`` of the items, equal totals: an item goes to
+    the block whose share of the total holds the midpoint of its cumulative
+    size, so no block exceeds its share by more than one item.  A call not
+    ``split``, too small to gain, runs ``fn(*block(0, L))`` whole on the
+    calling thread, as does a process with one worker."""
     blocks = min(_WORKERS, L) if split else 1
     pool = _executor() if blocks > 1 else None
     if pool is None:
         return fn(*block(0, L))
-    edges = [L * k // blocks for k in range(blocks + 1)]
+    if sizes is None:
+        edges = [L * k // blocks for k in range(blocks + 1)]
+    else:
+        # the items whose midpoint lies below k / blocks of the total, that
+        # is (2 end - size) blocks < 2 k total, in integers
+        ends = np.cumsum(sizes)
+        mids = (2 * ends - sizes) * blocks
+        edges = np.searchsorted(mids, 2 * ends[-1] * np.arange(blocks + 1)).tolist()
     calls = [block(lo, hi) for lo, hi in zip(edges, edges[1:])]
     return np.concatenate(_in_order(fn, calls, pool))
 
@@ -280,12 +301,10 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     :func:`_merge` of the cumulative weights are the quantile indices
     ``(i_k, j_k)`` and the cost is :math:`\sum_k (q_k - q_{k-1})
     c(u_{i_k}, v_{j_k})` over the merged levels, computed in place.  Each
-    side is sorted on its own, so :func:`sort_slices` and
+    side is sorted on its own, so :func:`_sorted_slices` and
     :func:`wasserstein_1d_sorted` split the work between the measures and
-    the pairs of many measures.  Large calls run in column blocks on the
-    pool, one per worker, and every block in chunks of columns, so that the
-    peak memory of a call is bounded by the chunk size and the worker
-    count, not by ``L (n + m)``.
+    the pairs of many measures.  The kernel (:func:`_line_costs`) reads
+    copies of the columns, chunk by chunk.
     """
     check_order(p)
     u_values, v_values = _columns(u_values), _columns(v_values)
@@ -296,42 +315,53 @@ def wasserstein_1d_batched(u_values, v_values, u_weights=None, v_weights=None, p
     u_weights = validate_weights(u_weights, n=n)
     v_weights = validate_weights(v_weights, n=m)
     check_masses(float(np.sum(u_weights)), float(np.sum(v_weights)))
-
-    return _in_blocks(
-        _batched_costs, L, (n + m) * L >= _SPLIT_ENTRIES,
-        lambda lo, hi: (u_values[:, lo:hi], v_values[:, lo:hi], u_weights, v_weights, p))
+    return _line_costs(_column_rows(u_values), _column_rows(v_values), L, u_weights, v_weights, p)
 
 
-def _batched_costs(u_values, v_values, u_weights, v_weights, p):
-    """The body of :func:`wasserstein_1d_batched` on validated inputs, run
-    in consecutive chunks of at most ``_CHUNK_ENTRIES`` atom-slice entries
-    (one column at least) into one result: every reduction runs along one
-    column, so the costs are those of the whole call, bit for bit."""
-    (n, L), m = u_values.shape, v_values.shape[0]
-    step = max(1, _CHUNK_ENTRIES // (n + m))
-    costs = np.empty(L)
-    for lo in range(0, L, step):
-        costs[lo:lo + step] = _chunk_costs(
-            u_values[:, lo:lo + step], v_values[:, lo:lo + step], u_weights, v_weights, p)
+def _line_costs(u_rows, v_rows, L, u_weights, v_weights, p):
+    """The line kernel: the 1D costs of ``L`` slices of two measures whose
+    row maps ``u_rows(lo, hi)`` and ``v_rows(lo, hi)`` return fresh C-ordered
+    ``(hi - lo, n)`` coordinates of slices ``[lo, hi)``, on validated
+    weights of equal mass.  A call of at least ``_SPLIT_ENTRIES`` atom-slice
+    entries runs in contiguous blocks of slices on the pool, one per worker,
+    so that each worker maps, sorts and costs its own slices."""
+    n, m = len(u_weights), len(v_weights)
+    return _in_blocks(_batched_costs, L, (n + m) * L >= _SPLIT_ENTRIES,
+                      lambda lo, hi: (u_rows, v_rows, u_weights, v_weights, p, lo, hi))
+
+
+def _batched_costs(u_rows, v_rows, u_weights, v_weights, p, lo, hi):
+    """The costs of slices ``[lo, hi)`` of :func:`_line_costs`, in
+    consecutive chunks of at most ``_CHUNK_ENTRIES`` atom-slice entries, or
+    ``_MERGE_CHUNK_ENTRIES`` where weights merge (one slice at least), each
+    mapped by both row maps into one result: every reduction runs along one
+    row, so the costs are those of the whole call, bit for bit."""
+    chunk = _CHUNK_ENTRIES if _matched_uniform(u_weights, v_weights) else _MERGE_CHUNK_ENTRIES
+    step = max(1, chunk // (len(u_weights) + len(v_weights)))
+    costs = np.empty(hi - lo)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        costs[start - lo:stop - lo] = _chunk_costs(
+            u_rows(start, stop), v_rows(start, stop), u_weights, v_weights, p)
     return costs
 
 
-def _chunk_costs(u_values, v_values, u_weights, v_weights, p):
-    """One chunk of columns of :func:`_batched_costs`."""
-    n, L = u_values.shape
-    m = v_values.shape[0]
-    # row-major layout (L, n): every subsequent operation runs along the
-    # contiguous last axis, which dominates the runtime at large L.  Ties
-    # between equal values do not change the cost, so the value path may
-    # use the (faster) default sort; only the subgradient needs stability.
+def _chunk_costs(u_rows, v_rows, u_weights, v_weights, p):
+    """One chunk of :func:`_batched_costs` on ``(s, n)`` and ``(s, m)`` rows
+    it owns and overwrites."""
+    # every operation runs along the contiguous rows.  Ties between equal
+    # values do not change the cost, so the value path may use the (faster)
+    # default sort; only the subgradient needs stability.
     if _matched_uniform(u_weights, v_weights):
         # matched uniform clouds: sorted pairing, no quantile merge needed
-        diff = _sorted_copy(u_values)
-        diff -= _sorted_copy(v_values)
-        return _paired_cost(diff, u_weights[0], p)
+        u_rows.sort(axis=-1)
+        v_rows.sort(axis=-1)
+        u_rows -= v_rows
+        return _paired_cost(u_rows, u_weights[0], p)
+    (L, n), m = u_rows.shape, v_rows.shape[1]
     levels = np.empty((L, n + m))
-    u_sorted = _sorted_with_cum(u_values, u_weights, levels[:, :n])
-    v_sorted = _sorted_with_cum(v_values, v_weights, levels[:, n:])
+    u_sorted = _sorted_with_cum(u_rows, u_weights, levels[:, :n])
+    v_sorted = _sorted_with_cum(v_rows, v_weights, levels[:, n:])
     return _merged_cost(u_sorted, v_sorted, levels, p)
 
 
@@ -348,13 +378,13 @@ class SortedSlices:
     mass: float
 
 
-def sort_slices(values, weights=None):
-    """The per-measure half of :func:`wasserstein_1d_batched` for ``(n, L)``
-    coordinates: sort each slice once, to compare with many measures."""
-    values = _columns(values)
-    w = validate_weights(weights, n=values.shape[0])
-    cum = np.empty(w.shape if float(np.ptp(w)) == 0.0 else values.shape[::-1])
-    return SortedSlices(_sorted_with_cum(values, w, cum), w, cum, float(np.sum(w)))
+def _sorted_slices(rows, weights):
+    """The per-measure half of :func:`wasserstein_1d_batched` on ``(L, n)``
+    rows it owns and may sort in place, with validated weights: each slice
+    is sorted once, to compare with many measures."""
+    cum = np.empty(weights.shape if float(np.ptp(weights)) == 0.0 else rows.shape)
+    return SortedSlices(_sorted_with_cum(rows, weights, cum), weights, cum,
+                        float(np.sum(weights)))
 
 
 def wasserstein_1d_sorted(u, v, p=2.0):
@@ -642,23 +672,22 @@ def _columns(values):
     return values
 
 
-def _sorted_copy(values):
-    """Sorted ``(L, n)`` rows of ``(n, L)`` values, sorted in place in a copy:
-    ``np.ascontiguousarray(values.T)`` is a view of Fortran-ordered values,
-    which an in-place sort would overwrite."""
-    rows = np.array(values.T, order="C")
-    rows.sort(axis=-1)
-    return rows
+def _column_rows(values):
+    """The row map of ``(n, L)`` coordinates: ``(lo, hi) ->`` a C-ordered
+    copy of columns ``[lo, hi)`` as rows, which its caller may overwrite
+    (``np.ascontiguousarray`` would be a view of Fortran-ordered values)."""
+    return lambda lo, hi: np.array(values[:, lo:hi].T, order="C")
 
 
-def _sorted_with_cum(values, weights, cum):
-    """Sorted ``(L, n)`` rows of ``(n, L)`` values, never a view of them;
-    their cumulative weights go to ``cum``, which may be one ``(n,)`` row
-    when the weights are uniform."""
+def _sorted_with_cum(rows, weights, cum):
+    """Sorted ``(L, n)`` rows: ``rows`` itself, sorted in place, when the
+    weights are uniform, and otherwise a new array ordered by an ``argsort``
+    that leaves ``rows`` as it was.  Their cumulative weights go to ``cum``,
+    which may be one ``(n,)`` row when the weights are uniform."""
     if float(np.ptp(weights)) == 0.0:
         cum[:] = np.cumsum(weights)
-        return _sorted_copy(values)
-    rows = np.ascontiguousarray(values.T)
+        rows.sort(axis=-1)
+        return rows
     sorter = np.argsort(rows, axis=-1)
     np.cumsum(weights[sorter], axis=-1, out=cum)
     return _permuted_rows(rows, sorter)

@@ -1,15 +1,18 @@
 r"""Sliced-Wasserstein distance on Euclidean space, and the shared slicing core.
 
 Every line-valued sliced distance of the package is :func:`sliced_cost`: a
-slicer maps each cloud to ``(n, L)`` line coordinates, the exact 1D costs
-of the ``L`` columns are averaged, and :func:`validate_pair` checks the
-inputs once on the way in.  Euclidean slicing uses directions drawn
+slicer puts each cloud on ``L`` lines, the exact 1D costs of the ``L``
+slices are averaged, and :func:`validate_pair` checks the inputs once on
+the way in.  The package's slicers follow the row protocol of
+:class:`LineSlicer`: each cloud is prepared once, and the line kernel maps
+any block of slices on demand.  Euclidean slicing uses directions drawn
 uniformly on the unit sphere; the module also holds the analytic a.e.
 subgradient of :math:`SW_2^2` with respect to particle positions used by
 the gradient-flow schemes.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -17,16 +20,19 @@ from .errors import InvalidInput
 from .measures import (
     _SPLIT_ATOMS,
     _SPLIT_ENTRIES,
+    _column_rows,
+    _columns,
     _executor,
     _in_blocks,
     _in_order,
     _largest_block,
+    _line_costs,
     _matched_uniform,
+    _sorted_slices,
+    check_masses,
     check_order,
-    sort_slices,
     sorted_rows,
     validate_weights,
-    wasserstein_1d_batched,
     wasserstein_1d_sorted,
 )
 
@@ -98,11 +104,43 @@ def haar_orthonormal(z):
     return q * signs[:, None, :]
 
 
-def _project(points, dirs):
-    """``points @ dirs.T`` laid out slice-major: the transpose of the C-ordered
-    ``(L, n)`` product ``dirs @ points.T``, so that each slice's column of the
-    ``(n, L)`` result is contiguous and sorts without a transposing copy."""
-    return (dirs @ points.T).T
+class LineSlicer:
+    """The row protocol of the package's line slicers.  A subclass has
+    ``n_slices``; ``prepare(points)``, which checks one cloud and computes
+    what every slice of it needs, once per cloud; and ``rows(features, lo,
+    hi)``, the C-ordered ``(hi - lo, n)`` coordinates of slices ``[lo, hi)``
+    of the prepared cloud, a fresh array its caller may overwrite."""
+
+    def coordinates(self, points):
+        """``(n, L)`` line coordinates: all rows, transposed, so that each
+        slice's column is contiguous and sorts without a transposing copy."""
+        return self.rows(self.prepare(points), 0, self.n_slices).T
+
+
+def _product_rows(dirs, points, lo, hi):
+    """Rows ``[lo, hi)`` of the ``(L, n)`` product ``dirs @ points.T``, with
+    the bits of the whole product.  numpy hands a product with one row or
+    one column to gemv or a dot, whose sums round differently from the
+    matrix product's: one slice of several is read off a two-slice product,
+    and one atom's rows off the whole product."""
+    L = len(dirs)
+    if len(points) == 1:
+        return (dirs @ points.T)[lo:hi]
+    if hi - lo == 1 < L:
+        start = min(lo, L - 2)
+        return (dirs[start:start + 2] @ points.T)[lo - start:hi - start]
+    return dirs[lo:hi] @ points.T
+
+
+def _row_map(slicer, points):
+    """``(rows, L)``: the row map ``(lo, hi) -> (hi - lo, n)`` of one cloud
+    through ``slicer`` and its slice count.  Any slicer other than a
+    :class:`LineSlicer` maps the cloud whole through ``coordinates``, and
+    the rows are copies of its columns."""
+    if isinstance(slicer, LineSlicer):
+        return partial(slicer.rows, slicer.prepare(points)), slicer.n_slices
+    values = _columns(slicer.coordinates(points))
+    return _column_rows(values), values.shape[1]
 
 
 def point_rows(points):
@@ -144,28 +182,47 @@ def validate_cloud(points, weights=None):
 def sliced_cost(slicer, x, y, p=2.0, x_weights=None, y_weights=None):
     r"""Monte-Carlo sliced :math:`W_p^p` through any line-valued slicer.
 
-    ``slicer.coordinates(points)`` maps a cloud to its ``(n, L)`` line
-    coordinates; the result is the mean over the ``L`` columns of the exact
-    1D :math:`W_p^p` between the coordinate measures.  Large clouds are
-    mapped on the pool, one task each; ``x``'s error comes first.
+    The result is the mean over the ``L`` slices of the exact 1D
+    :math:`W_p^p` between the two clouds' coordinate measures.  A
+    :class:`LineSlicer` prepares each cloud once; the line kernel then maps,
+    sorts and costs chunks of slices, in one block of slices per worker
+    once the call holds ``_SPLIT_ENTRIES`` atom-slice entries, and never
+    holds a cloud's ``(n, L)`` coordinates.  Any other object with
+    ``coordinates(points) -> (n, L)`` maps each cloud whole, and the kernel
+    reads copies of the columns.  Where the kernel stays whole, clouds of
+    ``_SPLIT_ATOMS`` atoms in all are prepared on the pool, one task each.
+    ``x``'s error comes first.
     """
     x, a, y, b = validate_pair(x, y, x_weights, y_weights)
-    pool = _executor() if len(x) + len(y) >= _SPLIT_ATOMS else None
-    u, v = _in_order(slicer.coordinates, [(x,), (y,)], pool)
-    return float(np.mean(wasserstein_1d_batched(u, v, a, b, p=p)))
+    atoms = len(x) + len(y)
+    split = isinstance(slicer, LineSlicer) and atoms * slicer.n_slices >= _SPLIT_ENTRIES
+    pool = _executor() if atoms >= _SPLIT_ATOMS and not split else None
+    (u_rows, L), (v_rows, Lv) = _in_order(_row_map, [(slicer, x), (slicer, y)], pool)
+    check_order(p)
+    if L != Lv:
+        raise InvalidInput("u_values and v_values must have the same column count")
+    check_masses(float(np.sum(a)), float(np.sum(b)))
+    try:
+        costs = _line_costs(u_rows, v_rows, L, a, b, p)
+    except ValueError:
+        # a row map failed, in x or in y: x's own error, if any, comes first
+        u_rows(0, L)
+        raise
+    return float(np.mean(costs))
 
 
 def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
     """:func:`sliced_cost` of every pair of ``k`` clouds, as a symmetric
     ``(k, k)`` array with a zero diagonal and bit-identical entries.
 
-    Each cloud is validated, mapped to its coordinates and sorted once;
-    each pair then runs only :func:`measures.wasserstein_1d_sorted`.  The
-    order ``p`` is checked first, then the clouds in turn (each against the
-    atom shape of the first), then the pairs' total masses in row order.
-    Large sets of clouds are mapped and sorted on the pool, one task each,
-    and large pairs (:func:`_split_pairs`) run in row order as one
-    contiguous block per worker.
+    Each cloud is validated, mapped to its ``(L, n)`` rows and sorted in
+    place once; each pair then runs only
+    :func:`measures.wasserstein_1d_sorted`.  The order ``p`` is checked
+    first, then the clouds in turn (each against the atom shape of the
+    first), then the pairs' total masses in row order.  Large sets of
+    clouds are mapped and sorted on the pool, one task each, and large
+    pairs (:func:`_split_pairs`) run in row order as one contiguous block
+    per worker, the blocks cut at equal totals of ``n_i + n_j``.
     """
     check_order(p)
     weights = [None] * len(clouds) if weights is None else weights
@@ -179,9 +236,10 @@ def sliced_cost_matrix(slicer, clouds, p=2.0, weights=None):
     values = np.zeros((k, k))
     rows, cols = np.triu_indices(k, 1)
     if rows.size:
+        counts = np.array([side.rows.shape[1] for side in sides])
         values[rows, cols] = values[cols, rows] = _in_blocks(
             _pair_costs, rows.size, _split_pairs(sides),
-            lambda lo, hi: (sides, rows[lo:hi], cols[lo:hi], p))
+            lambda lo, hi: (sides, rows[lo:hi], cols[lo:hi], p), counts[rows] + counts[cols])
     return values
 
 
@@ -217,21 +275,29 @@ def _sorted_side(slicer, x, w, shape):
     x, w = validate_cloud(x, w)
     if x.shape[1:] != shape:
         raise InvalidInput(f"atom shape mismatch: {shape} vs {x.shape[1:]}")
-    return sort_slices(slicer.coordinates(x), w)
+    rows, L = _row_map(slicer, x)
+    return _sorted_slices(rows(0, L), w)
 
 
 @dataclass(frozen=True)
-class EuclideanSlicer:
+class EuclideanSlicer(LineSlicer):
     """Linear projections ``x -> <theta, x>`` for a shared direction set."""
 
     dirs: DirectionSet
 
-    def coordinates(self, points):
+    @property
+    def n_slices(self):
+        return self.dirs.n_projections
+
+    def prepare(self, points):
         points = np.asarray(points, dtype=float)
         d = self.dirs.dirs.shape[1]
         if points.ndim != 2 or points.shape[1] != d:
             raise InvalidInput(f"points must be an (n, {d}) array, got {points.shape}")
-        return _project(points, self.dirs.dirs)
+        return points
+
+    def rows(self, points, lo, hi):
+        return _product_rows(self.dirs.dirs, points, lo, hi)
 
 
 def sw_p(x, y, dirs, p=2.0, x_weights=None, y_weights=None):

@@ -16,7 +16,8 @@ from .errors import DegenerateDirection, InvalidInput, NotPositiveDefinite, chec
 from .measures import check_positive, quantile_rows, sorted_rows, validate_weights
 from .sliced import (
     EuclideanSlicer,
-    _project,
+    LineSlicer,
+    _product_rows,
     haar_orthonormal,
     sample_directions,
     sliced_cost,
@@ -24,9 +25,11 @@ from .sliced import (
 
 SYM_ATOL = 1e-10
 EIG_FLOOR = 1e-13
-# entries in each of the two (slices, d, d, atoms) AI Busemann buffers: 512 KiB
-# of float64 each, so a block stays in a 2 MiB L2; one slice of the cloud if more
-AI_BLOCK_ENTRIES = 1 << 16
+# (slice, atom) planes in each block of the AI Busemann elimination, one
+# slice of the cloud if more.  Its two buffers hold d * d entries a plane
+# (288 KiB each at d = 3, 4.5 MiB at d = 12): a bound in entries shrank the
+# blocks with d^2 until the per-block calls of the d-step loop dominated
+AI_BLOCK_PLANES = 1 << 12
 
 
 def _symmetric_stack(m):
@@ -148,7 +151,7 @@ def coordinate_le(m, a):
     a_stack = np.asarray(a, dtype=float)
     if single_a:
         a_stack = a_stack[None]
-    coords = _project(logs.reshape(len(logs), -1), a_stack.reshape(len(a_stack), -1))
+    coords = (a_stack.reshape(len(a_stack), -1) @ logs.reshape(len(logs), -1).T).T
     if single_m and single_a:
         return float(coords[0, 0])
     if single_m:
@@ -158,32 +161,46 @@ def coordinate_le(m, a):
     return coords
 
 
-def _busemann_ai_batch(m, slices):
-    """:func:`busemann_ai` of a cloud ``(n, d, d)`` along ``L`` slices, ``(n, L)``
-    with contiguous columns.
-
-    One ``eigh`` of the slices.  Per block of slices, stacked BLAS products
-    (one shape per slice, so the block changes no bit) rotate every atom into
-    ``R = P^T M P``, and a ``d``-step elimination from the bottom-right corner
-    gives the UDU pivots ``D_k = W_kk``: ``W_ik = R_ik - sum_{m>k} W_im W_km / D_m``
-    (``i <= k``, kept above the diagonal; ``W_ik / D_k`` below it).
-    """
-    a_vals, a_vecs = sym_eig(np.asarray(slices, dtype=float))  # (L, d), (L, d, d)
+def _ai_slices(slices):
+    """The eigenpairs ``(L, d)``, ``(L, d, d)`` of the slices of the AI
+    Busemann function, eigenvalues descending and pairwise distinct."""
+    a_vals, a_vecs = sym_eig(np.asarray(slices, dtype=float))
     if np.min(np.diff(a_vals[..., ::-1], axis=-1)) < 1e-10:
         raise DegenerateDirection("direction eigenvalues collide; resample")
+    return a_vals, a_vecs
+
+
+def _ai_atoms(m):
+    """A cloud ``(n, d, d)`` symmetrized and laid out ``(a, (b, atom))`` for
+    :func:`_horospherical_ai_rows`."""
     m = np.asarray(m, dtype=float)
-    (n_slices, d), n = a_vals.shape, len(m)
-    sym = (m + np.swapaxes(m, 1, 2)).transpose(1, 2, 0).reshape(d, d * n) / 2.0  # (a, (b, atom))
-    step = min(n_slices, max(1, AI_BLOCK_ENTRIES // max(1, d * d * n)))
+    d, n = m.shape[-1], len(m)
+    return (m + np.swapaxes(m, 1, 2)).transpose(1, 2, 0).reshape(d, d * n) / 2.0
+
+
+def _horospherical_ai_rows(sym, a_vals, a_vecs):
+    """The negated :func:`busemann_ai` of the :func:`_ai_atoms` ``sym`` along
+    the slices of eigenpairs ``a_vals``, ``a_vecs``: C-ordered ``(L, n)``
+    rows.
+
+    Per block of slices, at most ``AI_BLOCK_PLANES`` (slice, atom) planes,
+    stacked BLAS products (one shape per slice, so the block changes no
+    bit) rotate every atom into ``R = P^T M P``, and a ``d``-step
+    elimination from the bottom-right corner gives the UDU pivots ``D_k =
+    W_kk``: ``W_ik = R_ik - sum_{m>k} W_im W_km / D_m`` (``i <= k``, kept
+    above the diagonal; ``W_ik / D_k`` below it).
+    """
+    (n_slices, d), n = a_vals.shape, sym.shape[1] // sym.shape[0]
+    step = min(n_slices, max(1, AI_BLOCK_PLANES // max(1, n)))
     half, planes = np.empty((step, d, d * n)), np.empty((d, d, step, n))
-    out = np.empty((n_slices, n))
+    out = np.zeros((n_slices, n))
     for l0 in range(0, n_slices, step):
         s = min(step, n_slices - l0)
         pt = np.ascontiguousarray(np.swapaxes(a_vecs[l0 : l0 + s], -1, -2))
         np.matmul(pt, sym, out=half[:s])  # P^T M: (slice, k, (b, atom))
         r = planes[:, :, :s]  # P^T M P: (k, j, slice, atom)
         np.matmul(pt[:, None], half[:s].reshape(s, d, d, n), out=r.transpose(2, 0, 1, 3))
-        r, total = r.reshape(d, d, s * n), np.zeros((s, n))
+        r, total = r.reshape(d, d, s * n), out[l0 : l0 + s]
         for k in range(d - 1, -1, -1):
             col = r[: k + 1, k]
             col -= np.einsum("imb,mb->ib", r[: k + 1, k + 1 :], r[k + 1 :, k])
@@ -191,8 +208,7 @@ def _busemann_ai_batch(m, slices):
                 raise NotPositiveDefinite("matrix not positive definite")
             total += a_vals[l0 : l0 + s, k, None] * np.log(col[k]).reshape(s, n)
             np.divide(col[:k], col[k], out=r[k, :k])
-        np.negative(total, out=out[l0 : l0 + s])
-    return out.T
+    return out
 
 
 def busemann_ai(m, a):
@@ -208,34 +224,46 @@ def busemann_ai(m, a):
     """
     m = np.asarray(m, dtype=float)
     stack = m[None] if m.ndim == 2 else m
-    out = _busemann_ai_batch(stack, np.asarray(a)[None])[:, 0]
+    a_vals, a_vecs = _ai_slices(np.asarray(a)[None])
+    out = -_horospherical_ai_rows(_ai_atoms(stack), a_vals, a_vecs)[0]
     return float(out[0]) if m.ndim == 2 else out
 
 
 @dataclass(frozen=True)
-class SpdSlicer:
+class SpdSlicer(LineSlicer):
     r"""Line coordinates of SPD-valued atoms along symmetric slices.
 
     ``kind="geodesic"`` gives the Log-Euclidean coordinate
-    :math:`\mathrm{Tr}(A \log M)`, one matrix product; ``kind="horospherical"``
-    the negated affine-invariant Busemann function of :func:`busemann_ai`,
-    rotated by BLAS and eliminated in blocks of slices over every atom.
+    :math:`\mathrm{Tr}(A \log M)`, one matrix product on the atoms' logs;
+    ``kind="horospherical"`` the negated affine-invariant Busemann function
+    of :func:`busemann_ai`, rotated by BLAS and eliminated in blocks of
+    slices over every atom.
     """
 
     slices: np.ndarray = field(repr=False)
     kind: str = "geodesic"
 
-    def coordinates(self, points):
+    @property
+    def n_slices(self):
+        return len(self.slices)
+
+    def prepare(self, points):
         points = np.asarray(points, dtype=float)
         d = np.shape(self.slices)[-1]
         if points.shape[1:] != (d, d):
             raise InvalidInput(f"need an (n, {d}, {d}) stack, got {points.shape}")
         if self.kind == "geodesic":
-            return coordinate_le(points, self.slices)
+            return spd_log(points).reshape(len(points), -1)
         if self.kind == "horospherical":
-            out = _busemann_ai_batch(points, self.slices)
-            return np.negative(out, out=out)
+            return (_ai_atoms(points), *_ai_slices(self.slices))
         raise InvalidInput(f"unknown SPD slicer kind {self.kind!r}")
+
+    def rows(self, cloud, lo, hi):
+        if self.kind == "geodesic":
+            slices = np.asarray(self.slices, dtype=float)
+            return _product_rows(slices.reshape(len(slices), -1), cloud, lo, hi)
+        sym, a_vals, a_vecs = cloud
+        return _horospherical_ai_rows(sym, a_vals[lo:hi], a_vecs[lo:hi])
 
 
 def spdsw(x, y, slices, p=2.0, x_weights=None, y_weights=None):

@@ -885,8 +885,17 @@ def busemann_coordinate_out_of_place(x, ideal, model="lorentz"):
     return np.log(sq_dist / (1.0 - np.sum(x**2, axis=-1))[:, None])
 
 
+def sort_slices(values, weights=None):
+    """The per-measure half of ``measures.wasserstein_1d_batched`` for ``(n,
+    L)`` coordinates, on a copy of the columns: the package sorts only rows
+    it owns (``measures._sorted_slices``)."""
+    values = measures._columns(values)
+    w = measures.validate_weights(weights, n=values.shape[0])
+    return measures._sorted_slices(measures._column_rows(values)(0, values.shape[1]), w)
+
+
 def sorted_rows_out_of_place(values):
-    """The uniform sort of ``measures.sort_slices``: a contiguous ``(L, n)``
+    """The uniform sort of :func:`sort_slices`: a contiguous ``(L, n)``
     copy of the columns, then a sorted copy of that."""
     return np.sort(np.ascontiguousarray(np.asarray(values, dtype=float).T), axis=-1)
 
@@ -912,13 +921,15 @@ def batched_costs_whole(u_values, v_values, u_weights, v_weights, p):
     column at once, through one ``(L, n + m)`` levels array."""
     n, L = u_values.shape
     m = v_values.shape[0]
+    u_rows = np.array(u_values.T, order="C")
+    v_rows = np.array(v_values.T, order="C")
     if measures._matched_uniform(u_weights, v_weights):
-        diff = measures._sorted_copy(u_values)
-        diff -= measures._sorted_copy(v_values)
-        return measures._paired_cost(diff, u_weights[0], p)
+        u_rows.sort(axis=-1)
+        v_rows.sort(axis=-1)
+        return measures._paired_cost(u_rows - v_rows, u_weights[0], p)
     levels = np.empty((L, n + m))
-    u_sorted = measures._sorted_with_cum(u_values, u_weights, levels[:, :n])
-    v_sorted = measures._sorted_with_cum(v_values, v_weights, levels[:, n:])
+    u_sorted = measures._sorted_with_cum(u_rows, u_weights, levels[:, :n])
+    v_sorted = measures._sorted_with_cum(v_rows, v_weights, levels[:, n:])
     return measures._merged_cost(u_sorted, v_sorted, levels, p)
 
 

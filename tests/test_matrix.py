@@ -170,13 +170,13 @@ SLICERS = {"euclidean": sliced.EuclideanSlicer, "spd": spd.SpdSlicer,
 def test_each_file_is_projected_once(tmp_path, capsys, monkeypatch, name, geometry):
     cls = SLICERS[geometry if name != "logsw" else "euclidean"]
     calls = []
-    coordinates = cls.coordinates
+    prepare = cls.prepare
 
     def spy(self, points):
         calls.append(len(points))
-        return coordinates(self, points)
+        return prepare(self, points)
 
-    monkeypatch.setattr(cls, "coordinates", spy)
+    monkeypatch.setattr(cls, "prepare", spy)
     paths = tied_files(tmp_path, name, geometry, LAYOUT[:5])
     code, _ = matrix_outcome(name, paths, geometry, capsys)
     assert code == 0

@@ -292,9 +292,11 @@ def _chunk_case(kind, seed, L):
 
 
 class TestChunkedLineKernel:
-    """The line kernel runs each block's columns in chunks of at most
-    ``_CHUNK_ENTRIES`` atom-slice entries; L = 23 is a prime, so 3 and 5
-    rows divide neither the call nor a block, and 30 rows take it whole."""
+    """The line kernel runs each block's slices in chunks of at most
+    ``_CHUNK_ENTRIES`` atom-slice entries (``_MERGE_CHUNK_ENTRIES`` where
+    weights merge), each chunk one block of rows; L = 23 is a prime, so 3
+    and 5 rows divide neither the call nor a block, and 30 rows take it
+    whole."""
 
     @pytest.mark.parametrize("layout", ["c", "fortran"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -304,10 +306,11 @@ class TestChunkedLineKernel:
         L = 23
         u, v, a, b = _chunk_case(kind, rows, L)
         u, v = LAYOUTS[layout](u), LAYOUTS[layout](v)
-        monkeypatch.setattr(measures, "_CHUNK_ENTRIES", rows * (len(u) + len(v)))
+        for name in ("_CHUNK_ENTRIES", "_MERGE_CHUNK_ENTRIES"):
+            monkeypatch.setattr(measures, name, rows * (len(u) + len(v)))
         chunk, widths = measures._chunk_costs, []
         monkeypatch.setattr(measures, "_chunk_costs",
-                            lambda u, *rest: widths.append(u.shape[1]) or chunk(u, *rest))
+                            lambda u, *rest: widths.append(len(u)) or chunk(u, *rest))
         same = unchanged(u, v, *(w for w in (a, b) if w is not None))
         got = wasserstein_1d_batched(u, v, a, b, p)
         want = batched_costs_whole(u, v, validate_weights(a, len(u)),
@@ -324,7 +327,7 @@ class TestChunkedLineKernel:
         b = np.full(7, 1.0 / 7)
         chunk, widths = measures._chunk_costs, []
         monkeypatch.setattr(measures, "_chunk_costs",
-                            lambda u, *rest: widths.append(u.shape[1]) or chunk(u, *rest))
+                            lambda u, *rest: widths.append(len(u)) or chunk(u, *rest))
         got = wasserstein_1d_batched(u, v, None, b)
         want = batched_costs_whole(u, v, validate_weights(None, len(u)), b, 2.0)
         assert np.array_equal(got, want)

@@ -29,11 +29,13 @@ class SpyPool(ThreadPoolExecutor):
 
     def __init__(self):
         super().__init__(WORKERS, thread_name_prefix="spy")
-        self.tasks, self.futures = [], []
+        self.tasks, self.args, self.futures = [], [], []
 
     def submit(self, fn, /, *args, **kwargs):
         future = super().submit(fn, *args, **kwargs)
-        self.tasks.append(args[1])  # ``fn`` runs ``args[1]`` under ``args[0]``
+        # ``fn`` runs ``args[1]`` on ``args[2:]`` under ``args[0]``
+        self.tasks.append(args[1])
+        self.args.append(args[2:])
         self.futures.append(future)
         return future
 
@@ -64,6 +66,14 @@ def _line_case(kind, L, seed):
     return u, v, a / a.sum(), b / b.sum()
 
 
+def _kernel_body(u, v, a=None, b=None, p=2.0):
+    """The serial body of the line kernel on ``(n, L)`` values: every slice
+    of both clouds' column copies on the calling thread."""
+    return measures._batched_costs(measures._column_rows(u), measures._column_rows(v),
+                                   validate_weights(a, len(u)), validate_weights(b, len(v)),
+                                   p, 0, u.shape[1])
+
+
 @pytest.mark.parametrize("layout", list(LAYOUTS))
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @pytest.mark.parametrize("kind", ["matched", "uniform", "weighted"])
@@ -74,9 +84,7 @@ def test_kernel_blocks_are_the_serial_body(pool, L, kind, p, layout):
     u, v = LAYOUTS[layout](u), LAYOUTS[layout](v)
     same = unchanged(u, v, *(w for w in (a, b) if w is not None))
     got = wasserstein_1d_batched(u, v, a, b, p=p)
-    want = measures._batched_costs(u, v, validate_weights(a, len(u)),
-                                   validate_weights(b, len(v)), p)
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _kernel_body(u, v, a, b, p))
     assert same()
     blocks = min(WORKERS, L)
     assert pool.tasks == [measures._batched_costs] * (blocks if blocks > 1 else 0)
@@ -97,8 +105,7 @@ def test_one_worker_builds_no_pool(monkeypatch):
     u, v, _, _ = _line_case("matched", 64, seed=1)
     got = wasserstein_1d_batched(u, v)
     assert measures._pool is None
-    uniform = validate_weights(None, len(u))
-    assert np.array_equal(got, measures._batched_costs(u, v, uniform, uniform, 2.0))
+    assert np.array_equal(got, _kernel_body(u, v))
 
 
 def test_small_calls_submit_nothing(pool):
@@ -133,8 +140,10 @@ def _lorentz(n, seed, shift=0.0):
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("L", [37, 300])
 def test_sliced_cost_is_the_serial_one(pool, monkeypatch, L, weighted, p, layout):
-    """Both clouds' coordinates run on the pool; at L = 300 the kernel is
-    split too."""
+    """At L = 37 both clouds are prepared on the pool, one task each, and
+    the kernel stays whole; at L = 300 the kernel runs in blocks of slices,
+    each mapping both clouds, and the clouds are prepared on the calling
+    thread."""
     rng = np.random.default_rng(L)
     x, y = LAYOUTS[layout](rng.normal(size=(700, 6))), LAYOUTS[layout](rng.normal(size=(600, 6)))
     a = b = None
@@ -146,9 +155,9 @@ def test_sliced_cost_is_the_serial_one(pool, monkeypatch, L, weighted, p, layout
     got = sw_p(x, y, dirs, p, a, b)
     assert got == _serial(monkeypatch, lambda: sw_p(x, y, dirs, p, a, b))
     assert same()
-    blocks = WORKERS if (700 + 600) * L >= measures._SPLIT_ENTRIES else 0
-    coordinates = [t for t in pool.tasks if t != measures._batched_costs]
-    assert len(coordinates) == 2 and pool.tasks.count(measures._batched_costs) == blocks
+    split = (700 + 600) * L >= measures._SPLIT_ENTRIES
+    tasks = [measures._batched_costs] * WORKERS if split else [sliced._row_map] * 2
+    assert pool.tasks == tasks
 
 
 def test_hyperbolic_and_spd_costs_are_the_serial_ones(pool, monkeypatch):
@@ -228,6 +237,28 @@ def test_pair_blocks_are_the_serial_loop(pool, monkeypatch, kind, p):
     w = weights or [None] * 5
     for i, j in [(0, 1), (1, 3), (3, 4)]:
         assert got[i, j] == sliced.sliced_cost(slicer, clouds[i], clouds[j], p, w[i], w[j])
+
+
+def test_pair_blocks_hold_equal_entries(pool, monkeypatch):
+    """Two clouds of 4,000 atoms and four of 200: the pairs with a large
+    cloud come first in row order, so blocks of equal pair counts would
+    give the first one three quarters of the ``n_i + n_j`` entries.  Cut at
+    equal entries, no block holds more than its share plus one pair, and
+    the matrix is the serial loop's."""
+    rng = np.random.default_rng(8)
+    counts = np.array([4000, 4000, 200, 200, 200, 200])
+    clouds = [rng.normal(size=(c, 3)) + 0.1 * j for j, c in enumerate(counts)]
+    slicer = EuclideanSlicer(sample_directions(3, 32, seed=4))
+    got = sliced_cost_matrix(slicer, clouds)
+    assert np.array_equal(got, _pair_loop(slicer, clouds, 2.0, None))
+    assert np.array_equal(got, _serial(monkeypatch, lambda: sliced_cost_matrix(slicer, clouds)))
+    blocks = [args for task, args in zip(pool.tasks, pool.args) if task is sliced._pair_costs]
+    assert len(blocks) == WORKERS
+    rows, cols = np.triu_indices(len(counts), 1)
+    share = np.sum(counts[rows] + counts[cols]) / WORKERS
+    for _, block_rows, block_cols, _ in blocks:
+        entries = counts[block_rows] + counts[block_cols]
+        assert np.sum(entries) <= share + np.max(entries)
 
 
 def _gate_matrix(pool, kind, counts, L):
@@ -342,11 +373,10 @@ def test_tasks_run_in_the_callers_numpy_error_state(pool):
     the serial body does, and warn nothing."""
     u, v, _, _ = _line_case("matched", 64, seed=3)
     u, v = u * 1e200, -v * 1e200
-    uniform = validate_weights(None, len(u))
     with warnings.catch_warnings(), np.errstate(over="ignore"):
         warnings.simplefilter("error", RuntimeWarning)
         got = wasserstein_1d_batched(u, v)
-        want = measures._batched_costs(u, v, uniform, uniform, 2.0)
+        want = _kernel_body(u, v)
     assert np.all(np.isinf(want)) and np.array_equal(got, want)
     assert len(pool.tasks) == WORKERS
 

@@ -13,13 +13,13 @@ import pytest
 from msot import measures
 from msot.hyperbolic import HyperbolicSlicer, ghsw, lorentz_to_poincare, sample_wrapped_normal
 from msot.measures import (
-    sort_slices,
     sorted_rows,
     wasserstein_1d_batched,
     wasserstein_1d_sorted,
 )
 from msot.sliced import EuclideanSlicer, sample_directions, sliced_cost_matrix, sw_p
 from msot.spd import SpdSlicer, coordinate_le, sample_unit_symmetric, spd_log, spdsw
+from oracles import sort_slices
 from samples import LAYOUTS, sample_spd_cloud
 
 EPS = np.finfo(float).eps

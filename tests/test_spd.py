@@ -182,12 +182,12 @@ class TestBusemannAI:
 
     @pytest.mark.parametrize("entries", [27, 900])
     def test_blocks_match_one_batch(self, monkeypatch, entries):
-        # 27 entries: blocks of 1 atom x 3 slices; 900: 4 atoms x all 25 slices
+        # 27 planes: blocks of 1 slice of the 30 atoms; 900: all 25 slices
         x = sample_spd_cloud(3, 30, seed=3, spread=1.5)
         slices = sample_unit_symmetric(3, 25, seed=13)
         slicer = SpdSlicer(slices, kind="horospherical")
         whole = slicer.coordinates(x)
-        monkeypatch.setattr(spd, "AI_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(spd, "AI_BLOCK_PLANES", entries)
         np.testing.assert_array_equal(slicer.coordinates(x), whole)
         bad_x = x.copy()
         bad_x[-1] = np.diag([1.0, 2.0, -1.0])
@@ -245,15 +245,16 @@ class TestBusemannAI:
         assert np.all(np.abs(loop - truth) <= tol)
 
     @pytest.mark.parametrize("d, n", [(2, 30), (5, 30), (3, 1)])
-    @pytest.mark.parametrize("entries", [1, 27, 900])
+    @pytest.mark.parametrize("entries", [1, 27, 100, 900])
     def test_blocks_match_the_whole_call(self, monkeypatch, d, n, entries):
         x = sample_spd_cloud(d, n, seed=d + n, spread=1.5)
         slices = sample_unit_symmetric(d, 25, seed=d)
-        whole = spd._busemann_ai_batch(x, slices)
-        monkeypatch.setattr(spd, "AI_BLOCK_ENTRIES", entries)
-        np.testing.assert_array_equal(spd._busemann_ai_batch(x, slices), whole)
+        slicer = SpdSlicer(slices, kind="horospherical")
+        whole = slicer.coordinates(x)
+        monkeypatch.setattr(spd, "AI_BLOCK_PLANES", entries)
+        np.testing.assert_array_equal(slicer.coordinates(x), whole)
         for l in (0, 24):
-            np.testing.assert_array_equal(busemann_ai(x, slices[l]), whole[:, l])
+            np.testing.assert_array_equal(busemann_ai(x, slices[l]), -whole[:, l])
 
     def test_late_failing_pivot_raises_without_warning(self, recwarn):
         # P^T M P = diag(-1, 1, 2): the first two pivots (from the bottom)
